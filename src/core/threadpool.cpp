@@ -13,8 +13,9 @@
 namespace sugar::core {
 namespace {
 
-// Set inside pool workers so a nested parallel_for degrades to an inline
-// serial run instead of deadlocking on the pool it is already inside.
+// Set inside pool workers, and on a submitting thread while it runs its
+// job's blocks, so a nested parallel_for degrades to an inline serial run
+// instead of deadlocking on the pool it is already inside.
 thread_local bool tl_in_pool_worker = false;
 
 }  // namespace
@@ -122,7 +123,16 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
     job_ = job;
   }
   cv_work_.notify_all();
-  work_on(*job);  // the submitting thread is worker #0
+  {
+    // The submitting thread is worker #0 and holds submit_mu_: flag it like
+    // a pool worker, so a parallel_for from one of its blocks runs inline
+    // instead of try-locking a mutex this thread already owns.
+    struct InPoolScope {
+      bool saved = std::exchange(tl_in_pool_worker, true);
+      ~InPoolScope() { tl_in_pool_worker = saved; }
+    } in_pool;
+    work_on(*job);
+  }
   {
     std::unique_lock<std::mutex> lk(mu_);
     cv_done_.wait(lk, [&] {

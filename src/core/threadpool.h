@@ -10,9 +10,10 @@
 // produces bit-identical output at any SUGAR_THREADS value, including 1
 // (where everything runs inline on the caller with zero pool overhead).
 //
-// Re-entrancy: a parallel_for issued from inside a pool worker, or while
-// another thread holds the pool, degrades to an inline serial run of the
-// same blocks in the same order — same results, no deadlock.
+// Re-entrancy: a parallel_for issued from inside a block (on a pool worker
+// or on the submitting thread), or while another thread holds the pool,
+// degrades to an inline serial run of the same blocks in the same order —
+// same results, no deadlock.
 #pragma once
 
 #include <condition_variable>

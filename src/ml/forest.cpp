@@ -9,20 +9,6 @@
 #include "ml/binned.h"
 
 namespace sugar::ml {
-namespace {
-
-// splitmix64 finalizer over (forest seed, tree index): every tree owns an
-// independent, index-derived RNG stream, so the forest is bit-identical no
-// matter which thread fits which tree — the parallel fit is exactly the
-// sequential fit, reordered.
-std::uint64_t tree_seed(std::uint64_t seed, std::uint64_t tree) {
-  std::uint64_t z = seed + 0x9E3779B97F4A7C15ull * (tree + 1);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
 
 void RandomForest::fit(const Matrix& x, const std::vector<int>& y, int num_classes) {
   SUGAR_TRACE_SPAN("ml.forest.fit");

@@ -2,86 +2,58 @@
 
 #include <algorithm>
 #include <cmath>
-#include <random>
 
+#include "core/threadpool.h"
+#include "core/trace.h"
 #include "ml/binned.h"
 
 namespace sugar::ml {
 
 void GradientBoosting::fit(const Matrix& x, const std::vector<int>& y,
                            int num_classes) {
-  num_classes_ = num_classes;
-  num_outputs_ = num_classes <= 2 ? 1 : num_classes;
-  std::mt19937_64 rng(cfg_.seed);
-
-  TreeConfig tree_cfg = cfg_.tree;
-  if (cfg_.growth == GbdtGrowth::LeafWise && tree_cfg.max_leaves == 0)
-    tree_cfg.max_leaves = 31;
-
-  int rounds = cfg_.rounds;
-  if (cfg_.max_total_trees > 0 && rounds * num_outputs_ > cfg_.max_total_trees)
-    rounds = std::max(3, cfg_.max_total_trees / num_outputs_);
-  rounds_used_ = rounds;
-
-  std::size_t n = x.rows();
-
+  SUGAR_TRACE_SPAN("ml.gbdt.fit");
   // Quantize once: all rounds × classes share the bin codes. GBDT splits
   // consider every feature, so trees also get sibling-subtraction
   // histograms over the whole-feature slot layout.
   BinnedMatrix binned;
   const BinnedMatrix* bm = nullptr;
-  if (cfg_.binned && n > 0) {
-    binned = BinnedMatrix(x, tree_cfg.histogram_bins);
+  if (cfg_.binned && x.rows() > 0) {
+    binned = BinnedMatrix(x, cfg_.tree.histogram_bins);
     bm = &binned;
   }
-
-  // Current margins F [n×outputs].
-  Matrix margins(n, static_cast<std::size_t>(num_outputs_));
-  Matrix probs;  // softmax scratch, reused every round
-  std::vector<float> grad(n), hess(n);
-  trees_.clear();
-  trees_.reserve(static_cast<std::size_t>(rounds * num_outputs_));
-
-  for (int r = 0; r < rounds; ++r) {
-    throw_if_cancelled(cfg_.cancel, "GradientBoosting::fit");
-    if (num_outputs_ == 1) {
-      // Binary logistic: y in {0,1}, p = sigmoid(F).
-      for (std::size_t i = 0; i < n; ++i) {
-        float p = 1.0f / (1.0f + std::exp(-margins(i, 0)));
-        grad[i] = p - static_cast<float>(y[i]);
-        hess[i] = std::max(p * (1.0f - p), 1e-6f);
-      }
-      DecisionTree tree;
-      tree.fit_regression(x, grad, hess, tree_cfg, rng, nullptr, bm);
-      for (std::size_t i = 0; i < n; ++i)
-        margins(i, 0) += cfg_.learning_rate * tree.predict_value(x.row(i));
-      trees_.push_back(std::move(tree));
-    } else {
-      // Softmax multi-class: one tree per class per round.
-      probs.copy_from(margins);
-      softmax_rows(probs);
-      for (int k = 0; k < num_outputs_; ++k) {
-        for (std::size_t i = 0; i < n; ++i) {
-          float p = probs(i, static_cast<std::size_t>(k));
-          grad[i] = p - (y[i] == k ? 1.0f : 0.0f);
-          hess[i] = std::max(p * (1.0f - p), 1e-6f);
-        }
-        DecisionTree tree;
+  boost(
+      x.rows(), y, num_classes, "GradientBoosting::fit",
+      [&](DecisionTree& tree, const std::vector<float>& grad,
+          const std::vector<float>& hess, const TreeConfig& tree_cfg,
+          std::mt19937_64& rng) {
         tree.fit_regression(x, grad, hess, tree_cfg, rng, nullptr, bm);
-        for (std::size_t i = 0; i < n; ++i)
-          margins(i, static_cast<std::size_t>(k)) +=
-              cfg_.learning_rate * tree.predict_value(x.row(i));
-        trees_.push_back(std::move(tree));
-      }
-    }
-  }
+      },
+      [&](const DecisionTree& tree, std::vector<float>& out) {
+        for (std::size_t i = 0; i < x.rows(); ++i) out[i] = tree.predict_value(x.row(i));
+      });
 }
 
 void GradientBoosting::fit_binned(const BinnedColumnSource& src,
                                   const std::vector<int>& y, int num_classes) {
+  SUGAR_TRACE_SPAN("ml.gbdt.fit_binned");
+  boost(
+      src.rows(), y, num_classes, "GradientBoosting::fit_binned",
+      [&](DecisionTree& tree, const std::vector<float>& grad,
+          const std::vector<float>& hess, const TreeConfig& tree_cfg,
+          std::mt19937_64& rng) {
+        tree.fit_regression_binned(src, grad, hess, tree_cfg, rng);
+      },
+      [&](const DecisionTree& tree, std::vector<float>& out) {
+        tree.predict_value_binned(src, out);
+      });
+}
+
+void GradientBoosting::boost(std::size_t n, const std::vector<int>& y,
+                             int num_classes, const char* where,
+                             const FitTree& fit_tree, const TreeOutputs& outputs) {
   num_classes_ = num_classes;
   num_outputs_ = num_classes <= 2 ? 1 : num_classes;
-  std::mt19937_64 rng(cfg_.seed);
+  const auto outs = static_cast<std::size_t>(num_outputs_);
 
   TreeConfig tree_cfg = cfg_.tree;
   if (cfg_.growth == GbdtGrowth::LeafWise && tree_cfg.max_leaves == 0)
@@ -92,56 +64,67 @@ void GradientBoosting::fit_binned(const BinnedColumnSource& src,
     rounds = std::max(3, cfg_.max_total_trees / num_outputs_);
   rounds_used_ = rounds;
 
-  const std::size_t n = src.rows();
-
-  Matrix margins(n, static_cast<std::size_t>(num_outputs_));
-  Matrix probs;
-  std::vector<float> grad(n), hess(n), values;
+  // Per output k: its margin column F_k, its grad/hess/output scratch and
+  // the tree being fitted. A round's class trees fit concurrently, each
+  // block touching only its own entry.
+  struct ClassState {
+    std::vector<float> margin, grad, hess, out;
+    DecisionTree tree;
+  };
+  const std::vector<float> zeros(n, 0.0f);
+  std::vector<ClassState> cls(outs, ClassState{zeros, zeros, zeros, zeros, {}});
+  Matrix probs(n, outs);  // link-function scratch, refilled every round
   trees_.clear();
-  trees_.reserve(static_cast<std::size_t>(rounds * num_outputs_));
+  trees_.reserve(static_cast<std::size_t>(rounds) * outs);
 
   for (int r = 0; r < rounds; ++r) {
-    throw_if_cancelled(cfg_.cancel, "GradientBoosting::fit_binned");
-    if (num_outputs_ == 1) {
-      for (std::size_t i = 0; i < n; ++i) {
-        float p = 1.0f / (1.0f + std::exp(-margins(i, 0)));
-        grad[i] = p - static_cast<float>(y[i]);
-        hess[i] = std::max(p * (1.0f - p), 1e-6f);
-      }
-      DecisionTree tree;
-      tree.fit_regression_binned(src, grad, hess, tree_cfg, rng);
-      tree.predict_value_binned(src, values);
-      for (std::size_t i = 0; i < n; ++i)
-        margins(i, 0) += cfg_.learning_rate * values[i];
-      trees_.push_back(std::move(tree));
+    SUGAR_TRACE_SPAN("ml.gbdt.round");
+    throw_if_cancelled(cfg_.cancel, where);
+    for (std::size_t k = 0; k < outs; ++k)
+      for (std::size_t i = 0; i < n; ++i) probs(i, k) = cls[k].margin[i];
+    if (outs == 1) {
+      for (float& p : probs.data()) p = 1.0f / (1.0f + std::exp(-p));  // logistic
     } else {
-      probs.copy_from(margins);
       softmax_rows(probs);
-      for (int k = 0; k < num_outputs_; ++k) {
-        for (std::size_t i = 0; i < n; ++i) {
-          float p = probs(i, static_cast<std::size_t>(k));
-          grad[i] = p - (y[i] == k ? 1.0f : 0.0f);
-          hess[i] = std::max(p * (1.0f - p), 1e-6f);
-        }
-        DecisionTree tree;
-        tree.fit_regression_binned(src, grad, hess, tree_cfg, rng);
-        tree.predict_value_binned(src, values);
-        for (std::size_t i = 0; i < n; ++i)
-          margins(i, static_cast<std::size_t>(k)) +=
-              cfg_.learning_rate * values[i];
-        trees_.push_back(std::move(tree));
-      }
     }
+    // Given this round's probabilities the class trees are independent: one
+    // grain-1 block per class with its own RNG stream, so the fit is the
+    // serial one at any pool width. A binary round is a single block run
+    // inline, which leaves the pool to the histogram inside its tree.
+    core::global_pool().parallel_for(0, outs, 1, [&](std::size_t k0, std::size_t k1) {
+      for (std::size_t k = k0; k < k1; ++k) {
+        SUGAR_TRACE_SPAN("ml.gbdt.tree");
+        throw_if_cancelled(cfg_.cancel, where);
+        ClassState& c = cls[k];
+        const int positive = outs == 1 ? 1 : static_cast<int>(k);
+        for (std::size_t i = 0; i < n; ++i) {
+          const float p = probs(i, k);
+          c.grad[i] = p - (y[i] == positive ? 1.0f : 0.0f);
+          c.hess[i] = std::max(p * (1.0f - p), 1e-6f);
+        }
+        std::mt19937_64 rng(tree_seed(cfg_.seed, static_cast<std::size_t>(r) * outs + k));
+        fit_tree(c.tree, c.grad, c.hess, tree_cfg, rng);
+        outputs(c.tree, c.out);
+        for (std::size_t i = 0; i < n; ++i) c.margin[i] += cfg_.learning_rate * c.out[i];
+      }
+    });
+    // Only whole rounds land in the model, in class order.
+    for (ClassState& c : cls) trees_.push_back(std::move(c.tree));
+    SUGAR_TRACE_COUNT("ml.trees_fit", outs);
   }
 }
 
 Matrix GradientBoosting::decision_function(const Matrix& x) const {
-  Matrix scores(x.rows(), static_cast<std::size_t>(std::max(num_outputs_, 1)));
-  for (std::size_t t = 0; t < trees_.size(); ++t) {
-    std::size_t k = t % static_cast<std::size_t>(num_outputs_);
-    for (std::size_t i = 0; i < x.rows(); ++i)
-      scores(i, k) += cfg_.learning_rate * trees_[t].predict_value(x.row(i));
-  }
+  SUGAR_TRACE_SPAN("ml.gbdt.predict");
+  const auto outs = static_cast<std::size_t>(std::max(num_outputs_, 1));
+  Matrix scores(x.rows(), outs);
+  // Rows are independent; every (row, class) still sums its trees in
+  // ascending order, so the scores are bit-identical at any pool width.
+  core::global_pool().parallel_for(0, x.rows(), 64, [&](std::size_t r0, std::size_t r1) {
+    for (std::size_t t = 0; t < trees_.size(); ++t)
+      for (std::size_t i = r0; i < r1; ++i)
+        scores(i, t % outs) += cfg_.learning_rate * trees_[t].predict_value(x.row(i));
+  });
   return scores;
 }
 

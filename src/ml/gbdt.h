@@ -1,10 +1,12 @@
 // Gradient-boosted decision trees with second-order (Newton) boosting and
 // softmax multi-class output. Two presets mirror the paper's Table 8
 // baselines: XGBoost-style depth-wise trees and LightGBM-style leaf-wise
-// trees. Binary tasks use a single logistic tree per round.
+// trees. Binary tasks use a single logistic tree per round; multi-class
+// rounds fit their per-class trees in parallel on the thread pool.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "ml/guard.h"
@@ -27,7 +29,8 @@ struct GbdtConfig {
   /// Cap on rounds*classes to keep many-class tasks tractable; rounds is
   /// reduced when classes are many (0 = no cap).
   int max_total_trees = 2000;
-  /// Polled once per boosting round; fit() throws CancelledError when set.
+  /// Polled once per boosting round and before each class's tree; fit()
+  /// throws CancelledError when set.
   const CancelToken* cancel = nullptr;
 
   GbdtConfig() {
@@ -59,13 +62,13 @@ class GradientBoosting {
 
   void fit(const Matrix& x, const std::vector<int>& y, int num_classes);
 
-  /// Out-of-core fit: the same boosting loop driven entirely by pre-binned
-  /// codes — fit_regression_binned per round and predict_value_binned (a
-  /// partition walk over the code source) for the margin updates, so the
-  /// raw float matrix never materializes. Histogram-only splits
-  /// (exact_split_max forced to 0) make this a different estimator from
-  /// fit(); it is bit-identical to itself at any cache budget, page size,
-  /// or thread count.
+  /// Out-of-core fit: the boosting loop of fit(), with every tree fitted by
+  /// fit_regression_binned and its margin update computed by
+  /// predict_value_binned (a partition walk over the code source), so the
+  /// raw float matrix never materializes. Multi-class rounds fit their class
+  /// trees in parallel, as in fit(). Histogram-only splits (exact_split_max
+  /// forced to 0) make this a different estimator from fit(); it is
+  /// bit-identical to itself at any cache budget, page size, or thread count.
   void fit_binned(const BinnedColumnSource& src, const std::vector<int>& y,
                   int num_classes);
   [[nodiscard]] std::vector<int> predict(const Matrix& x) const;
@@ -76,6 +79,15 @@ class GradientBoosting {
   [[nodiscard]] int rounds_used() const { return rounds_used_; }
 
  private:
+  using FitTree = std::function<void(DecisionTree&, const std::vector<float>& grad,
+                                     const std::vector<float>& hess,
+                                     const TreeConfig&, std::mt19937_64&)>;
+  using TreeOutputs = std::function<void(const DecisionTree&, std::vector<float>& out)>;
+  /// The boosting loop shared by fit() and fit_binned() over `n` training
+  /// rows; only fitting a tree and computing its training-row outputs differ.
+  void boost(std::size_t n, const std::vector<int>& y, int num_classes,
+             const char* where, const FitTree& fit_tree, const TreeOutputs& outputs);
+
   GbdtConfig cfg_;
   int num_classes_ = 0;
   int rounds_used_ = 0;

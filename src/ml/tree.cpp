@@ -160,7 +160,7 @@ void DecisionTree::build(BuildContext& ctx) {
   // one worker, sequentially in row order, so the result is bit-identical
   // at any SUGAR_THREADS (stronger than the block-ordered reduction
   // contract — writes are disjoint). Re-entrant dispatch (inside the
-  // forest's per-tree parallel_for) degrades to inline serial.
+  // forest's per-tree or GBDT's per-class parallel_for) runs inline.
   auto accumulate_binned = [&](std::size_t begin, std::size_t end,
                                const std::vector<std::size_t>& feats, double* h) {
     core::global_pool().parallel_for(

@@ -4,15 +4,18 @@
 // regression splits, plus depth-wise and leaf-wise (LightGBM-style) growth.
 //
 // Two large-node split engines share the sweep code:
-//  - the pre-binned path: a BinnedMatrix quantized once per dataset
-//    supplies uint8 bin codes, per-node histograms are accumulated
-//    feature-parallel on the thread pool, and siblings reuse the parent's
-//    histogram via subtraction (fit with `binned != nullptr`);
+//  - the pre-binned path: a BinnedMatrix (or any BinnedColumnSource)
+//    quantized once per dataset supplies uint8 bin codes, and siblings reuse
+//    the parent's histogram via subtraction (fit with `binned != nullptr`).
+//    Per-node histograms accumulate feature-parallel on the thread pool
+//    when the tree is fitted from the top level (binary GBDT, the
+//    out-of-core forest); inside a forest's per-tree or a GBDT round's
+//    per-class pool block the same feature blocks run inline;
 //  - the legacy per-tree path: cut points are re-derived per fit and every
 //    row is re-binned by binary search at every node (no `binned`). Kept
-//    for standalone single-tree fits and as the bench baseline.
-// Nodes at or below `exact_split_max` rows always use the exact
-// sorted-sweep search on raw floats, and predict() walks raw-float
+//    for standalone single-tree fits and as the --tree-compare baseline.
+// Nodes at or below `exact_split_max` rows (default 1024) always use the
+// exact sorted-sweep search on raw floats, and predict() walks raw-float
 // thresholds, so serving is identical under either engine.
 #pragma once
 
@@ -26,6 +29,16 @@ namespace sugar::ml {
 
 class BinnedMatrix;
 class BinnedColumnSource;
+
+/// splitmix64 finalizer over (ensemble seed, tree index): every tree of a
+/// forest or boosted ensemble owns an independent, index-derived RNG
+/// stream, so a parallel fit is exactly the sequential fit, reordered.
+inline std::uint64_t tree_seed(std::uint64_t seed, std::uint64_t tree) {
+  std::uint64_t z = seed + 0x9E3779B97F4A7C15ull * (tree + 1);
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  return z ^ (z >> 31);
+}
 
 struct TreeConfig {
   int max_depth = 12;

@@ -201,6 +201,12 @@ TEST_F(PipelineTest, PreCancelledTokenAbortsShallowScenario) {
   EXPECT_THROW(run_shallow_scenario(env, dataset::TaskId::UstcBinary,
                                     ShallowKind::RandomForest, true, opts),
                ml::CancelledError);
+  // The boosted cells on a multi-class task, where each round fits its
+  // class trees in parallel.
+  for (auto kind : {ShallowKind::XgboostStyle, ShallowKind::LightGbmStyle})
+    EXPECT_THROW(run_shallow_scenario(env, dataset::TaskId::UstcApp, kind, true, opts),
+                 ml::CancelledError)
+        << to_string(kind);
 }
 
 TEST(Report, MarkdownTableFormat) {

@@ -141,14 +141,19 @@ TEST(ThreadPool, ReduceBitIdenticalAcrossThreadCounts) {
 TEST(ThreadPool, NestedParallelForRunsInline) {
   ThreadPool pool(4);
   std::atomic<std::size_t> inner_total{0};
+  std::atomic<std::size_t> inner_moved{0};
   pool.parallel_for(0, 8, 1, [&](std::size_t, std::size_t) {
-    // Re-entrant dispatch from a worker must not deadlock; it degrades to
-    // an inline serial run with the same block partition.
+    // Re-entrant dispatch from a block — on a worker or on the submitting
+    // thread — must not deadlock; it degrades to an inline serial run with
+    // the same block partition, on the thread that runs the outer block.
+    const std::thread::id outer = std::this_thread::get_id();
     pool.parallel_for(0, 10, 3, [&](std::size_t lo, std::size_t hi) {
       inner_total.fetch_add(hi - lo);
+      if (std::this_thread::get_id() != outer) inner_moved.fetch_add(1);
     });
   });
   EXPECT_EQ(inner_total.load(), 80u);
+  EXPECT_EQ(inner_moved.load(), 0u) << "an inner block ran off its outer block's thread";
 }
 
 TEST(ThreadPool, ConcurrentCallersFromPlainThreads) {

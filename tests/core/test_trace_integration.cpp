@@ -261,6 +261,45 @@ TEST_F(TraceIntegrationTest, EndToEndShallowScenarioEmitsTaxonomySpans) {
   EXPECT_EQ(trace::open_span_count(), 0u);
 }
 
+// The boosted half of Table 8: an XGBoost-style cell on a multi-class task
+// must show ml.gbdt.fit > ml.gbdt.round > ml.gbdt.tree (one tree span per
+// class per round, emitted by whichever pool thread fitted that tree) plus
+// ml.gbdt.predict, and count every tree in ml.trees_fit.
+TEST_F(TraceIntegrationTest, GbdtScenarioEmitsRoundAndTreeSpans) {
+  trace::set_mode(trace::Mode::kSpans);
+
+  EnvConfig ec;
+  ec.seed = 1;
+  ec.flows_per_class_iscx = 3;
+  ec.backbone_flows = 4;
+  ec.max_train_packets = 400;
+  ec.max_test_packets = 200;
+  BenchmarkEnv env(ec);
+
+  ScenarioOptions opts;
+  opts.split = dataset::SplitPolicy::PerFlow;
+  opts.seed = 1;
+  run_shallow_scenario(env, dataset::TaskId::VpnApp, ShallowKind::XgboostStyle,
+                       true, opts);
+  const auto classes =
+      static_cast<std::uint64_t>(env.task_dataset(dataset::TaskId::VpnApp).num_classes);
+  ASSERT_GT(classes, 2u) << "needs a softmax task";
+
+  auto phases = phases_by_name();
+  for (const char* span :
+       {"ml.gbdt.fit", "ml.gbdt.round", "ml.gbdt.tree", "ml.gbdt.predict"}) {
+    ASSERT_TRUE(phases.count(span)) << "missing span: " << span;
+    EXPECT_GE(phases[span].count, 1u) << span;
+  }
+  EXPECT_EQ(phases["ml.gbdt.tree"].count, phases["ml.gbdt.round"].count * classes);
+  EXPECT_LE(phases["ml.gbdt.fit"].wall_ns, phases["pipeline.train_eval"].wall_ns);
+
+  auto counters = counters_by_name();
+  EXPECT_GE(counters["ml.trees_fit"], classes);
+  EXPECT_EQ(counters["ml.trees_fit"], phases["ml.gbdt.tree"].count);
+  EXPECT_EQ(trace::open_span_count(), 0u);
+}
+
 TEST_F(TraceIntegrationTest, SummaryModeScenarioKeepsAggregatesOnly) {
   trace::set_mode(trace::Mode::kSummary);
 

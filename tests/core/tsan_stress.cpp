@@ -1,12 +1,14 @@
 // Contention stress for the parallel substrate, intended for a TSan build
 // (-DSUGAR_SANITIZE=thread; `ctest -L tsan`) but also correct — and run —
 // under plain builds. Exercises the race-prone seams: many plain threads
-// dispatching to one global pool, concurrent forest fits sharing the pool,
-// and a supervisor batch where concurrent cells themselves use the pool.
+// dispatching to one global pool, concurrent forest and GBDT fits sharing
+// the pool, and a supervisor batch where concurrent cells themselves use
+// the pool.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <random>
 #include <string>
@@ -18,6 +20,7 @@
 #include "core/threadpool.h"
 #include "core/trace.h"
 #include "ml/forest.h"
+#include "ml/gbdt.h"
 #include "ml/matrix.h"
 
 namespace sugar::core {
@@ -75,6 +78,38 @@ TEST(TsanStress, ConcurrentForestFitsBitIdentical) {
   set_global_threads(0);
   for (std::size_t c = 1; c < preds.size(); ++c)
     EXPECT_EQ(preds[c], preds[0]) << "fit " << c;
+}
+
+TEST(TsanStress, ConcurrentGbdtFitsBitIdentical) {
+  // One caller wins the pool and fits its class trees across the workers
+  // (each tree's histograms nested inline); the rest run inline. Every fit
+  // must produce the same scores to the bit.
+  set_global_threads(4);
+  const ml::Matrix x = random_matrix(200, 10, 11);
+  std::vector<int> y(x.rows());
+  for (std::size_t i = 0; i < y.size(); ++i) y[i] = static_cast<int>(i % 9);
+
+  std::vector<ml::Matrix> scores(6);
+  std::vector<std::thread> fits;
+  for (std::size_t c = 0; c < scores.size(); ++c) {
+    fits.emplace_back([&, c] {
+      ml::GbdtConfig cfg = ml::GbdtConfig::xgboost_style();
+      cfg.rounds = 3;
+      cfg.tree.exact_split_max = 32;  // keep nodes on the histogram path
+      ml::GradientBoosting gb(cfg);
+      gb.fit(x, y, 9);
+      scores[c] = gb.decision_function(x);
+    });
+  }
+  for (auto& t : fits) t.join();
+  set_global_threads(0);
+  for (std::size_t c = 1; c < scores.size(); ++c) {
+    ASSERT_EQ(scores[c].size(), scores[0].size());
+    EXPECT_EQ(std::memcmp(scores[c].data().data(), scores[0].data().data(),
+                          scores[0].size() * sizeof(float)),
+              0)
+        << "fit " << c;
+  }
 }
 
 TEST(TsanStress, SupervisorParallelCellsUsingPool) {

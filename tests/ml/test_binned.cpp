@@ -1,13 +1,18 @@
 // Tests for the quantize-once binned training substrate (ml/binned.h):
 // bin-code semantics pinned against the strict '<' partition convention,
 // sketch determinism across pool widths, sibling-subtraction histogram
-// identity vs direct accumulation, and binned-vs-legacy model quality.
+// identity vs direct accumulation, binned-vs-legacy model quality, pinned
+// GBDT model digests, and GBDT cancellation.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <random>
+#include <string>
+#include <string_view>
 #include <vector>
 
+#include "core/artifact.h"
 #include "core/threadpool.h"
 #include "ml/binned.h"
 #include "ml/forest.h"
@@ -255,10 +260,12 @@ TEST(HistogramTree, ForestFitDigestIdenticalAcrossPoolWidths) {
 }
 
 TEST(HistogramTree, GbdtFitDigestIdenticalAcrossPoolWidths) {
-  // GBDT is where feature-parallel accumulation really runs concurrently
-  // (single-tree fits dispatch from the top level, not from inside a
-  // per-tree parallel_for), so margins must still be bitwise stable.
-  auto [x, y] = make_blobs(3, 180, 6, 1.2, 41);
+  // A multi-class round fits its class trees concurrently, one pool block
+  // per class — 9 classes give more blocks than the widest pool — and each
+  // tree's histograms accumulate inline in its block. Every tree draws from
+  // its own seeded stream and writes only its own margin column, so the
+  // scores must be bitwise stable.
+  auto [x, y] = make_blobs(9, 60, 6, 1.2, 41);
   for (bool leafwise : {false, true}) {
     GbdtConfig cfg =
         leafwise ? GbdtConfig::lightgbm_style() : GbdtConfig::xgboost_style();
@@ -269,7 +276,7 @@ TEST(HistogramTree, GbdtFitDigestIdenticalAcrossPoolWidths) {
     for (std::size_t w : {std::size_t{1}, std::size_t{2}, std::size_t{7}}) {
       ScopedThreads threads(w);
       GradientBoosting gbdt(cfg);
-      gbdt.fit(x, y, 3);
+      gbdt.fit(x, y, 9);
       Matrix scores = gbdt.decision_function(x);
       if (ref_scores.size() == 0) {
         ref_scores = std::move(scores);
@@ -282,6 +289,150 @@ TEST(HistogramTree, GbdtFitDigestIdenticalAcrossPoolWidths) {
                 0)
           << "leafwise " << leafwise << " threads " << w;
     }
+  }
+}
+
+/// FNV-1a over raw element bytes.
+template <typename T>
+std::uint64_t digest_of(const T* data, std::size_t count) {
+  return core::fnv1a64(
+      std::string_view(reinterpret_cast<const char*>(data), count * sizeof(T)));
+}
+
+/// Fixed problem for the pinned GBDT digests: 1,600 rows, so the root
+/// (above exact_split_max = 1024) takes the histogram path and its children
+/// the exact sorted sweep.
+std::pair<Matrix, std::vector<int>> pinned_problem(int classes) {
+  constexpr std::size_t kRows = 1600, kDims = 8;
+  std::mt19937_64 rng(2024);
+  std::normal_distribution<float> noise(0.0f, 1.5f);
+  Matrix x(kRows, kDims);
+  std::vector<int> y(kRows);
+  for (std::size_t r = 0; r < kRows; ++r) {
+    y[r] = static_cast<int>(r % static_cast<std::size_t>(classes));
+    for (std::size_t d = 0; d < kDims; ++d)
+      x(r, d) = static_cast<float>((static_cast<std::size_t>(y[r]) * (d + 1)) % 7) +
+                noise(rng);
+  }
+  return {std::move(x), std::move(y)};
+}
+
+struct PinnedGbdt {
+  int classes;
+  bool leafwise;
+  bool binned;  // fit_binned over the problem's BinnedMatrix, else fit
+  std::uint64_t scores;      // decision_function bytes
+  std::uint64_t importance;  // feature_importance bytes
+};
+
+// Recorded from the serial fit this per-class parallel fit replaced (one
+// tree at a time, one shared RNG stream that the default configs never
+// draw from). A model that moves here has changed, not just its schedule.
+constexpr PinnedGbdt kPinnedGbdt[] = {
+    {2, false, false, 0xc634fca0bb1edc31ull, 0x6b09a33344dc15b8ull},
+    {2, false, true, 0x7e8848f92baa7f01ull, 0xff50ada5137e3a20ull},
+    {2, true, false, 0xc634fca0bb1edc31ull, 0x6b09a33344dc15b8ull},
+    {2, true, true, 0x7e8848f92baa7f01ull, 0xff50ada5137e3a20ull},
+    {5, false, false, 0x833ffb296c571d98ull, 0x7005271cae4802deull},
+    {5, false, true, 0x4b5be02a7baa2ee2ull, 0xadb47d69ade05a1bull},
+    {5, true, false, 0xdeb8b645750f5f06ull, 0x7a1a3d628b55e109ull},
+    {5, true, true, 0x0a8da104e965115full, 0xd055cd87ca371a13ull},
+    {12, false, false, 0x9f28968fdb73e9d5ull, 0xaaa192946cfcf42full},
+    {12, false, true, 0xeef7b39ce47c2ce9ull, 0x2c58fe248c93007dull},
+    {12, true, false, 0xfa370e75d7e835a9ull, 0xe43243dbbaff429eull},
+    {12, true, true, 0x5ec7d060c29ef9a9ull, 0x3e44d719eb5ddf2eull},
+};
+
+TEST(HistogramTree, GbdtDigestsPinnedAcrossPoolWidths) {
+  for (std::size_t w : {std::size_t{1}, std::size_t{2}, std::size_t{7}}) {
+    ScopedThreads threads(w);
+    for (const PinnedGbdt& pin : kPinnedGbdt) {
+      auto [x, y] = pinned_problem(pin.classes);
+      GbdtConfig cfg =
+          pin.leafwise ? GbdtConfig::lightgbm_style() : GbdtConfig::xgboost_style();
+      cfg.rounds = 8;
+      GradientBoosting gbdt(cfg);
+      if (pin.binned)
+        gbdt.fit_binned(BinnedMatrix(x, cfg.tree.histogram_bins), y, pin.classes);
+      else
+        gbdt.fit(x, y, pin.classes);
+      const Matrix scores = gbdt.decision_function(x);
+      const std::vector<double> imp = gbdt.feature_importance();
+      const std::string where = std::to_string(pin.classes) + " classes, " +
+                                (pin.leafwise ? "lightgbm" : "xgboost") +
+                                (pin.binned ? " fit_binned" : " fit") +
+                                ", threads " + std::to_string(w);
+      EXPECT_EQ(digest_of(scores.data().data(), scores.size()), pin.scores) << where;
+      EXPECT_EQ(digest_of(imp.data(), imp.size()), pin.importance) << where;
+    }
+  }
+}
+
+TEST(GbdtCancel, PreCancelledFitBinnedThrows) {
+  auto [x, y] = make_blobs(4, 50, 4, 1.0, 7);
+  const BinnedMatrix bm(x, 32);
+  CancelToken token;
+  token.cancel();
+  GbdtConfig cfg;
+  cfg.cancel = &token;
+  GradientBoosting gbdt(cfg);
+  EXPECT_THROW(gbdt.fit_binned(bm, y, 4), CancelledError);
+  EXPECT_TRUE(gbdt.feature_importance().empty()) << "no round completed";
+}
+
+/// A BinnedMatrix that cancels `token` on its `after`-th code fetch, so the
+/// cancel lands inside a tree fit, past that round's cancellation poll.
+class CancellingSource final : public BinnedColumnSource {
+ public:
+  CancellingSource(const BinnedMatrix& bm, CancelToken& token, std::size_t after)
+      : bm_(bm), token_(token), after_(after) {}
+  std::size_t rows() const override { return bm_.rows(); }
+  std::size_t cols() const override { return bm_.cols(); }
+  int bins() const override { return bm_.bins(); }
+  const std::vector<float>& cuts(std::size_t f) const override { return bm_.cuts(f); }
+  CodeChunk fetch(std::size_t f, std::size_t row,
+                  std::shared_ptr<const void>& keepalive) const override {
+    if (fetches_.fetch_add(1) + 1 == after_) token_.cancel();
+    return bm_.fetch(f, row, keepalive);
+  }
+  std::size_t fetches() const { return fetches_.load(); }
+
+ private:
+  const BinnedMatrix& bm_;
+  CancelToken& token_;
+  std::size_t after_;
+  mutable std::atomic<std::size_t> fetches_{0};
+};
+
+TEST(GbdtCancel, CancelInsideARoundKeepsOnlyWholeRounds) {
+  // The cancel fires on the first code fetch of round 2, inside its first
+  // class tree: the classes not yet started throw from their own poll
+  // inside the parallel region, the pool rethrows on the caller, and the
+  // model keeps exactly round 1 — never a default-constructed tree.
+  auto [x, y] = make_blobs(9, 60, 4, 1.0, 7);
+  const BinnedMatrix bm(x, 32);
+  GbdtConfig cfg = GbdtConfig::xgboost_style();
+  cfg.rounds = 1;
+  CancelToken unused;
+  CancellingSource counter(bm, unused, 0);
+  GradientBoosting one_round(cfg);
+  one_round.fit_binned(counter, y, 9);
+  const Matrix expect = one_round.decision_function(x);
+
+  for (std::size_t w : {std::size_t{1}, std::size_t{2}, std::size_t{7}}) {
+    ScopedThreads threads(w);
+    CancelToken token;
+    CancellingSource src(bm, token, counter.fetches() + 1);
+    cfg.rounds = 4;
+    cfg.cancel = &token;
+    GradientBoosting gbdt(cfg);
+    EXPECT_THROW(gbdt.fit_binned(src, y, 9), CancelledError) << "threads " << w;
+    const Matrix scores = gbdt.decision_function(x);
+    ASSERT_EQ(scores.size(), expect.size());
+    EXPECT_EQ(std::memcmp(scores.data().data(), expect.data().data(),
+                          scores.size() * sizeof(float)),
+              0)
+        << "threads " << w;
   }
 }
 
