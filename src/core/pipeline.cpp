@@ -89,11 +89,6 @@ Partitions make_partitions(const dataset::PacketDataset& ds,
   return parts;
 }
 
-Partitions make_partitions(const dataset::PacketDataset& ds, std::size_t max_train,
-                           std::size_t max_test, const ScenarioOptions& opts) {
-  return make_partitions(ds, ds, max_train, max_test, opts);
-}
-
 IngestHealth ingest_health(BenchmarkEnv& env, dataset::TaskId task,
                            const trafficgen::TraceVariant& variant) {
   const auto& census = env.cleaning_report(dataset::source_of(task), variant);
@@ -346,6 +341,8 @@ ShallowResult run_shallow_scenario(BenchmarkEnv& env, dataset::TaskId task,
   }
 
   ShallowResult result;
+  result.n_train = parts.train.size();
+  result.n_test = parts.test.size();
   result.ingest = ingest_health(env, task, opts.train_variant);
   result.feature_names = replearn::header_feature_names(spec);
 

@@ -114,6 +114,8 @@ struct ShallowResult {
   ml::Metrics metrics;
   double train_seconds = 0;
   double test_seconds = 0;
+  std::size_t n_train = 0;
+  std::size_t n_test = 0;
   IngestHealth ingest;
   std::vector<double> feature_importance;  // trees only
   std::vector<std::string> feature_names;

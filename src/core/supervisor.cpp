@@ -95,6 +95,8 @@ CellSummary summarize(const ShallowResult& result) {
   CellSummary s = summarize(result.metrics);
   s.train_seconds = result.train_seconds;
   s.test_seconds = result.test_seconds;
+  s.n_train = result.n_train;
+  s.n_test = result.n_test;
   return s;
 }
 
@@ -440,9 +442,10 @@ CellOutcome RunSupervisor::process_cell(const CellSpec& spec,
     if (r.error != RunErrorKind::kDivergence) break;
   }
   wall = seconds_since(t0);
-  SUGAR_TRACE_COUNT(outcome.ok() ? "supervisor.cells_ok"
-                                 : "supervisor.cells_failed",
-                    1);
+  if (outcome.ok())
+    SUGAR_TRACE_COUNT("supervisor.cells_ok", 1);
+  else
+    SUGAR_TRACE_COUNT("supervisor.cells_failed", 1);
   if (tracing)
     outcome.trace_counters =
         counter_delta_json(counters_before, trace::counters_snapshot());

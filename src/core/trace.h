@@ -160,8 +160,11 @@ void reset();
 // Emission macros. SUGAR_TRACE_SPAN declares a block-scoped RAII span;
 // SUGAR_TRACE_COUNT bumps a counter, interning it once per call site via a
 // function-local static (std::map nodes are never erased, so the reference
-// cannot dangle). Both compile to nothing under -DSUGAR_TRACE_DISABLED and
-// cost one relaxed load when tracing is off.
+// cannot dangle). Because the first call names the call site's counter for
+// the rest of the process, `name` must be a string literal: the macro
+// pastes it after "" so anything else fails to compile. Both compile to
+// nothing under -DSUGAR_TRACE_DISABLED and cost one relaxed load when
+// tracing is off.
 #if defined(SUGAR_TRACE_DISABLED)
 #define SUGAR_TRACE_SPAN(name) \
   do {                         \
@@ -182,7 +185,7 @@ void reset();
     if (::sugar::core::trace::enabled()) {                                \
       static ::sugar::core::trace::Counter& SUGAR_TRACE_CAT(              \
           sugar_trace_ctr_, __LINE__) = ::sugar::core::trace::counter(    \
-          name);                                                          \
+          "" name);                                                       \
       SUGAR_TRACE_CAT(sugar_trace_ctr_, __LINE__)                         \
           .add(static_cast<std::uint64_t>(delta));                        \
     }                                                                     \

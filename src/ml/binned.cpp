@@ -48,8 +48,7 @@ void merge_sorted(const std::vector<WeightedVal>& a,
 }
 
 /// Cut points for one column: quantiles of the sketch summary at ranks
-/// total*b/bins, deduplicated ascending — the same rank rule the per-tree
-/// compute_cuts sampler used, applied to the whole column.
+/// total*b/bins, deduplicated ascending.
 std::vector<float> cuts_from_summary(const std::vector<WeightedVal>& summary,
                                      int bins) {
   std::vector<float> cuts;

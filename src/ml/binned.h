@@ -4,8 +4,7 @@
 // sketch, cut points are extracted at evenly spaced quantile ranks, and
 // each (row, feature) value is quantized to a uint8 bin code stored
 // column-major. Tree building then accumulates per-node histograms by
-// indexing codes directly — no per-node std::upper_bound binary search,
-// and no per-tree re-derivation of cut points.
+// indexing codes directly.
 //
 // Determinism: the sketch is a pure function of the column values in row
 // order (no RNG, no thread-count dependence — features are quantized in
@@ -18,8 +17,7 @@
 // threshold cuts[b], sending exactly the rows with value < cuts[b] (codes
 // <= b) to the left child. Values equal to a cut belong to the bin to its
 // RIGHT. The invariant `code <= b  <=>  value < cuts[b]` is what lets the
-// out-of-core fit partition and traverse on codes without ever touching
-// the raw floats.
+// out-of-core fit partition on codes without ever touching the raw floats.
 //
 // BinnedColumnSource abstracts WHERE the codes live: BinnedMatrix serves
 // them from its resident buffer, while dataset::PagedCodeSource serves

@@ -12,44 +12,19 @@ namespace sugar::ml {
 
 void RandomForest::fit(const Matrix& x, const std::vector<int>& y, int num_classes) {
   SUGAR_TRACE_SPAN("ml.forest.fit");
-  num_classes_ = num_classes;
-  trees_.assign(static_cast<std::size_t>(cfg_.num_trees), {});
-  SUGAR_TRACE_COUNT("ml.trees_fit", trees_.size());
-
-  TreeConfig tree_cfg = cfg_.tree;
-  if (tree_cfg.features_per_split == 0)
-    tree_cfg.features_per_split =
-        std::max(1, static_cast<int>(std::sqrt(static_cast<double>(x.cols()))));
-
-  std::size_t n = x.rows();
-  std::size_t bag = static_cast<std::size_t>(cfg_.bag_fraction * static_cast<double>(n));
-
-  // Quantize once per fit: every tree shares the same bin codes and cut
-  // points, so per-tree compute_cuts (and its row-sample shuffle) is gone.
-  // Built before the per-tree loop so quantization itself parallelizes.
-  BinnedMatrix binned;
-  const BinnedMatrix* bm = nullptr;
-  if (cfg_.binned && n > 0) {
-    binned = BinnedMatrix(x, tree_cfg.histogram_bins);
-    bm = &binned;
-  }
-
-  core::global_pool().parallel_for(
-      0, trees_.size(), 1, [&](std::size_t t0, std::size_t t1) {
-        for (std::size_t t = t0; t < t1; ++t) {
-          throw_if_cancelled(cfg_.cancel, "RandomForest::fit");
-          std::mt19937_64 rng(tree_seed(cfg_.seed, t));
-          std::uniform_int_distribution<std::size_t> pick(0, n == 0 ? 0 : n - 1);
-          std::vector<std::uint32_t> rows(bag);
-          for (auto& r : rows) r = static_cast<std::uint32_t>(pick(rng));
-          trees_[t].fit_classifier(x, y, num_classes, tree_cfg, rng, &rows, bm);
-        }
-      });
+  // Quantize once per fit, before the per-tree loop so quantization itself
+  // parallelizes: every tree shares the same bin codes and cut points.
+  grow(BinnedMatrix(x, cfg_.tree.histogram_bins), &x, y, num_classes);
 }
 
 void RandomForest::fit_binned(const BinnedColumnSource& src,
                               const std::vector<int>& y, int num_classes) {
   SUGAR_TRACE_SPAN("ml.forest.fit_binned");
+  grow(src, nullptr, y, num_classes);
+}
+
+void RandomForest::grow(const BinnedColumnSource& codes, const Matrix* raw,
+                        const std::vector<int>& y, int num_classes) {
   num_classes_ = num_classes;
   trees_.assign(static_cast<std::size_t>(cfg_.num_trees), {});
   SUGAR_TRACE_COUNT("ml.trees_fit", trees_.size());
@@ -57,24 +32,33 @@ void RandomForest::fit_binned(const BinnedColumnSource& src,
   TreeConfig tree_cfg = cfg_.tree;
   if (tree_cfg.features_per_split == 0)
     tree_cfg.features_per_split = std::max(
-        1, static_cast<int>(std::sqrt(static_cast<double>(src.cols()))));
+        1, static_cast<int>(std::sqrt(static_cast<double>(codes.cols()))));
 
-  const std::size_t n = src.rows();
+  const std::size_t n = codes.rows();
   const std::size_t bag =
       static_cast<std::size_t>(cfg_.bag_fraction * static_cast<double>(n));
+  const char* where = raw ? "RandomForest::fit" : "RandomForest::fit_binned";
 
-  // Serial over trees: the pool parallelizes INSIDE each tree (feature-wise
-  // histogram accumulation), so the page cache only ever holds one tree's
-  // working set. Bags draw the exact fit() sequence, then sort — the
-  // bootstrap multiset is unchanged, paged access becomes monotone.
-  for (std::size_t t = 0; t < trees_.size(); ++t) {
-    throw_if_cancelled(cfg_.cancel, "RandomForest::fit_binned");
+  auto fit_tree = [&](std::size_t t) {
+    throw_if_cancelled(cfg_.cancel, where);
     std::mt19937_64 rng(tree_seed(cfg_.seed, t));
     std::uniform_int_distribution<std::size_t> pick(0, n == 0 ? 0 : n - 1);
     std::vector<std::uint32_t> rows(bag);
     for (auto& r : rows) r = static_cast<std::uint32_t>(pick(rng));
     std::sort(rows.begin(), rows.end());
-    trees_[t].fit_classifier_binned(src, y, num_classes, tree_cfg, rng, &rows);
+    trees_[t].fit_classifier(codes, raw, y, num_classes, tree_cfg, rng, &rows);
+  };
+  // Resident: one pool block per tree. Out of core: serial trees, so only
+  // one n-row bag and its partition copy are alive at a time (concurrent
+  // trees would multiply that, and the page cache's working set, by the
+  // pool width); the pool still runs each tree's histogram features.
+  if (raw) {
+    core::global_pool().parallel_for(
+        0, trees_.size(), 1, [&](std::size_t t0, std::size_t t1) {
+          for (std::size_t t = t0; t < t1; ++t) fit_tree(t);
+        });
+  } else {
+    for (std::size_t t = 0; t < trees_.size(); ++t) fit_tree(t);
   }
 }
 

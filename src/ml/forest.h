@@ -21,10 +21,6 @@ struct ForestConfig {
   /// Bootstrap sample fraction per tree.
   double bag_fraction = 1.0;
   std::uint64_t seed = 17;
-  /// Quantize the feature matrix once per fit (ml::BinnedMatrix) and let
-  /// every tree accumulate histograms from shared bin codes. Off = legacy
-  /// per-tree cut derivation + per-node binary-search binning.
-  bool binned = true;
   /// Polled once per tree (on whichever pool thread fits it); fit()
   /// rethrows the resulting CancelledError on the calling thread.
   const CancelToken* cancel = nullptr;
@@ -47,19 +43,17 @@ class RandomForest {
  public:
   explicit RandomForest(ForestConfig cfg = {}) : cfg_(cfg) {}
 
+  /// Quantizes `x` once (ml::BinnedMatrix) and fits one tree per pool
+  /// block from the shared codes, with the exact sweep at small nodes.
   void fit(const Matrix& x, const std::vector<int>& y, int num_classes);
 
   /// Out-of-core fit from pre-binned codes (a dataset::PagedCodeSource or
-  /// any BinnedColumnSource). Trees are fitted SERIALLY — parallelism moves
+  /// any BinnedColumnSource): fit() without the raw floats. Histogram-only
+  /// splits (exact_split_max forced to 0) make it a different estimator
+  /// from fit(); it is bit-identical to ITSELF at any cache budget, page
+  /// size or thread count. Trees are fitted SERIALLY — parallelism moves
   /// inside each tree's feature-wise histogram accumulation — so the paged
-  /// working set stays one tree's pages at a time. Each tree draws the
-  /// same index-derived bootstrap as fit(), then SORTS its bag: class
-  /// counts are integer-valued doubles, so the reordered accumulation is
-  /// exact, and sorted bags keep paged column access monotone (each page
-  /// pulled once per node sweep). exact_split_max is forced to 0, so fit()
-  /// and
-  /// fit_binned() are different estimators — fit_binned at any cache
-  /// budget / page size / thread count is bit-identical to ITSELF.
+  /// working set stays one tree's bag, row partition and pages at a time.
   void fit_binned(const BinnedColumnSource& src, const std::vector<int>& y,
                   int num_classes);
 
@@ -71,6 +65,13 @@ class RandomForest {
   [[nodiscard]] const std::vector<DecisionTree>& trees() const { return trees_; }
 
  private:
+  /// The loop behind fit() and fit_binned(): `raw` null means out of core.
+  /// Each tree draws an index-derived bootstrap bag and SORTS it: class
+  /// counts are integers held in doubles, so a bag's order cannot change a
+  /// tree, and sorted bags keep paged column access monotone.
+  void grow(const BinnedColumnSource& codes, const Matrix* raw,
+            const std::vector<int>& y, int num_classes);
+
   ForestConfig cfg_;
   int num_classes_ = 0;
   std::vector<DecisionTree> trees_;

@@ -12,45 +12,20 @@ namespace sugar::ml {
 void GradientBoosting::fit(const Matrix& x, const std::vector<int>& y,
                            int num_classes) {
   SUGAR_TRACE_SPAN("ml.gbdt.fit");
-  // Quantize once: all rounds × classes share the bin codes. GBDT splits
-  // consider every feature, so trees also get sibling-subtraction
-  // histograms over the whole-feature slot layout.
-  BinnedMatrix binned;
-  const BinnedMatrix* bm = nullptr;
-  if (cfg_.binned && x.rows() > 0) {
-    binned = BinnedMatrix(x, cfg_.tree.histogram_bins);
-    bm = &binned;
-  }
-  boost(
-      x.rows(), y, num_classes, "GradientBoosting::fit",
-      [&](DecisionTree& tree, const std::vector<float>& grad,
-          const std::vector<float>& hess, const TreeConfig& tree_cfg,
-          std::mt19937_64& rng) {
-        tree.fit_regression(x, grad, hess, tree_cfg, rng, nullptr, bm);
-      },
-      [&](const DecisionTree& tree, std::vector<float>& out) {
-        for (std::size_t i = 0; i < x.rows(); ++i) out[i] = tree.predict_value(x.row(i));
-      });
+  // Quantize once: all rounds × classes share the bin codes.
+  boost(BinnedMatrix(x, cfg_.tree.histogram_bins), &x, y, num_classes);
 }
 
 void GradientBoosting::fit_binned(const BinnedColumnSource& src,
                                   const std::vector<int>& y, int num_classes) {
   SUGAR_TRACE_SPAN("ml.gbdt.fit_binned");
-  boost(
-      src.rows(), y, num_classes, "GradientBoosting::fit_binned",
-      [&](DecisionTree& tree, const std::vector<float>& grad,
-          const std::vector<float>& hess, const TreeConfig& tree_cfg,
-          std::mt19937_64& rng) {
-        tree.fit_regression_binned(src, grad, hess, tree_cfg, rng);
-      },
-      [&](const DecisionTree& tree, std::vector<float>& out) {
-        tree.predict_value_binned(src, out);
-      });
+  boost(src, nullptr, y, num_classes);
 }
 
-void GradientBoosting::boost(std::size_t n, const std::vector<int>& y,
-                             int num_classes, const char* where,
-                             const FitTree& fit_tree, const TreeOutputs& outputs) {
+void GradientBoosting::boost(const BinnedColumnSource& codes, const Matrix* raw,
+                             const std::vector<int>& y, int num_classes) {
+  const std::size_t n = codes.rows();
+  const char* where = raw ? "GradientBoosting::fit" : "GradientBoosting::fit_binned";
   num_classes_ = num_classes;
   num_outputs_ = num_classes <= 2 ? 1 : num_classes;
   const auto outs = static_cast<std::size_t>(num_outputs_);
@@ -64,9 +39,9 @@ void GradientBoosting::boost(std::size_t n, const std::vector<int>& y,
     rounds = std::max(3, cfg_.max_total_trees / num_outputs_);
   rounds_used_ = rounds;
 
-  // Per output k: its margin column F_k, its grad/hess/output scratch and
-  // the tree being fitted. A round's class trees fit concurrently, each
-  // block touching only its own entry.
+  // Per output k: its margin column F_k, its grad/hess scratch, the tree
+  // being fitted and that tree's outputs on the training rows. A round's
+  // class trees fit concurrently, each block touching only its own entry.
   struct ClassState {
     std::vector<float> margin, grad, hess, out;
     DecisionTree tree;
@@ -103,8 +78,7 @@ void GradientBoosting::boost(std::size_t n, const std::vector<int>& y,
           c.hess[i] = std::max(p * (1.0f - p), 1e-6f);
         }
         std::mt19937_64 rng(tree_seed(cfg_.seed, static_cast<std::size_t>(r) * outs + k));
-        fit_tree(c.tree, c.grad, c.hess, tree_cfg, rng);
-        outputs(c.tree, c.out);
+        c.tree.fit_regression(codes, raw, c.grad, c.hess, tree_cfg, rng, c.out);
         for (std::size_t i = 0; i < n; ++i) c.margin[i] += cfg_.learning_rate * c.out[i];
       }
     });

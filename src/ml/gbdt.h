@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "ml/guard.h"
@@ -22,10 +21,6 @@ struct GbdtConfig {
   GbdtGrowth growth = GbdtGrowth::DepthWise;
   TreeConfig tree;
   std::uint64_t seed = 23;
-  /// Quantize the feature matrix once per fit (ml::BinnedMatrix), shared
-  /// by every round's trees; sibling-subtraction histograms apply since
-  /// GBDT splits consider all features. Off = legacy per-tree binning.
-  bool binned = true;
   /// Cap on rounds*classes to keep many-class tasks tractable; rounds is
   /// reduced when classes are many (0 = no cap).
   int max_total_trees = 2000;
@@ -60,15 +55,15 @@ class GradientBoosting {
  public:
   explicit GradientBoosting(GbdtConfig cfg = {}) : cfg_(cfg) {}
 
+  /// Quantizes `x` once (ml::BinnedMatrix), shared by every round's trees;
+  /// sibling-subtraction histograms apply since GBDT splits consider all
+  /// features.
   void fit(const Matrix& x, const std::vector<int>& y, int num_classes);
 
-  /// Out-of-core fit: the boosting loop of fit(), with every tree fitted by
-  /// fit_regression_binned and its margin update computed by
-  /// predict_value_binned (a partition walk over the code source), so the
-  /// raw float matrix never materializes. Multi-class rounds fit their class
-  /// trees in parallel, as in fit(). Histogram-only splits (exact_split_max
-  /// forced to 0) make this a different estimator from fit(); it is
-  /// bit-identical to itself at any cache budget, page size, or thread count.
+  /// Out-of-core fit: fit() without the raw floats, so the float matrix
+  /// never materializes. Histogram-only splits (exact_split_max forced to
+  /// 0) make this a different estimator from fit(); it is bit-identical to
+  /// itself at any cache budget, page size, or thread count.
   void fit_binned(const BinnedColumnSource& src, const std::vector<int>& y,
                   int num_classes);
   [[nodiscard]] std::vector<int> predict(const Matrix& x) const;
@@ -79,14 +74,11 @@ class GradientBoosting {
   [[nodiscard]] int rounds_used() const { return rounds_used_; }
 
  private:
-  using FitTree = std::function<void(DecisionTree&, const std::vector<float>& grad,
-                                     const std::vector<float>& hess,
-                                     const TreeConfig&, std::mt19937_64&)>;
-  using TreeOutputs = std::function<void(const DecisionTree&, std::vector<float>& out)>;
-  /// The boosting loop shared by fit() and fit_binned() over `n` training
-  /// rows; only fitting a tree and computing its training-row outputs differ.
-  void boost(std::size_t n, const std::vector<int>& y, int num_classes,
-             const char* where, const FitTree& fit_tree, const TreeOutputs& outputs);
+  /// The boosting loop behind fit() and fit_binned(): `raw` null means out
+  /// of core. Each tree's fit hands back its training rows' outputs, read
+  /// off its own row partition, for the margin update.
+  void boost(const BinnedColumnSource& codes, const Matrix* raw,
+             const std::vector<int>& y, int num_classes);
 
   GbdtConfig cfg_;
   int num_classes_ = 0;

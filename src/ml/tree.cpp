@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iterator>
 #include <numeric>
 #include <queue>
 #include <unordered_map>
@@ -13,40 +12,6 @@
 
 namespace sugar::ml {
 namespace {
-
-/// Per-feature histogram cut points computed from (a sample of) the data.
-/// Legacy per-tree path only — forest/GBDT fits share a BinnedMatrix and
-/// never call this.
-std::vector<std::vector<float>> compute_cuts(const Matrix& x,
-                                             const std::vector<std::uint32_t>& rows,
-                                             int bins, std::mt19937_64& rng) {
-  std::size_t d = x.cols();
-  std::vector<std::vector<float>> cuts(d);
-  // Sample rows to bound quantile cost. std::sample draws kMaxSample
-  // indices in one O(n) pass — no copy + full shuffle of the row vector.
-  constexpr std::size_t kMaxSample = 4096;
-  std::vector<std::uint32_t> sample;
-  if (rows.size() > kMaxSample) {
-    sample.reserve(kMaxSample);
-    std::sample(rows.begin(), rows.end(), std::back_inserter(sample), kMaxSample,
-                rng);
-  } else {
-    sample = rows;
-  }
-  std::vector<float> vals(sample.size());
-  for (std::size_t f = 0; f < d; ++f) {
-    for (std::size_t i = 0; i < sample.size(); ++i) vals[i] = x(sample[i], f);
-    std::sort(vals.begin(), vals.end());
-    auto& c = cuts[f];
-    for (int b = 1; b < bins; ++b) {
-      std::size_t pos = vals.size() * static_cast<std::size_t>(b) /
-                        static_cast<std::size_t>(bins);
-      float v = vals[std::min(pos, vals.size() - 1)];
-      if (c.empty() || v > c.back()) c.push_back(v);
-    }
-  }
-  return cuts;
-}
 
 double gini_from_counts(const std::vector<double>& counts, double total) {
   if (total <= 0) return 0;
@@ -63,23 +28,24 @@ using F64Buffer = std::vector<double, AlignedAllocator<double>>;
 }  // namespace
 
 struct DecisionTree::BuildContext {
-  const Matrix* x = nullptr;
+  /// Quantize-once codes shared per fit: a resident BinnedMatrix, or any
+  /// BinnedColumnSource (paged store) for the out-of-core fits.
+  const BinnedColumnSource* codes = nullptr;
+  /// The floats `codes` were quantized from, or null: then every split must
+  /// come from the histogram sweep and partitioning runs on codes.
+  const Matrix* raw = nullptr;
   // Classification:
   const std::vector<int>* y = nullptr;
   int num_classes = 0;
   // Regression:
   const std::vector<float>* grad = nullptr;
   const std::vector<float>* hess = nullptr;
+  std::vector<float>* row_values = nullptr;
 
   TreeConfig cfg;
   std::mt19937_64* rng = nullptr;
-  std::vector<std::uint32_t> rows;  // working index buffer (partitioned in place)
-  std::vector<std::vector<float>> cuts;  // legacy path only (src == nullptr)
-  /// Quantize-once codes shared per fit: a resident BinnedMatrix for the
-  /// in-memory fits, or any BinnedColumnSource (paged store) for the
-  /// out-of-core fits. When `x` is null every split must come from the
-  /// histogram sweep and partitioning runs on codes.
-  const BinnedColumnSource* src = nullptr;
+  const std::vector<std::uint32_t>* subset = nullptr;
+  std::vector<std::uint32_t> rows{};  // working index buffer (partitioned in place)
 
   [[nodiscard]] bool regression() const { return grad != nullptr; }
 };
@@ -105,8 +71,18 @@ struct PendingNode {
 
 void DecisionTree::build(BuildContext& ctx) {
   nodes_.clear();
+  const BinnedColumnSource& codes = *ctx.codes;
+  if (ctx.subset) {
+    ctx.rows = *ctx.subset;
+  } else {
+    ctx.rows.resize(codes.rows());
+    std::iota(ctx.rows.begin(), ctx.rows.end(), 0);
+  }
+  // No raw floats: every split must come from the histogram sweep so the
+  // code partition can replicate it exactly.
+  if (!ctx.raw) ctx.cfg.exact_split_max = 0;
   const TreeConfig& cfg = ctx.cfg;
-  std::size_t d = ctx.src ? ctx.src->cols() : ctx.x->cols();
+  const std::size_t d = codes.cols();
   importance_.assign(d, 0.0);
 
   // Candidate feature list (subsampled per split).
@@ -117,22 +93,19 @@ void DecisionTree::build(BuildContext& ctx) {
           ? std::min<std::size_t>(static_cast<std::size_t>(cfg.features_per_split), d)
           : d;
 
-  // Histogram geometry. With a BinnedMatrix every feature slot has a
-  // uniform stride (`slot` doubles) so whole-tree buffers stay flat:
+  // Histogram geometry. Every feature slot has a uniform stride (`slot`
+  // doubles) so whole-tree buffers stay flat:
   //   classification: hist[(s*bins + code)*k + class]  counts
   //   regression:     hist[(s*bins + code)*3 + {0,1,2}] = {g, h, count}
-  const BinnedColumnSource* bm = ctx.src;
   const std::size_t k = static_cast<std::size_t>(std::max(ctx.num_classes, 1));
   const std::size_t slot_vals = ctx.regression() ? 3 : k;
-  const std::size_t slot =
-      bm ? static_cast<std::size_t>(bm->bins()) * slot_vals : 0;
+  const std::size_t slot = static_cast<std::size_t>(codes.bins()) * slot_vals;
   // Sibling subtraction needs parent and children to share the same feature
   // set, so it only pays when every split considers all features (GBDT).
   // Feature-sampled fits (forest) accumulate just the sampled slots per
   // node instead, which is cheaper than d-wide histograms they'd mostly
   // never sweep.
-  const bool subtract_mode =
-      bm != nullptr && cfg.hist_subtraction && feats_per_split >= d;
+  const bool subtract_mode = cfg.hist_subtraction && feats_per_split >= d;
 
   // Cached all-feature histograms by node index (subtract mode), plus a
   // free list so buffers recycle instead of reallocating per node.
@@ -150,8 +123,7 @@ void DecisionTree::build(BuildContext& ctx) {
   auto release_hist = [&](F64Buffer&& b) { hist_pool.push_back(std::move(b)); };
 
   // Scratch.
-  F64Buffer legacy_hist;   // legacy bin_of path, one feature at a time
-  F64Buffer sampled_hist;  // binned path without subtraction (sampled feats)
+  F64Buffer sampled_hist;  // per-node buffer without subtraction (sampled feats)
   std::vector<double> left_counts;
   std::vector<std::uint32_t> part_scratch;  // stable code-partition right side
 
@@ -166,7 +138,7 @@ void DecisionTree::build(BuildContext& ctx) {
     core::global_pool().parallel_for(
         0, feats.size(), 1, [&](std::size_t s0, std::size_t s1) {
           for (std::size_t s = s0; s < s1; ++s) {
-            CodeCursor code(*bm, feats[s]);
+            CodeCursor code(codes, feats[s]);
             double* hf = h + s * slot;
             if (ctx.regression()) {
               const float* gv = ctx.grad->data();
@@ -190,7 +162,13 @@ void DecisionTree::build(BuildContext& ctx) {
         });
   };
 
-  auto make_leaf = [&](Node& node, std::size_t begin, std::size_t end) {
+  // Each node's [begin, end) range of ctx.rows as of its make_leaf: for the
+  // nodes that stay leaves, exactly the training rows that reach them.
+  std::vector<std::pair<std::size_t, std::size_t>> leaf_rows;
+  auto make_leaf = [&](int node_index, std::size_t begin, std::size_t end) {
+    Node& node = nodes_[static_cast<std::size_t>(node_index)];
+    leaf_rows.resize(nodes_.size());
+    leaf_rows[static_cast<std::size_t>(node_index)] = {begin, end};
     if (ctx.regression()) {
       double g = 0, h = 0;
       for (std::size_t i = begin; i < end; ++i) {
@@ -242,14 +220,13 @@ void DecisionTree::build(BuildContext& ctx) {
 
     // Exact split search for small nodes: sort samples per feature and
     // sweep all boundaries between distinct values. Needs the raw floats,
-    // so out-of-core fits (no ctx.x; exact_split_max forced to 0) never
-    // take it.
-    if (ctx.x && n <= cfg.exact_split_max) {
+    // so fits without them (exact_split_max forced to 0) never take it.
+    if (ctx.raw && n <= cfg.exact_split_max) {
       std::vector<std::uint32_t> sorted(ctx.rows.begin() + static_cast<std::ptrdiff_t>(begin),
                                         ctx.rows.begin() + static_cast<std::ptrdiff_t>(end));
       for (std::size_t f : feats) {
         std::sort(sorted.begin(), sorted.end(), [&](std::uint32_t a, std::uint32_t b) {
-          return (*ctx.x)(a, f) < (*ctx.x)(b, f);
+          return (*ctx.raw)(a, f) < (*ctx.raw)(b, f);
         });
         if (ctx.regression()) {
           double gl = 0, hl = 0;
@@ -258,8 +235,8 @@ void DecisionTree::build(BuildContext& ctx) {
             std::uint32_t r = sorted[i];
             gl += (*ctx.grad)[r];
             hl += (*ctx.hess)[r];
-            float v = (*ctx.x)(r, f);
-            float vn = (*ctx.x)(sorted[i + 1], f);
+            float v = (*ctx.raw)(r, f);
+            float vn = (*ctx.raw)(sorted[i + 1], f);
             if (v == vn) continue;  // not a boundary
             std::size_t nl = i + 1;
             if (nl < cfg.min_samples_leaf || n - nl < cfg.min_samples_leaf) continue;
@@ -285,8 +262,8 @@ void DecisionTree::build(BuildContext& ctx) {
             sum_sq_r += -2.0 * rc + 1.0;
             sum_sq_l += 2.0 * left[y] + 1.0;
             left[y] += 1.0;
-            float v = (*ctx.x)(r, f);
-            float vn = (*ctx.x)(sorted[i + 1], f);
+            float v = (*ctx.raw)(r, f);
+            float vn = (*ctx.raw)(sorted[i + 1], f);
             if (v == vn) continue;
             double nl = static_cast<double>(i + 1);
             double nr = static_cast<double>(n) - nl;
@@ -309,10 +286,10 @@ void DecisionTree::build(BuildContext& ctx) {
       return best;
     }
 
-    // Histogram sweeps shared by all three large-node sources (whole-tree
-    // subtract-mode buffer, per-node sampled buffer, legacy per-feature
-    // buffer): `hist` holds `cuts.size()+1` bins of class counts or
-    // {g, h, count} triples; splitting after bin b uses threshold cuts[b].
+    // Histogram sweeps shared by both large-node sources (whole-tree
+    // subtract-mode buffer, per-node sampled buffer): `hist` holds
+    // `cuts.size()+1` bins of class counts or {g, h, count} triples;
+    // splitting after bin b uses threshold cuts[b].
     auto sweep_class = [&](const double* hist, const std::vector<float>& cuts,
                            std::size_t f) {
       int nb = static_cast<int>(cuts.size()) + 1;
@@ -380,55 +357,25 @@ void DecisionTree::build(BuildContext& ctx) {
         sweep_class(hist, cuts, f);
     };
 
-    if (bm) {
-      if (subtract_mode) {
-        // Whole-tree cached histogram: the root (or any node whose parent
-        // split on the exact path) accumulates on demand; everyone else
-        // inherited theirs from propagate_hists below.
-        auto it = node_hist.find(node_index);
-        if (it == node_hist.end()) {
-          F64Buffer h = acquire_hist(d * slot);
-          accumulate_binned(begin, end, all_features, h.data());
-          it = node_hist.emplace(node_index, std::move(h)).first;
-        }
-        const double* h = it->second.data();
-        for (std::size_t f : feats) sweep(h + f * slot, bm->cuts(f), f);
-      } else {
-        // Sampled-feature fit: accumulate only this split's candidate
-        // slots into a transient buffer.
-        sampled_hist.assign(feats.size() * slot, 0.0);
-        accumulate_binned(begin, end, feats, sampled_hist.data());
-        for (std::size_t s = 0; s < feats.size(); ++s)
-          sweep(sampled_hist.data() + s * slot, bm->cuts(feats[s]), feats[s]);
+    if (subtract_mode) {
+      // Whole-tree cached histogram: the root (or any node whose parent
+      // split on the exact path) accumulates on demand; everyone else
+      // inherited theirs from propagate_hists below.
+      auto it = node_hist.find(node_index);
+      if (it == node_hist.end()) {
+        F64Buffer h = acquire_hist(d * slot);
+        accumulate_binned(begin, end, all_features, h.data());
+        it = node_hist.emplace(node_index, std::move(h)).first;
       }
+      const double* h = it->second.data();
+      for (std::size_t f : feats) sweep(h + f * slot, codes.cuts(f), f);
     } else {
-      // Legacy path: re-bin every row by binary search, one feature at a
-      // time, against this tree's sampled cut points.
-      for (std::size_t f : feats) {
-        const auto& cuts = ctx.cuts[f];
-        if (cuts.empty()) continue;
-        std::size_t nb = cuts.size() + 1;
-        if (ctx.regression()) {
-          legacy_hist.assign(nb * 3, 0.0);
-          for (std::size_t i = begin; i < end; ++i) {
-            std::uint32_t r = ctx.rows[i];
-            double* cell =
-                legacy_hist.data() +
-                3u * static_cast<std::size_t>(quantize_bin(cuts, (*ctx.x)(r, f)));
-            cell[0] += (*ctx.grad)[r];
-            cell[1] += (*ctx.hess)[r];
-            cell[2] += 1.0;
-          }
-        } else {
-          legacy_hist.assign(nb * k, 0.0);
-          for (std::size_t i = begin; i < end; ++i) {
-            std::uint32_t r = ctx.rows[i];
-            legacy_hist[static_cast<std::size_t>(quantize_bin(cuts, (*ctx.x)(r, f))) * k +
-                        static_cast<std::size_t>((*ctx.y)[r])] += 1.0;
-          }
-        }
-        sweep(legacy_hist.data(), cuts, f);
-      }
+      // Sampled-feature fit: accumulate only this split's candidate slots
+      // into a transient buffer.
+      sampled_hist.assign(feats.size() * slot, 0.0);
+      accumulate_binned(begin, end, feats, sampled_hist.data());
+      for (std::size_t s = 0; s < feats.size(); ++s)
+        sweep(sampled_hist.data() + s * slot, codes.cuts(feats[s]), feats[s]);
     }
     if (best.gain < cfg.min_gain) best.feature = -1;
     return best;
@@ -436,7 +383,7 @@ void DecisionTree::build(BuildContext& ctx) {
 
   auto partition = [&](std::size_t begin, std::size_t end, int feature,
                        float threshold, int bin) -> std::size_t {
-    if (ctx.x) {
+    if (ctx.raw) {
       auto mid = std::partition(
           ctx.rows.begin() + static_cast<std::ptrdiff_t>(begin),
           ctx.rows.begin() + static_cast<std::ptrdiff_t>(end),
@@ -444,16 +391,16 @@ void DecisionTree::build(BuildContext& ctx) {
             // Strict '<' matches the histogram convention: bin b holds
             // values in [cuts[b-1], cuts[b]), so a split after bin b sends
             // v < cuts[b] to the left child.
-            return (*ctx.x)(r, static_cast<std::size_t>(feature)) < threshold;
+            return (*ctx.raw)(r, static_cast<std::size_t>(feature)) < threshold;
           });
       return static_cast<std::size_t>(mid - ctx.rows.begin());
     }
-    // Source-only fit: partition on codes (`code <= bin` ≡ `v < cuts[bin]`,
+    // Codes-only fit: partition on codes (`code <= bin` ≡ `v < cuts[bin]`,
     // the BinnedMatrix invariant), STABLY — lefts compact in place, rights
     // detour through a reused scratch buffer. Stability keeps every node's
     // row range sorted, so paged column access stays monotone down the
     // whole tree and each page is pulled at most once per (node, feature).
-    CodeCursor code(*bm, static_cast<std::size_t>(feature));
+    CodeCursor code(codes, static_cast<std::size_t>(feature));
     part_scratch.clear();
     std::size_t w = begin;
     for (std::size_t i = begin; i < end; ++i) {
@@ -549,7 +496,7 @@ void DecisionTree::build(BuildContext& ctx) {
     std::priority_queue<Cand> heap;
     auto push_candidate = [&](int node_index, std::size_t begin, std::size_t end,
                               int depth) {
-      make_leaf(nodes_[static_cast<std::size_t>(node_index)], begin, end);
+      make_leaf(node_index, begin, end);
       if (depth >= cfg.max_depth) return;
       SplitResult s = find_split(node_index, begin, end);
       if (s.feature >= 0)
@@ -571,7 +518,6 @@ void DecisionTree::build(BuildContext& ctx) {
       Node& node = nodes_[static_cast<std::size_t>(c.node_index)];
       node.feature = c.split.feature;
       node.threshold = c.split.threshold;
-      node.bin = c.split.bin;
       node.left = left;
       node.right = right;
       importance_[static_cast<std::size_t>(c.split.feature)] += c.split.gain;
@@ -587,7 +533,7 @@ void DecisionTree::build(BuildContext& ctx) {
     while (!stack.empty()) {
       PendingNode p = stack.back();
       stack.pop_back();
-      make_leaf(nodes_[static_cast<std::size_t>(p.node_index)], p.begin, p.end);
+      make_leaf(p.node_index, p.begin, p.end);
       if (p.depth >= cfg.max_depth) continue;
       SplitResult s = find_split(p.node_index, p.begin, p.end);
       if (s.feature < 0) continue;
@@ -601,7 +547,6 @@ void DecisionTree::build(BuildContext& ctx) {
       Node& node = nodes_[static_cast<std::size_t>(p.node_index)];
       node.feature = s.feature;
       node.threshold = s.threshold;
-      node.bin = s.bin;
       node.left = left;
       node.right = right;
       importance_[static_cast<std::size_t>(s.feature)] += s.gain;
@@ -610,141 +555,48 @@ void DecisionTree::build(BuildContext& ctx) {
       stack.push_back({right, mid, p.end, p.depth + 1, 0});
     }
   }
+
+  // Every leaf stamps its value on the training rows its range holds. The
+  // partition routed each row as leaf_index() does (`x < threshold` on
+  // floats; `code <= bin` <=> `x < cuts[bin]` on codes), so these are the
+  // predict_value() outputs, bit for bit.
+  if (ctx.row_values) {
+    ctx.row_values->resize(codes.rows());
+    for (std::size_t j = 0; j < nodes_.size(); ++j) {
+      if (nodes_[j].feature >= 0) continue;
+      for (std::size_t i = leaf_rows[j].first; i < leaf_rows[j].second; ++i)
+        (*ctx.row_values)[ctx.rows[i]] = nodes_[j].value;
+    }
+  }
 }
 
-void DecisionTree::fit_classifier(const Matrix& x, const std::vector<int>& y,
-                                  int num_classes, const TreeConfig& cfg,
-                                  std::mt19937_64& rng,
-                                  const std::vector<std::uint32_t>* subset,
-                                  const BinnedMatrix* binned) {
-  BuildContext ctx;
-  ctx.x = &x;
-  ctx.y = &y;
-  ctx.num_classes = num_classes;
-  ctx.cfg = cfg;
-  ctx.rng = &rng;
-  ctx.src = binned;
-  if (subset) {
-    ctx.rows = *subset;
-  } else {
-    ctx.rows.resize(x.rows());
-    std::iota(ctx.rows.begin(), ctx.rows.end(), 0);
-  }
-  if (!binned) ctx.cuts = compute_cuts(x, ctx.rows, cfg.histogram_bins, rng);
+void DecisionTree::fit_classifier(const BinnedColumnSource& codes, const Matrix* raw,
+                                  const std::vector<int>& y, int num_classes,
+                                  const TreeConfig& cfg, std::mt19937_64& rng,
+                                  const std::vector<std::uint32_t>* subset) {
+  BuildContext ctx{.codes = &codes,
+                   .raw = raw,
+                   .y = &y,
+                   .num_classes = num_classes,
+                   .cfg = cfg,
+                   .rng = &rng,
+                   .subset = subset};
   build(ctx);
 }
 
-void DecisionTree::fit_regression(const Matrix& x, const std::vector<float>& grad,
+void DecisionTree::fit_regression(const BinnedColumnSource& codes, const Matrix* raw,
+                                  const std::vector<float>& grad,
                                   const std::vector<float>& hess,
                                   const TreeConfig& cfg, std::mt19937_64& rng,
-                                  const std::vector<std::uint32_t>* subset,
-                                  const BinnedMatrix* binned) {
-  BuildContext ctx;
-  ctx.x = &x;
-  ctx.grad = &grad;
-  ctx.hess = &hess;
-  ctx.cfg = cfg;
-  ctx.rng = &rng;
-  ctx.src = binned;
-  if (subset) {
-    ctx.rows = *subset;
-  } else {
-    ctx.rows.resize(x.rows());
-    std::iota(ctx.rows.begin(), ctx.rows.end(), 0);
-  }
-  if (!binned) ctx.cuts = compute_cuts(x, ctx.rows, cfg.histogram_bins, rng);
+                                  std::vector<float>& row_values) {
+  BuildContext ctx{.codes = &codes,
+                   .raw = raw,
+                   .grad = &grad,
+                   .hess = &hess,
+                   .row_values = &row_values,
+                   .cfg = cfg,
+                   .rng = &rng};
   build(ctx);
-}
-
-void DecisionTree::fit_classifier_binned(const BinnedColumnSource& src,
-                                         const std::vector<int>& y,
-                                         int num_classes, const TreeConfig& cfg,
-                                         std::mt19937_64& rng,
-                                         const std::vector<std::uint32_t>* subset) {
-  BuildContext ctx;
-  ctx.y = &y;
-  ctx.num_classes = num_classes;
-  ctx.cfg = cfg;
-  // No raw floats: every split must come from the histogram sweep so the
-  // code partition can replicate it exactly.
-  ctx.cfg.exact_split_max = 0;
-  ctx.rng = &rng;
-  ctx.src = &src;
-  if (subset) {
-    ctx.rows = *subset;
-  } else {
-    ctx.rows.resize(src.rows());
-    std::iota(ctx.rows.begin(), ctx.rows.end(), 0);
-  }
-  build(ctx);
-}
-
-void DecisionTree::fit_regression_binned(const BinnedColumnSource& src,
-                                         const std::vector<float>& grad,
-                                         const std::vector<float>& hess,
-                                         const TreeConfig& cfg,
-                                         std::mt19937_64& rng,
-                                         const std::vector<std::uint32_t>* subset) {
-  BuildContext ctx;
-  ctx.grad = &grad;
-  ctx.hess = &hess;
-  ctx.cfg = cfg;
-  ctx.cfg.exact_split_max = 0;
-  ctx.rng = &rng;
-  ctx.src = &src;
-  if (subset) {
-    ctx.rows = *subset;
-  } else {
-    ctx.rows.resize(src.rows());
-    std::iota(ctx.rows.begin(), ctx.rows.end(), 0);
-  }
-  build(ctx);
-}
-
-void DecisionTree::predict_value_binned(const BinnedColumnSource& src,
-                                        std::vector<float>& out) const {
-  const std::size_t n = src.rows();
-  out.assign(n, 0.0f);
-  if (nodes_.empty()) return;
-  if (nodes_[0].feature < 0) {
-    out.assign(n, nodes_[0].value);
-    return;
-  }
-  // Partition walk: route the full (sorted) row set down the tree with the
-  // same stable code partition the fit used, then stamp each leaf's value.
-  // Every internal node must carry a bin (fit_*_binned guarantees it);
-  // page access stays monotone per (node, feature) like during the fit.
-  std::vector<std::uint32_t> rows(n);
-  std::iota(rows.begin(), rows.end(), 0);
-  std::vector<std::uint32_t> scratch;
-  struct Item {
-    int node;
-    std::size_t begin, end;
-  };
-  std::vector<Item> stack{{0, 0, n}};
-  while (!stack.empty()) {
-    const Item it = stack.back();
-    stack.pop_back();
-    const Node& nd = nodes_[static_cast<std::size_t>(it.node)];
-    if (nd.feature < 0) {
-      for (std::size_t i = it.begin; i < it.end; ++i) out[rows[i]] = nd.value;
-      continue;
-    }
-    CodeCursor code(src, static_cast<std::size_t>(nd.feature));
-    scratch.clear();
-    std::size_t w = it.begin;
-    for (std::size_t i = it.begin; i < it.end; ++i) {
-      const std::uint32_t r = rows[i];
-      if (static_cast<int>(code.at(r)) <= nd.bin)
-        rows[w++] = r;
-      else
-        scratch.push_back(r);
-    }
-    std::copy(scratch.begin(), scratch.end(),
-              rows.begin() + static_cast<std::ptrdiff_t>(w));
-    stack.push_back({nd.left, it.begin, w});
-    stack.push_back({nd.right, w, it.end});
-  }
 }
 
 int DecisionTree::leaf_index(const float* row) const {

@@ -3,20 +3,21 @@
 // supports both Gini classification splits and second-order (XGBoost-style)
 // regression splits, plus depth-wise and leaf-wise (LightGBM-style) growth.
 //
-// Two large-node split engines share the sweep code:
-//  - the pre-binned path: a BinnedMatrix (or any BinnedColumnSource)
-//    quantized once per dataset supplies uint8 bin codes, and siblings reuse
-//    the parent's histogram via subtraction (fit with `binned != nullptr`).
-//    Per-node histograms accumulate feature-parallel on the thread pool
-//    when the tree is fitted from the top level (binary GBDT, the
-//    out-of-core forest); inside a forest's per-tree or a GBDT round's
-//    per-class pool block the same feature blocks run inline;
-//  - the legacy per-tree path: cut points are re-derived per fit and every
-//    row is re-binned by binary search at every node (no `binned`). Kept
-//    for standalone single-tree fits and as the --tree-compare baseline.
-// Nodes at or below `exact_split_max` rows (default 1024) always use the
-// exact sorted-sweep search on raw floats, and predict() walks raw-float
-// thresholds, so serving is identical under either engine.
+// A tree reads its training data from quantize-once bin codes (a
+// BinnedMatrix, or any BinnedColumnSource such as a paged store): large
+// nodes accumulate per-node histograms from the codes, and siblings reuse
+// the parent's histogram via subtraction. Histograms accumulate
+// feature-parallel on the thread pool when the tree is fitted from the top
+// level (binary GBDT, the out-of-core forest); inside a forest's per-tree or
+// a GBDT round's per-class pool block the same feature blocks run inline.
+//
+// The raw float matrix is an optional second input, and passing it or not
+// is the whole difference between a resident fit and an out-of-core fit.
+// With it, nodes of at most `exact_split_max` rows (default 1024) take the
+// exact sorted sweep and rows partition on floats. Without it every split is
+// a histogram split and rows partition stably on codes. Either way the
+// thresholds are raw-float values and predict() walks them, so serving is
+// the same code for every fit.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +28,6 @@
 
 namespace sugar::ml {
 
-class BinnedMatrix;
 class BinnedColumnSource;
 
 /// splitmix64 finalizer over (ensemble seed, tree index): every tree of a
@@ -48,7 +48,8 @@ struct TreeConfig {
   int max_leaves = 0;
   /// Number of candidate features per split; 0 = all features.
   int features_per_split = 0;
-  /// Histogram resolution for split finding.
+  /// Bin count the ensembles quantize their codes with; a tree itself reads
+  /// the bins of the codes it is given.
   int histogram_bins = 32;
   /// L2 regularization on leaf values (regression mode).
   float lambda = 1.0f;
@@ -57,61 +58,42 @@ struct TreeConfig {
   /// Nodes with at most this many samples use exact (sorted-sweep) split
   /// search instead of the shared histogram grid — crucial for composing
   /// fine-grained thresholds (IP octets, sequence ranges) deep in the tree.
+  /// Needs the raw floats, so fits without them treat it as 0.
   std::size_t exact_split_max = 1024;
-  /// Pre-binned path only: derive the larger child's histogram from the
-  /// parent's by subtracting the smaller child's (halves accumulation work
-  /// per level). Only a test hook — the subtracted counts are exact for
-  /// classification, so leaving it on is always correct.
+  /// Derive the larger child's histogram from the parent's by subtracting
+  /// the smaller child's (halves accumulation work per level). Only a test
+  /// hook — the subtracted counts are exact for classification, so leaving
+  /// it on is always correct.
   bool hist_subtraction = true;
 };
 
 class DecisionTree {
  public:
-  /// Gini-impurity classification fit. `subset` optionally restricts to a
-  /// bag of row indices (with repetition allowed, for bootstrap). When
-  /// `binned` is set (a BinnedMatrix quantized from the same `x`), large
-  /// nodes accumulate histograms from its bin codes instead of re-binning
-  /// by binary search, and no per-tree cut points are derived.
-  void fit_classifier(const Matrix& x, const std::vector<int>& y, int num_classes,
+  /// Gini-impurity classification fit. `codes` are the training rows' bin
+  /// codes; `raw`, when given, is the float matrix they were quantized from.
+  /// Without `raw`, exact_split_max is forced to 0 and the row partition is
+  /// STABLE on codes (`code <= split bin` <=> `value < cuts[bin]`), so a
+  /// sorted row set stays sorted in every node and paged column access is
+  /// monotone down the whole tree. `subset` optionally restricts the fit to
+  /// a bag of row indices (with repetition allowed, for bootstrap).
+  void fit_classifier(const BinnedColumnSource& codes, const Matrix* raw,
+                      const std::vector<int>& y, int num_classes,
                       const TreeConfig& cfg, std::mt19937_64& rng,
-                      const std::vector<std::uint32_t>* subset = nullptr,
-                      const BinnedMatrix* binned = nullptr);
+                      const std::vector<std::uint32_t>* subset = nullptr);
 
-  /// Second-order regression fit on per-sample gradient/hessian (gradient
-  /// boosting). Leaf value = -G/(H+lambda). `binned` as in fit_classifier.
-  void fit_regression(const Matrix& x, const std::vector<float>& grad,
-                      const std::vector<float>& hess, const TreeConfig& cfg,
-                      std::mt19937_64& rng,
-                      const std::vector<std::uint32_t>* subset = nullptr,
-                      const BinnedMatrix* binned = nullptr);
-
-  /// Out-of-core fits: codes come from a BinnedColumnSource (resident or
-  /// paged), the raw float matrix is never touched. Every split is a
-  /// histogram split (exact_split_max is forced to 0), the partition runs
-  /// on bin codes (`code <= split bin` ≡ `value < cuts[bin]`), and it is
-  /// STABLE — so a sorted row set stays sorted in every node and paged
-  /// column access is monotone down the whole tree. Thresholds are still
-  /// the raw-float cut values, so predict() works unchanged.
-  void fit_classifier_binned(const BinnedColumnSource& src,
-                             const std::vector<int>& y, int num_classes,
-                             const TreeConfig& cfg, std::mt19937_64& rng,
-                             const std::vector<std::uint32_t>* subset = nullptr);
-  void fit_regression_binned(const BinnedColumnSource& src,
-                             const std::vector<float>& grad,
-                             const std::vector<float>& hess,
-                             const TreeConfig& cfg, std::mt19937_64& rng,
-                             const std::vector<std::uint32_t>* subset = nullptr);
+  /// Second-order regression fit on per-row gradient/hessian (gradient
+  /// boosting) over every row of `codes`. Leaf value = -G/(H+lambda).
+  /// `codes` and `raw` as in fit_classifier. `row_values[i]` receives
+  /// training row i's leaf value, read off the fit's own row partition —
+  /// which routes a row exactly as predict() does, so it equals
+  /// predict_value(row i) bit for bit.
+  void fit_regression(const BinnedColumnSource& codes, const Matrix* raw,
+                      const std::vector<float>& grad, const std::vector<float>& hess,
+                      const TreeConfig& cfg, std::mt19937_64& rng,
+                      std::vector<float>& row_values);
 
   [[nodiscard]] int predict_class(const float* row) const;
   [[nodiscard]] float predict_value(const float* row) const;
-
-  /// Regression outputs for every row of `src`, computed by walking the
-  /// tree level-by-level on bin codes (only valid for trees whose every
-  /// split is a histogram split, i.e. fitted via fit_*_binned). `out` is
-  /// resized to src.rows(). The GBDT margin update's out-of-core
-  /// replacement for per-row predict_value.
-  void predict_value_binned(const BinnedColumnSource& src,
-                            std::vector<float>& out) const;
 
   /// Total split gain attributed to each feature (unnormalized).
   [[nodiscard]] const std::vector<double>& feature_importance() const {
@@ -124,10 +106,6 @@ class DecisionTree {
   struct Node {
     int feature = -1;  // -1 => leaf
     float threshold = 0;
-    /// Histogram splits also record the bin the threshold came from
-    /// (threshold == cuts[bin]); -1 for exact-search splits. Lets the
-    /// out-of-core paths partition and traverse on uint8 codes.
-    int bin = -1;
     int left = -1, right = -1;
     float value = 0;  // regression output
     int cls = 0;      // classification output

@@ -5,6 +5,7 @@
 
 #include "core/pipeline.h"
 #include "core/report.h"
+#include "core/supervisor.h"
 
 namespace sugar::core {
 namespace {
@@ -142,6 +143,20 @@ TEST_F(PipelineTest, ShallowScenarioWithImportance) {
   double sum = 0;
   for (double v : r.feature_importance) sum += v;
   EXPECT_NEAR(sum, 1.0, 1e-6);
+}
+
+TEST_F(PipelineTest, ShallowScenarioReportsRowCounts) {
+  ScenarioOptions opts;
+  opts.split = dataset::SplitPolicy::PerFlow;
+  auto r = run_shallow_scenario(env, dataset::TaskId::UstcBinary,
+                                ShallowKind::RandomForest, true, opts);
+  EXPECT_GT(r.n_train, 0u);
+  EXPECT_EQ(r.n_test, r.metrics.confusion.total()) << "every test row is scored";
+  EXPECT_GT(r.n_test, 0u);
+  // Table 8 and Fig 5 cells report these through the supervisor summary.
+  const CellSummary s = summarize(r);
+  EXPECT_EQ(s.n_train, r.n_train);
+  EXPECT_EQ(s.n_test, r.n_test);
 }
 
 TEST_F(PipelineTest, ShallowKindsAllRun) {

@@ -182,13 +182,17 @@ TEST_F(TraceIntegrationTest, FailedCellsCountIntoTheFailureCounter) {
   cfg.trace_path = (dir_ / "trace.json").string();
   cfg.max_retries = 0;
   RunSupervisor sup(cfg);
+  // A success first: the outcome counters must not stick to whichever
+  // outcome a process saw first.
+  sup.run_cell({"tracefail", "good", "c", ""},
+               [](CellContext&) { return ok_summary(); });
   sup.run_cell({"tracefail", "bad", "c", ""}, [](CellContext&) -> CellSummary {
     throw std::runtime_error("boom");
   });
   auto counters = counters_by_name();
-  EXPECT_EQ(counters["supervisor.cells_started"], 1u);
+  EXPECT_EQ(counters["supervisor.cells_started"], 2u);
+  EXPECT_EQ(counters["supervisor.cells_ok"], 1u);
   EXPECT_EQ(counters["supervisor.cells_failed"], 1u);
-  EXPECT_EQ(counters["supervisor.cells_ok"], 0u);
   EXPECT_TRUE(sup.finalize());
 }
 

@@ -1,8 +1,8 @@
 // Tests for the quantize-once binned training substrate (ml/binned.h):
 // bin-code semantics pinned against the strict '<' partition convention,
 // sketch determinism across pool widths, sibling-subtraction histogram
-// identity vs direct accumulation, binned-vs-legacy model quality, pinned
-// GBDT model digests, and GBDT cancellation.
+// identity vs direct accumulation, histogram-path model quality, pinned
+// forest and GBDT model digests, and GBDT cancellation.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -151,25 +151,25 @@ TEST(HistogramTree, SiblingSubtractionIdenticalToDirectAccumulation) {
   // not merely close. All features per split => subtract mode engages;
   // tiny exact_split_max keeps nodes on the histogram path deep down.
   auto [x, y] = make_blobs(4, 300, 6, 1.2, 5);
-  const BinnedMatrix bm(x, 32);
   TreeConfig cfg;
   cfg.max_depth = 9;
   cfg.histogram_bins = 32;
   cfg.exact_split_max = 16;
   cfg.features_per_split = 0;  // all features: subtraction eligible
+  const BinnedMatrix bm(x, cfg.histogram_bins);
 
   DecisionTree direct, subtracted;
   {
     TreeConfig c = cfg;
     c.hist_subtraction = false;
     std::mt19937_64 rng(9);
-    direct.fit_classifier(x, y, 4, c, rng, nullptr, &bm);
+    direct.fit_classifier(bm, &x, y, 4, c, rng);
   }
   {
     TreeConfig c = cfg;
     c.hist_subtraction = true;
     std::mt19937_64 rng(9);
-    subtracted.fit_classifier(x, y, 4, c, rng, nullptr, &bm);
+    subtracted.fit_classifier(bm, &x, y, 4, c, rng);
   }
   ASSERT_EQ(direct.node_count(), subtracted.node_count());
   ASSERT_GT(direct.node_count(), 16u) << "histogram path not exercised";
@@ -184,24 +184,17 @@ TEST(HistogramTree, SiblingSubtractionIdenticalToDirectAccumulation) {
 }
 
 TEST(HistogramTree, BinnedForestMatchesLegacyQuality) {
+  // Quality of the histogram path: every node above 32 rows splits on the
+  // shared bin grid, and the forest must still separate the blobs.
   auto [x, y] = make_blobs(3, 250, 5, 1.0, 13);
   ForestConfig cfg;
   cfg.num_trees = 12;
   cfg.seed = 3;
   cfg.tree.exact_split_max = 32;  // force the histogram path
 
-  cfg.binned = true;
-  RandomForest binned_rf(cfg);
-  binned_rf.fit(x, y, 3);
-  cfg.binned = false;
-  RandomForest legacy_rf(cfg);
-  legacy_rf.fit(x, y, 3);
-
-  const double acc_binned = evaluate(y, binned_rf.predict(x), 3).accuracy;
-  const double acc_legacy = evaluate(y, legacy_rf.predict(x), 3).accuracy;
-  EXPECT_GT(acc_binned, 0.95);
-  EXPECT_GT(acc_legacy, 0.95);
-  EXPECT_NEAR(acc_binned, acc_legacy, 0.03);
+  RandomForest rf(cfg);
+  rf.fit(x, y, 3);
+  EXPECT_GT(evaluate(y, rf.predict(x), 3).accuracy, 0.95);
 }
 
 TEST(HistogramTree, GbdtSubtractionPreservesQuality) {
@@ -237,7 +230,6 @@ TEST(HistogramTree, ForestFitDigestIdenticalAcrossPoolWidths) {
   cfg.num_trees = 9;
   cfg.seed = 55;
   cfg.tree.exact_split_max = 32;
-  cfg.binned = true;
 
   std::vector<int> ref_pred;
   std::vector<double> ref_imp;
@@ -299,7 +291,7 @@ std::uint64_t digest_of(const T* data, std::size_t count) {
       std::string_view(reinterpret_cast<const char*>(data), count * sizeof(T)));
 }
 
-/// Fixed problem for the pinned GBDT digests: 1,600 rows, so the root
+/// Fixed problem for the pinned digests: 1,600 rows, so the GBDT root
 /// (above exact_split_max = 1024) takes the histogram path and its children
 /// the exact sorted sweep.
 std::pair<Matrix, std::vector<int>> pinned_problem(int classes) {
@@ -363,6 +355,58 @@ TEST(HistogramTree, GbdtDigestsPinnedAcrossPoolWidths) {
                                 (pin.binned ? " fit_binned" : " fit") +
                                 ", threads " + std::to_string(w);
       EXPECT_EQ(digest_of(scores.data().data(), scores.size()), pin.scores) << where;
+      EXPECT_EQ(digest_of(imp.data(), imp.size()), pin.importance) << where;
+    }
+  }
+}
+
+struct PinnedForest {
+  int classes;
+  std::size_t exact_split_max;
+  bool binned;  // fit_binned over the problem's BinnedMatrix, else fit
+  std::uint64_t predict;     // predict bytes
+  std::uint64_t importance;  // feature_importance bytes
+};
+
+// Recorded from the forest fit whose resident trees took their bootstrap
+// bags unsorted. Class counts are integers held in doubles, so sorting the
+// bags must leave every tree unchanged. fit_binned forces exact_split_max
+// to 0, so its two rows per class count agree.
+constexpr PinnedForest kPinnedForest[] = {
+    {2, 4096, false, 0x31c68f065c41e525ull, 0xb56e9b6fd7cef8c3ull},
+    {2, 4096, true, 0x31c68f065c41e525ull, 0xcee574e385e44db9ull},
+    {2, 32, false, 0x31c68f065c41e525ull, 0x2842781cb8ebadfcull},
+    {2, 32, true, 0x31c68f065c41e525ull, 0xcee574e385e44db9ull},
+    {5, 4096, false, 0x963fc160413d8ea0ull, 0x70b05e52fae88ed5ull},
+    {5, 4096, true, 0xe2186ea4f8fcf1b5ull, 0x016d4fe97095f5aaull},
+    {5, 32, false, 0x8116386463a99505ull, 0xae6c79e31e88b72eull},
+    {5, 32, true, 0xe2186ea4f8fcf1b5ull, 0x016d4fe97095f5aaull},
+    {12, 4096, false, 0xe88226bd4dcdf609ull, 0xe83041224b4b48f2ull},
+    {12, 4096, true, 0x7b0cf4bfcf1c79c5ull, 0x5b29ed02809dc37bull},
+    {12, 32, false, 0x85dcfb344f859334ull, 0xb8bad1797595a15aull},
+    {12, 32, true, 0x7b0cf4bfcf1c79c5ull, 0x5b29ed02809dc37bull},
+};
+
+TEST(HistogramTree, ForestDigestsPinnedAcrossPoolWidths) {
+  for (std::size_t w : {std::size_t{1}, std::size_t{2}, std::size_t{7}}) {
+    ScopedThreads threads(w);
+    for (const PinnedForest& pin : kPinnedForest) {
+      auto [x, y] = pinned_problem(pin.classes);
+      ForestConfig cfg;
+      cfg.num_trees = 12;
+      cfg.tree.exact_split_max = pin.exact_split_max;
+      RandomForest rf(cfg);
+      if (pin.binned)
+        rf.fit_binned(BinnedMatrix(x, cfg.tree.histogram_bins), y, pin.classes);
+      else
+        rf.fit(x, y, pin.classes);
+      const std::vector<int> pred = rf.predict(x);
+      const std::vector<double> imp = rf.feature_importance();
+      const std::string where =
+          std::to_string(pin.classes) + " classes, exact_split_max " +
+          std::to_string(pin.exact_split_max) + (pin.binned ? " fit_binned" : " fit") +
+          ", threads " + std::to_string(w);
+      EXPECT_EQ(digest_of(pred.data(), pred.size()), pin.predict) << where;
       EXPECT_EQ(digest_of(imp.data(), imp.size()), pin.importance) << where;
     }
   }

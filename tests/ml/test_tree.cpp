@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <random>
 
+#include "ml/binned.h"
 #include "ml/forest.h"
 #include "ml/gbdt.h"
 #include "ml/metrics.h"
@@ -34,7 +36,7 @@ TEST(DecisionTree, SeparatesCleanBlobs) {
   DecisionTree tree;
   TreeConfig cfg;
   std::mt19937_64 rng(2);
-  tree.fit_classifier(x, y, 3, cfg, rng);
+  tree.fit_classifier(BinnedMatrix(x, cfg.histogram_bins), &x, y, 3, cfg, rng);
   std::vector<int> pred;
   for (std::size_t i = 0; i < x.rows(); ++i) pred.push_back(tree.predict_class(x.row(i)));
   EXPECT_GT(evaluate(y, pred, 3).accuracy, 0.98);
@@ -47,7 +49,7 @@ TEST(DecisionTree, MaxDepthBoundsTree) {
   TreeConfig cfg;
   cfg.max_depth = 2;
   std::mt19937_64 rng(4);
-  tree.fit_classifier(x, y, 4, cfg, rng);
+  tree.fit_classifier(BinnedMatrix(x, cfg.histogram_bins), &x, y, 4, cfg, rng);
   EXPECT_LE(tree.depth(), 3);  // depth counts nodes; 2 split levels -> <= 3
 }
 
@@ -57,7 +59,7 @@ TEST(DecisionTree, PureNodeBecomesLeaf) {
   DecisionTree tree;
   TreeConfig cfg;
   std::mt19937_64 rng(5);
-  tree.fit_classifier(x, y, 2, cfg, rng);
+  tree.fit_classifier(BinnedMatrix(x, cfg.histogram_bins), &x, y, 2, cfg, rng);
   EXPECT_EQ(tree.node_count(), 1u);
   EXPECT_EQ(tree.predict_class(x.row(0)), 0);
 }
@@ -77,7 +79,7 @@ TEST(DecisionTree, ImportanceIdentifiesInformativeFeature) {
   DecisionTree tree;
   TreeConfig cfg;
   std::mt19937_64 rng(7);
-  tree.fit_classifier(x, y, 2, cfg, rng);
+  tree.fit_classifier(BinnedMatrix(x, cfg.histogram_bins), &x, y, 2, cfg, rng);
   const auto& imp = tree.feature_importance();
   EXPECT_GT(imp[0], imp[1] + imp[2] + imp[3]);
 }
@@ -96,9 +98,51 @@ TEST(DecisionTree, RegressionFitsResiduals) {
   cfg.max_depth = 2;
   cfg.lambda = 0.0f;
   std::mt19937_64 rng(8);
-  tree.fit_regression(x, grad, hess, cfg, rng);
+  std::vector<float> row_values;
+  tree.fit_regression(BinnedMatrix(x, cfg.histogram_bins), &x, grad, hess, cfg, rng,
+                      row_values);
   EXPECT_NEAR(tree.predict_value(x.row(10)), 2.0f, 0.2f);
   EXPECT_NEAR(tree.predict_value(x.row(90)), -4.0f, 0.2f);
+}
+
+TEST(DecisionTree, RegressionRowValuesMatchPredict) {
+  // The row values come from the fit's own partition; they must be the
+  // predict_value() outputs bit for bit, with and without the raw floats
+  // (float vs stable code partition) and for both growth orders. A small
+  // exact_split_max mixes exact and histogram splits in the resident fit.
+  std::mt19937_64 data_rng(21);
+  std::normal_distribution<float> normal(0.0f, 1.0f);
+  std::uniform_real_distribution<float> unif(0.05f, 1.0f);
+  Matrix x(3000, 6);
+  std::vector<float> grad(x.rows()), hess(x.rows());
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    for (std::size_t d = 0; d < x.cols(); ++d) x(i, d) = normal(data_rng);
+    grad[i] = x(i, 0) * x(i, 1) - x(i, 2) + 0.3f * normal(data_rng);
+    hess[i] = unif(data_rng);
+  }
+  TreeConfig cfg;
+  cfg.max_depth = 8;
+  cfg.min_samples_leaf = 4;
+  cfg.histogram_bins = 64;
+  cfg.exact_split_max = 200;
+  const BinnedMatrix codes(x, cfg.histogram_bins);
+  for (bool with_raw : {true, false}) {
+    for (int max_leaves : {0, 31}) {
+      TreeConfig c = cfg;
+      c.max_leaves = max_leaves;
+      DecisionTree tree;
+      std::mt19937_64 rng(22);
+      std::vector<float> row_values;
+      tree.fit_regression(codes, with_raw ? &x : nullptr, grad, hess, c, rng, row_values);
+      ASSERT_GT(tree.node_count(), 15u) << "tree too small to exercise the partition";
+      ASSERT_EQ(row_values.size(), x.rows());
+      for (std::size_t i = 0; i < x.rows(); ++i) {
+        const float want = tree.predict_value(x.row(i));
+        ASSERT_EQ(std::memcmp(&row_values[i], &want, sizeof(float)), 0)
+            << "row " << i << " raw " << with_raw << " max_leaves " << max_leaves;
+      }
+    }
+  }
 }
 
 TEST(DecisionTree, LeafWiseGrowthRespectsLeafBudget) {
@@ -108,7 +152,7 @@ TEST(DecisionTree, LeafWiseGrowthRespectsLeafBudget) {
   cfg.max_leaves = 4;
   cfg.max_depth = 20;
   std::mt19937_64 rng(10);
-  tree.fit_classifier(x, y, 6, cfg, rng);
+  tree.fit_classifier(BinnedMatrix(x, cfg.histogram_bins), &x, y, 6, cfg, rng);
   // max_leaves=4 -> at most 3 internal splits -> 7 nodes.
   EXPECT_LE(tree.node_count(), 7u);
 }
@@ -121,8 +165,8 @@ TEST(DecisionTree, ExactAndHistogramSplitsAgreeOnEasyData) {
   ce.exact_split_max = 100000;
   TreeConfig ch;
   ch.exact_split_max = 0;
-  exact.fit_classifier(x, y, 2, ce, rng);
-  histo.fit_classifier(x, y, 2, ch, rng);
+  exact.fit_classifier(BinnedMatrix(x, ce.histogram_bins), &x, y, 2, ce, rng);
+  histo.fit_classifier(BinnedMatrix(x, ch.histogram_bins), &x, y, 2, ch, rng);
   std::size_t agree = 0;
   for (std::size_t i = 0; i < x.rows(); ++i)
     if (exact.predict_class(x.row(i)) == histo.predict_class(x.row(i))) ++agree;
@@ -137,7 +181,7 @@ TEST(RandomForest, BeatsSingleTreeOnNoisyData) {
   DecisionTree tree;
   TreeConfig cfg;
   cfg.features_per_split = 2;
-  tree.fit_classifier(x, y, 5, cfg, rng);
+  tree.fit_classifier(BinnedMatrix(x, cfg.histogram_bins), &x, y, 5, cfg, rng);
   std::vector<int> tree_pred;
   for (std::size_t i = 0; i < xt.rows(); ++i)
     tree_pred.push_back(tree.predict_class(xt.row(i)));
@@ -169,6 +213,18 @@ TEST(RandomForest, ImportanceNormalized) {
 
   auto ranked = ranked_importance(imp, {"a", "b", "c", "d", "e"});
   EXPECT_GE(ranked.front().second, ranked.back().second);
+}
+
+TEST(RandomForest, EmptyTrainingSetPredictsClassZero) {
+  const Matrix empty(0, 5);
+  const Matrix probe(4, 5, 1.0f);
+  ForestConfig cfg;
+  cfg.num_trees = 3;
+  RandomForest fitted(cfg), binned(cfg);
+  fitted.fit(empty, {}, 3);
+  binned.fit_binned(BinnedMatrix(empty, cfg.tree.histogram_bins), {}, 3);
+  EXPECT_EQ(fitted.predict(probe), std::vector<int>(4, 0));
+  EXPECT_EQ(binned.predict(probe), std::vector<int>(4, 0));
 }
 
 TEST(Gbdt, BinaryClassification) {
@@ -206,6 +262,20 @@ TEST(Gbdt, DecisionFunctionShape) {
   auto scores = gb.decision_function(x);
   EXPECT_EQ(scores.rows(), x.rows());
   EXPECT_EQ(scores.cols(), 3u);
+}
+
+TEST(Gbdt, EmptyTrainingSetPredictsClassZero) {
+  const Matrix empty(0, 5);
+  const Matrix probe(4, 5, 1.0f);
+  for (int classes : {2, 3}) {
+    GbdtConfig cfg;
+    cfg.rounds = 3;
+    GradientBoosting fitted(cfg), binned(cfg);
+    fitted.fit(empty, {}, classes);
+    binned.fit_binned(BinnedMatrix(empty, cfg.tree.histogram_bins), {}, classes);
+    EXPECT_EQ(fitted.predict(probe), std::vector<int>(4, 0)) << classes << " classes";
+    EXPECT_EQ(binned.predict(probe), std::vector<int>(4, 0)) << classes << " classes";
+  }
 }
 
 }  // namespace
