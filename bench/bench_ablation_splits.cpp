@@ -15,9 +15,9 @@ using namespace sugar;
 
 namespace {
 
-ml::Metrics rf_under_split(const dataset::PacketDataset& ds,
-                           const dataset::SplitIndices& split, std::uint64_t seed,
-                           const ml::CancelToken* cancel) {
+core::CellSummary rf_under_split(const dataset::PacketDataset& ds,
+                                 const dataset::SplitIndices& split,
+                                 std::uint64_t seed, const ml::CancelToken* cancel) {
   auto train_idx = dataset::balance_train(ds, split.train, seed);
   if (train_idx.empty() || split.test.empty())
     throw core::RunError(core::RunErrorKind::kEmptyPartition,
@@ -35,7 +35,10 @@ ml::Metrics rf_under_split(const dataset::PacketDataset& ds,
   cfg.cancel = cancel;
   ml::RandomForest rf(cfg);
   rf.fit(x_train, dtr.label, ds.num_classes);
-  return ml::evaluate(dte.label, rf.predict(x_test), ds.num_classes);
+  auto s = core::summarize(ml::evaluate(dte.label, rf.predict(x_test), ds.num_classes));
+  s.n_train = dtr.size();
+  s.n_test = dte.size();
+  return s;
 }
 
 }  // namespace
@@ -53,7 +56,7 @@ int main(int argc, char** argv) {
     auto outcome = sup.run_cell(spec, [&](core::CellContext& ctx) {
       auto split = make_split();
       auto audit = dataset::audit_split(ds, split);
-      auto s = core::summarize(rf_under_split(ds, split, 3, ctx.cancel));
+      auto s = rf_under_split(ds, split, 3, ctx.cancel);
       s.extra.set("audit_clean", core::Json(audit.clean()));
       return s;
     });

@@ -598,6 +598,13 @@ bool check(const char* path) {
       if (!check_cell_trace(path, *cell_trace)) return false;
     }
     if (const Json* summary = cell.find("summary")) {
+      // A score needs rows to score: a positive accuracy or F1 over zero
+      // (or unreported) test rows means the counts were never filled.
+      const Json* n_test = summary->find("n_test");
+      if (!n_test || n_test->number_or(0) <= 0)
+        for (const char* score : {"accuracy", "macro_f1", "micro_f1"})
+          if (const Json* v = summary->find(score); v && v->number_or(0) > 0)
+            return fail(path, "cell reports a score over zero test rows");
       const Json* extra = summary->find("extra");
       if (const Json* serve = extra ? extra->find("serve") : nullptr) {
         if (!check_serve_section(path, *serve)) return false;

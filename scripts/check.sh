@@ -134,13 +134,14 @@ trees() {
 ooc() {
   configure_build build-check
   # The out-of-core substrate's own contract: SUGC round-trip + corruption
-  # corpus, page-cache eviction/pin/prefetch semantics, and paged-vs-
-  # resident fit bit-identity, swept at several ambient pool widths (the
-  # fit tests pin widths internally; the sweep catches leaks around them).
+  # corpus, page-cache eviction/pin/prefetch semantics, paged-vs-resident
+  # fit bit-identity and the pinned run_ooc_scale digest, swept at several
+  # ambient pool widths (the fit and digest tests pin widths internally;
+  # the sweep catches leaks around them).
   for threads in 1 2 7; do
     SUGAR_THREADS="$threads" run ctest --test-dir build-check \
         --output-on-failure \
-        -R 'StoreTest|PagedFitTest|PageCache|PagerTsan'
+        -R 'StoreTest|PagedFitTest|PageCache|PagerTsan|OocScale'
   done
   # The streaming gate: paged children fit a store 24x their cache budget
   # with digests identical to the resident fit and peak RSS below the

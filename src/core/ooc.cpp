@@ -1,6 +1,5 @@
 #include "core/ooc.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstring>
 
@@ -300,7 +299,7 @@ OocResult run_ooc_scale(const OocOptions& opts) {
   timings.set("fit_s", Json(fit_s));
 
   // -- Stage 7: streamed evaluation — one float row at a time off the
-  // test store, majority vote over the trees.
+  // test store, through the forest's vote.
   t0 = std::chrono::steady_clock::now();
   auto test = open_or_die(test_path, "open test");
   std::vector<int> y_test, y_pred;
@@ -312,16 +311,11 @@ OocResult run_ooc_scale(const OocOptions& opts) {
     RowBlockCursor cur(*test, tcols);
     std::vector<ColumnBlock> blocks;
     std::vector<float> row(nfeat);
-    std::vector<int> votes(static_cast<std::size_t>(num_classes));
     while (cur.next(blocks, &serr)) {
       for (std::uint32_t i = 0; i < blocks[0].nrows; ++i) {
         for (std::size_t f = 0; f < nfeat; ++f)
           row[f] = blocks[f].as<float>()[i];
-        std::fill(votes.begin(), votes.end(), 0);
-        for (const auto& tree : forest.trees())
-          ++votes[static_cast<std::size_t>(tree.predict_class(row.data()))];
-        y_pred.push_back(static_cast<int>(
-            std::max_element(votes.begin(), votes.end()) - votes.begin()));
+        y_pred.push_back(forest.vote(row.data()));
         y_test.push_back(blocks[nfeat].as<std::int32_t>()[i]);
       }
     }

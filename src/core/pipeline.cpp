@@ -365,20 +365,10 @@ ShallowResult run_shallow_scenario(BenchmarkEnv& env, dataset::TaskId task,
       result.feature_importance = rf.feature_importance();
       break;
     }
-    case ShallowKind::XgboostStyle: {
-      auto cfg = ml::GbdtConfig::xgboost_style();
-      cfg.learning_rate *= static_cast<float>(opts.lr_scale);
-      cfg.cancel = opts.cancel;
-      ml::GradientBoosting gb(cfg);
-      gb.fit(x_train, parts.train.label, ds.num_classes);
-      result.train_seconds = seconds_since(t0);
-      t0 = Clock::now();
-      pred = gb.predict(x_test);
-      result.feature_importance = gb.feature_importance();
-      break;
-    }
+    case ShallowKind::XgboostStyle:
     case ShallowKind::LightGbmStyle: {
-      auto cfg = ml::GbdtConfig::lightgbm_style();
+      auto cfg = kind == ShallowKind::XgboostStyle ? ml::GbdtConfig::xgboost_style()
+                                                   : ml::GbdtConfig::lightgbm_style();
       cfg.learning_rate *= static_cast<float>(opts.lr_scale);
       cfg.cancel = opts.cancel;
       ml::GradientBoosting gb(cfg);

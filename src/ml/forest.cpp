@@ -67,30 +67,23 @@ std::vector<int> RandomForest::predict(const Matrix& x) const {
   std::vector<int> out(x.rows(), 0);
   core::global_pool().parallel_for(
       0, x.rows(), 64, [&](std::size_t r0, std::size_t r1) {
-        std::vector<int> votes(static_cast<std::size_t>(num_classes_));
-        for (std::size_t i = r0; i < r1; ++i) {
-          std::fill(votes.begin(), votes.end(), 0);
-          for (const auto& tree : trees_)
-            ++votes[static_cast<std::size_t>(tree.predict_class(x.row(i)))];
-          out[i] = static_cast<int>(std::max_element(votes.begin(), votes.end()) -
-                                    votes.begin());
-        }
+        for (std::size_t i = r0; i < r1; ++i) out[i] = vote(x.row(i));
       });
   return out;
 }
 
+int RandomForest::vote(const float* row) const {
+  // Per-thread tally; reallocates only for a forest with more classes.
+  thread_local std::vector<int> votes;
+  votes.assign(static_cast<std::size_t>(num_classes_), 0);
+  for (const auto& tree : trees_)
+    ++votes[static_cast<std::size_t>(tree.predict_class(row))];
+  return static_cast<int>(std::max_element(votes.begin(), votes.end()) -
+                          votes.begin());
+}
+
 std::vector<double> RandomForest::feature_importance() const {
-  if (trees_.empty()) return {};
-  std::vector<double> total(trees_.front().feature_importance().size(), 0.0);
-  for (const auto& tree : trees_) {
-    const auto& imp = tree.feature_importance();
-    for (std::size_t i = 0; i < imp.size(); ++i) total[i] += imp[i];
-  }
-  double sum = 0;
-  for (double v : total) sum += v;
-  if (sum > 0)
-    for (double& v : total) v /= sum;
-  return total;
+  return ensemble_importance(trees_);
 }
 
 std::vector<std::pair<std::string, double>> ranked_importance(

@@ -57,12 +57,18 @@ class RandomForest {
   void fit_binned(const BinnedColumnSource& src, const std::vector<int>& y,
                   int num_classes);
 
+  /// vote() on every row, one pool block per 64 rows.
   [[nodiscard]] std::vector<int> predict(const Matrix& x) const;
+
+  /// Majority vote of the trees on one feature row, ties to the lowest
+  /// class: the forest's only vote, behind predict(), the serve engine's
+  /// classifier and the out-of-core evaluation. It allocates nothing after
+  /// a thread's first call and never dispatches to the pool, so serve shard
+  /// workers can call it from inside the engine's parallel round.
+  [[nodiscard]] int vote(const float* row) const;
 
   /// Normalized (sums to 1) mean split-gain importance per feature.
   [[nodiscard]] std::vector<double> feature_importance() const;
-
-  [[nodiscard]] const std::vector<DecisionTree>& trees() const { return trees_; }
 
  private:
   /// The loop behind fit() and fit_binned(): `raw` null means out of core.

@@ -117,17 +117,7 @@ std::vector<int> GradientBoosting::predict(const Matrix& x) const {
 }
 
 std::vector<double> GradientBoosting::feature_importance() const {
-  if (trees_.empty()) return {};
-  std::vector<double> total(trees_.front().feature_importance().size(), 0.0);
-  for (const auto& tree : trees_) {
-    const auto& imp = tree.feature_importance();
-    for (std::size_t i = 0; i < imp.size(); ++i) total[i] += imp[i];
-  }
-  double sum = 0;
-  for (double v : total) sum += v;
-  if (sum > 0)
-    for (double& v : total) v /= sum;
-  return total;
+  return ensemble_importance(trees_);
 }
 
 }  // namespace sugar::ml

@@ -634,4 +634,18 @@ int DecisionTree::depth() const {
   return best;
 }
 
+std::vector<double> ensemble_importance(const std::vector<DecisionTree>& trees) {
+  if (trees.empty()) return {};
+  std::vector<double> total(trees.front().feature_importance().size(), 0.0);
+  for (const auto& tree : trees) {
+    const auto& imp = tree.feature_importance();
+    for (std::size_t i = 0; i < imp.size(); ++i) total[i] += imp[i];
+  }
+  double sum = 0;
+  for (double v : total) sum += v;
+  if (sum > 0)
+    for (double& v : total) v /= sum;
+  return total;
+}
+
 }  // namespace sugar::ml

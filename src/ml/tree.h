@@ -119,4 +119,9 @@ class DecisionTree {
   std::vector<double> importance_;
 };
 
+/// Per-feature split gain summed over an ensemble's trees and normalized to
+/// sum to 1 (all zeros if no tree split); empty for an empty ensemble.
+[[nodiscard]] std::vector<double> ensemble_importance(
+    const std::vector<DecisionTree>& trees);
+
 }  // namespace sugar::ml

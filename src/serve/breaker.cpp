@@ -4,7 +4,6 @@
 #include <cstdlib>
 
 #include "core/envparse.h"
-#include "core/trace.h"
 
 namespace sugar::serve {
 
@@ -77,17 +76,14 @@ bool CircuitBreakerClassifier::transition(BreakerState from, BreakerState to,
     case BreakerState::kOpen:
       open_calls_.store(0, std::memory_order_relaxed);
       trips_.fetch_add(1, std::memory_order_relaxed);
-      SUGAR_TRACE_COUNT("serve.breaker.trip", 1);
       break;
     case BreakerState::kHalfOpen:
       half_open_streak_.store(0, std::memory_order_relaxed);
       probe_in_flight_.store(false, std::memory_order_release);
-      SUGAR_TRACE_COUNT("serve.breaker.half_open", 1);
       break;
     case BreakerState::kClosed:
       consecutive_faults_.store(0, std::memory_order_relaxed);
       recoveries_.fetch_add(1, std::memory_order_relaxed);
-      SUGAR_TRACE_COUNT("serve.breaker.close", 1);
       break;
   }
   return true;

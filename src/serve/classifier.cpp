@@ -1,26 +1,11 @@
 #include "serve/classifier.h"
 
-#include <algorithm>
-
 namespace sugar::serve {
 
 ForestFlowClassifier::ForestFlowClassifier(ml::RandomForest forest,
                                            std::size_t feature_dim,
                                            int num_classes)
     : forest_(std::move(forest)), dim_(feature_dim), classes_(num_classes) {}
-
-int ForestFlowClassifier::classify(const float* features) const {
-  // Same majority vote as RandomForest::predict, but single-row and inline:
-  // shard workers call this from inside the engine's parallel_for, where a
-  // nested pool dispatch would serialize anyway.
-  int votes[256] = {};
-  const int classes = std::min(classes_, 256);
-  for (const auto& tree : forest_.trees()) {
-    const int c = tree.predict_class(features);
-    if (c >= 0 && c < classes) ++votes[c];
-  }
-  return static_cast<int>(std::max_element(votes, votes + classes) - votes);
-}
 
 std::unique_ptr<ForestFlowClassifier> fit_forest_classifier(
     const ml::Matrix& x, const std::vector<int>& y, int num_classes,

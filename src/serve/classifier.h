@@ -24,9 +24,8 @@ class FlowClassifier {
   [[nodiscard]] virtual int classify(const float* features) const = 0;
 };
 
-/// Frozen RandomForest. classify() votes the trees directly on the caller's
-/// buffer — no allocation, no thread-pool dispatch — so shard workers can
-/// call it from inside the engine's parallel round without nesting.
+/// Frozen RandomForest. classify() is RandomForest::vote on the caller's
+/// buffer, so a served verdict equals batch predict() on the same row.
 class ForestFlowClassifier final : public FlowClassifier {
  public:
   ForestFlowClassifier(ml::RandomForest forest, std::size_t feature_dim,
@@ -34,9 +33,9 @@ class ForestFlowClassifier final : public FlowClassifier {
 
   [[nodiscard]] std::size_t feature_dim() const override { return dim_; }
   [[nodiscard]] int num_classes() const override { return classes_; }
-  [[nodiscard]] int classify(const float* features) const override;
-
-  [[nodiscard]] const ml::RandomForest& forest() const { return forest_; }
+  [[nodiscard]] int classify(const float* features) const override {
+    return forest_.vote(features);
+  }
 
  private:
   ml::RandomForest forest_;

@@ -95,7 +95,6 @@ bool ServeEngine::offer(const net::Packet& pkt) {
   std::lock_guard<std::mutex> lock(queue_mu_);
   if (queue_.size() >= cfg_.queue_capacity) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
-    SUGAR_TRACE_COUNT("serve.backpressure.rejected", 1);
     return false;
   }
   queue_.push_back(QueueEntry{pkt, now_ns()});
@@ -126,12 +125,10 @@ ShedStage ServeEngine::evaluate_stage(std::size_t queued, std::size_t live) {
   }
   if (next != current) {
     std::lock_guard<std::mutex> lock(stats_mu_);
-    if (next > current) {
+    if (next > current)
       ++stats_.counters.shed_stage_enters;
-      SUGAR_TRACE_COUNT("serve.shed.stage_enter", 1);
-    } else {
+    else
       ++stats_.counters.shed_stage_exits;
-    }
     stage_.store(static_cast<std::uint32_t>(next), std::memory_order_relaxed);
   }
   return next;
@@ -392,7 +389,6 @@ std::size_t ServeEngine::pump() {
           std::lock_guard<std::mutex> lock(stats_mu_);
           ++stats_.counters.watchdog_recoveries;
         }
-        SUGAR_TRACE_COUNT("serve.watchdog.recoveries", 1);
         std::fprintf(stderr,
                      "serve: watchdog — shard %zu recovered after %u clean "
                      "rounds; primary classifier restored\n",
@@ -400,8 +396,6 @@ std::size_t ServeEngine::pump() {
       }
     }
   }
-  SUGAR_TRACE_COUNT("serve.packets.processed", n);
-  SUGAR_TRACE_COUNT("serve.rounds", 1);
   return n;
 }
 
@@ -418,10 +412,6 @@ void ServeEngine::merge_deltas(std::vector<RoundDelta>& deltas) {
       }
       verdicts_.push_back(std::move(v));
     }
-    SUGAR_TRACE_COUNT("serve.evict.idle", d.counters.evicted_idle);
-    SUGAR_TRACE_COUNT("serve.evict.early", d.counters.evicted_early);
-    SUGAR_TRACE_COUNT("serve.evict.sampled", d.counters.evicted_sampled);
-    SUGAR_TRACE_COUNT("serve.shed.new_flow", d.counters.packets_shed_new_flow);
   }
 }
 
@@ -524,7 +514,6 @@ void ServeEngine::watchdog_loop() {
         std::lock_guard<std::mutex> stats_lock(stats_mu_);
         ++stats_.counters.watchdog_stalls;
       }
-      SUGAR_TRACE_COUNT("serve.watchdog.stalls", 1);
       std::fprintf(stderr,
                    "serve: watchdog — round stuck for %.1fs (heartbeat %llu); "
                    "a shard worker is not making progress\n",
@@ -547,7 +536,6 @@ void ServeEngine::watchdog_loop() {
           std::lock_guard<std::mutex> stats_lock(stats_mu_);
           stats_.counters.watchdog_quarantines += quarantined;
         }
-        SUGAR_TRACE_COUNT("serve.watchdog.quarantines", quarantined);
         std::fprintf(stderr,
                      "serve: watchdog — quarantined %zu stuck shard(s); "
                      "their flows route to the fallback classifier\n",
@@ -561,7 +549,6 @@ void ServeEngine::watchdog_loop() {
         std::lock_guard<std::mutex> stats_lock(stats_mu_);
         ++stats_.counters.watchdog_round_aborts;
       }
-      SUGAR_TRACE_COUNT("serve.watchdog.round_aborts", 1);
       std::fprintf(stderr,
                    "serve: watchdog — forcing round restart after %.1fs; "
                    "unprocessed packets will be re-queued\n",

@@ -285,11 +285,9 @@ SnapshotOutcome ServeEngine::save_snapshot(const std::string& path,
   std::lock_guard<std::mutex> lock(recovery_mu_);
   if (outcome.ok()) {
     ++recovery_.snapshots_saved;
-    SUGAR_TRACE_COUNT("serve.snapshot.saved", 1);
   } else {
     ++recovery_.save_failures;
     recovery_.last_error = outcome.error;
-    SUGAR_TRACE_COUNT("serve.snapshot.save_failures", 1);
   }
   return outcome;
 }
@@ -595,7 +593,6 @@ SnapshotOutcome ServeEngine::restore_snapshot(const std::string& path,
     ++recovery_.restore_failures;
     ++recovery_.cold_starts;
     recovery_.last_error = outcome.error;
-    SUGAR_TRACE_COUNT("serve.snapshot.cold_starts", 1);
     return outcome;
   }
 
@@ -631,7 +628,6 @@ SnapshotOutcome ServeEngine::restore_snapshot(const std::string& path,
     std::lock_guard<std::mutex> lock(recovery_mu_);
     ++recovery_.snapshots_restored;
   }
-  SUGAR_TRACE_COUNT("serve.snapshot.restored", 1);
   return outcome;
 }
 

@@ -3,9 +3,13 @@
 // downstream training and evaluation.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
+#include "core/ooc.h"
 #include "core/pipeline.h"
 #include "core/report.h"
 #include "core/supervisor.h"
+#include "core/threadpool.h"
 
 namespace sugar::core {
 namespace {
@@ -222,6 +226,26 @@ TEST_F(PipelineTest, PreCancelledTokenAbortsShallowScenario) {
     EXPECT_THROW(run_shallow_scenario(env, dataset::TaskId::UstcApp, kind, true, opts),
                  ml::CancelledError)
         << to_string(kind);
+}
+
+// The out-of-core pipeline's prediction digest at 20,000 packets with
+// default options. It is a pure function of (scale, seed), so every pool
+// width must reproduce it.
+TEST(OocScale, DigestPinnedAcrossPoolWidths) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "sugar_ooc_scale_pin";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  for (const std::size_t width : {1u, 2u, 7u}) {
+    set_global_threads(width);
+    OocOptions opts;
+    opts.dir = dir.string();
+    opts.target_packets = 20000;
+    EXPECT_EQ(run_ooc_scale(opts).digest, 0x29fda30dcb755fb0ull)
+        << "threads=" << width;
+  }
+  set_global_threads(0);
+  fs::remove_all(dir);
 }
 
 TEST(Report, MarkdownTableFormat) {

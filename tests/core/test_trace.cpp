@@ -82,7 +82,8 @@ TEST_F(TraceTest, SummaryAggregatesWithoutEvents) {
     SUGAR_TRACE_SPAN("test.summary_span");
     SUGAR_TRACE_COUNT("test.summary_counter", 2);
   }
-  const PhaseStat* s = find_phase(phase_stats(), "test.summary_span");
+  const auto stats = phase_stats();
+  const PhaseStat* s = find_phase(stats, "test.summary_span");
   ASSERT_NE(s, nullptr);
   EXPECT_EQ(s->count, 3u);
   EXPECT_TRUE(events().empty()) << "summary mode must not retain events";
@@ -170,7 +171,8 @@ TEST_F(TraceTest, RetentionCapCountsDroppedEvents) {
     SUGAR_TRACE_SPAN("test.capped");
   }
   EXPECT_GE(dropped_events(), kEmit - 65'536);
-  const PhaseStat* s = find_phase(phase_stats(), "test.capped");
+  const auto stats = phase_stats();
+  const PhaseStat* s = find_phase(stats, "test.capped");
   ASSERT_NE(s, nullptr);
   EXPECT_EQ(s->count, kEmit) << "aggregates must keep counting past the cap";
   std::size_t retained = 0;

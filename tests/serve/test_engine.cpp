@@ -8,10 +8,13 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <random>
 #include <thread>
 #include <vector>
 
+#include "ml/forest.h"
 #include "net/fault.h"
+#include "serve/classifier.h"
 #include "serve/engine.h"
 #include "serve/flow_features.h"
 #include "trafficgen/datasets.h"
@@ -55,6 +58,36 @@ void expect_consistent(const ServeStats& s) {
                 s.counters.evicted_sampled + s.counters.evicted_flush +
                 s.gauges.current_flows);
   EXPECT_LE(s.gauges.table_bytes, s.gauges.table_bytes_cap);
+}
+
+// The serve verdict is the batch verdict: a forest frozen behind the serve
+// interface classifies every row as RandomForest::predict does. Random
+// labels and an even tree count make split votes and ties common, and 300
+// classes is past any fixed-size tally.
+TEST(ServeEngine, ForestVerdictEqualsBatchPredict) {
+  constexpr std::size_t kRows = 1200, kCols = 6;
+  for (const int classes : {3, 12, 300}) {
+    std::mt19937_64 rng(static_cast<std::uint64_t>(classes));
+    std::normal_distribution<float> feature(0.0f, 1.0f);
+    std::uniform_int_distribution<int> label(0, classes - 1);
+    ml::Matrix x(kRows, kCols);
+    std::vector<int> y(kRows);
+    for (std::size_t i = 0; i < kRows; ++i) {
+      y[i] = label(rng);
+      for (std::size_t f = 0; f < kCols; ++f) x(i, f) = feature(rng);
+    }
+    ml::ForestConfig cfg;
+    cfg.num_trees = 4;
+    cfg.tree.features_per_split = 3;
+    const auto serving = fit_forest_classifier(x, y, classes, cfg);
+    ml::RandomForest batch(cfg);
+    batch.fit(x, y, classes);
+    const std::vector<int> pred = batch.predict(x);
+    std::size_t differ = 0;
+    for (std::size_t i = 0; i < kRows; ++i)
+      if (serving->classify(x.row(i)) != pred[i]) ++differ;
+    EXPECT_EQ(differ, 0u) << classes << " classes";
+  }
 }
 
 TEST(ServeEngine, OfferPumpClassifiesFlows) {
