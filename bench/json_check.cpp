@@ -39,16 +39,14 @@ bool load(const char* path, std::string& out) {
 }
 
 // Keys stripped by --normalize: anything that legitimately varies between
-// two correct runs of the same bench (wall timings, derived throughput,
-// machine width, and the whole observability section). schema_version is
+// two correct runs of the same bench (wall timings, speedups, machine
+// width, and the whole observability section). schema_version is
 // volatile too because SUGAR_TRACE flips it between 2 and 4.
 constexpr const char* kVolatileKeys[] = {
     "schema_version", "trace",          "wall_seconds",
     "train_seconds",  "test_seconds",   "seq_seconds",
-    "par_seconds",    "speedup",        "scalar_seconds",
-    "simd_seconds",   "gflops",         "bytes_per_s",
-    "threads",        "parallel_cells", "hardware_concurrency",
-    "cpu_seconds",
+    "par_seconds",    "speedup",        "threads",
+    "parallel_cells", "cpu_seconds",
 };
 
 bool is_volatile_key(const std::string& key) {
@@ -471,76 +469,6 @@ bool check(const char* path) {
   const bool v4 = schema->number_or(0) >= 4;
   const Json* bench = doc->find("bench");
   if (!bench || bench->string_or("").empty()) return fail(path, "missing bench");
-
-  // Kernel-comparison artifacts (--substrate-compare schema 1,
-  // --simd-compare schema 3, --trace-compare schema 1) carry per-kernel
-  // cases instead of the supervisor's health/cells layout.
-  if (bench->string_or("").rfind("micro_substrate", 0) == 0) {
-    const bool v3 = schema->number_or(0) >= 3;
-    const bool ooc = bench->string_or("") == "micro_substrate_ooc";
-    const Json* cases = doc->find("cases");
-    if (!cases || !cases->is_array()) return fail(path, "missing cases array");
-    if (cases->items().empty()) return fail(path, "cases array is empty");
-    const Json* all = doc->find("all_identical");
-    if (!all) return fail(path, "missing all_identical");
-    if (ooc) {
-      // --ooc-compare: resident-vs-paged bit-identity and the streaming
-      // RSS bound are hard artifact contracts, not advisories.
-      if (!all->bool_or(false))
-        return fail(path, "ooc compare all_identical is not true");
-      const Json* rss_ok = doc->find("rss_ok");
-      if (!rss_ok || !rss_ok->bool_or(false))
-        return fail(path, "ooc compare rss_ok is not true");
-      const Json* payload = doc->find("payload_bytes");
-      if (!payload || payload->number_or(0) <= 0)
-        return fail(path, "ooc compare missing positive payload_bytes");
-      for (const Json& c : cases->items()) {
-        const Json* threads = c.find("threads");
-        if (!threads || threads->number_or(0) < 1)
-          return fail(path, "ooc case missing threads >= 1");
-        const Json* ident = c.find("identical");
-        if (!ident || !ident->bool_or(false))
-          return fail(path, "ooc case digests differ");
-        const Json* under = c.find("rss_under_dataset");
-        if (!under || !under->bool_or(false))
-          return fail(path, "ooc case peak RSS reached the dataset size");
-        const Json* hit = c.find("hit_rate");
-        if (!hit || hit->type() != Json::Type::kNumber ||
-            hit->number_or(-1) < 0 || hit->number_or(2) > 1)
-          return fail(path, "ooc case hit_rate outside [0, 1]");
-        const Json* rps = c.find("paged_rows_per_sec");
-        if (!rps || rps->type() != Json::Type::kNumber ||
-            rps->number_or(0) <= 0)
-          return fail(path, "ooc case missing positive paged_rows_per_sec");
-      }
-      return true;
-    }
-    if (v3) {
-      const Json* backend = doc->find("simd_backend");
-      if (!backend || backend->string_or("").empty())
-        return fail(path, "schema 3 missing simd_backend");
-    }
-    for (const Json& c : cases->items()) {
-      if (!c.find("kernel")) return fail(path, "case missing kernel");
-      const Json* ident = c.find("identical");
-      if (!ident) return fail(path, "case missing identical");
-      const Json* speedup = c.find("speedup");
-      if (!speedup || speedup->type() != Json::Type::kNumber)
-        return fail(path, "case missing numeric speedup");
-      if (v3) {
-        // Schema 3: the throughput numbers land in the BENCH trajectory.
-        const Json* gflops = c.find("gflops");
-        if (!gflops || gflops->type() != Json::Type::kNumber ||
-            gflops->number_or(-1) < 0)
-          return fail(path, "schema 3 case missing non-negative gflops");
-        const Json* bps = c.find("bytes_per_s");
-        if (!bps || bps->type() != Json::Type::kNumber ||
-            bps->number_or(-1) < 0)
-          return fail(path, "schema 3 case missing non-negative bytes_per_s");
-      }
-    }
-    return true;
-  }
 
   const Json* health = doc->find("health");
   if (!health || !health->is_object()) return fail(path, "missing health object");

@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
 # Repository hygiene driver.
 #
-#   scripts/check.sh            plain build + unit tests + perf gates
+#   scripts/check.sh            plain build + unit tests + streaming gate
 #   scripts/check.sh sanitize   asan / ubsan / tsan build-and-test matrix
 #   scripts/check.sh bench      plain build + every bench at smoke scale
-#   scripts/check.sh trace      observability matrix: ctest -L trace (zero-
-#                               interference gate, schema-4 corpus, golden
-#                               artifact, TSan over concurrent span emission)
-#                               + the three-mode scripts/profile.sh harness
+#   scripts/check.sh trace      observability matrix: ctest -L trace
+#                               (schema-4 corpus, traced Fig 6 smoke vs the
+#                               golden, golden artifact), the trace unit and
+#                               integration tests (per-kernel identity across
+#                               off/summary/spans), TSan over concurrent span
+#                               emission, and the scripts/profile.sh harness
 #   scripts/check.sh serve      online-engine matrix: flow-table/engine/
 #                               determinism/stream-fault unit tests, the
 #                               bench_serve load ladder + fault matrix at
@@ -19,9 +21,9 @@
 #   scripts/check.sh ooc        out-of-core matrix: store/pager/paged-fit
 #                               unit tests swept at SUGAR_THREADS=1/2/7,
 #                               the pager storm under TSan, and the
-#                               ooc_compare gate (resident vs paged fit
+#                               ooc_stream gate (resident vs paged fit
 #                               digests identical at every width, paged
-#                               peak RSS < dataset size, json_check'd)
+#                               peak RSS < dataset payload)
 #   scripts/check.sh scenario   scenario-diversity matrix: the variant/
 #                               drift/perturbation property tests swept at
 #                               SUGAR_THREADS=1/2/7, the QUIC/DoH fuzz
@@ -39,9 +41,9 @@
 #
 # Each configuration builds into its own directory (build-check, build-asan,
 # build-ubsan, build-tsan) so sanitizer flags never leak into the default
-# ./build tree. The perf_smoke label contains the determinism gates
-# (seq-vs-threaded digests AND SIMD-vs-scalar identity) — those must pass
-# everywhere; throughput is recorded in the artifacts, never gated.
+# ./build tree. The determinism gates (pool widths 1/2/7, SIMD vs scalar,
+# trace modes, resident vs paged) are gtests and must pass everywhere;
+# performance is measured by perfbench, never gated here.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -64,8 +66,8 @@ configure_build() {
 plain() {
   configure_build build-check
   # Everything except the slow bench sweep: unit/property tests, the
-  # perf_smoke determinism gates, and the sanitizer smoke binaries in
-  # their plain-build form.
+  # out-of-core streaming gate, and the sanitizer smoke binaries in their
+  # plain-build form.
   run ctest --test-dir build-check --output-on-failure -j "$JOBS" -LE bench_smoke
 }
 
@@ -74,12 +76,21 @@ sanitize() {
   run ctest --test-dir build-asan --output-on-failure -j "$JOBS" -LE bench_smoke
 
   configure_build build-ubsan -DSUGAR_SANITIZE=undefined
-  # UBSan gets the dedicated vector-kernel sweep plus the perf gates (the
-  # identity comparisons execute every SIMD code path under the sanitizer).
-  run ctest --test-dir build-ubsan --output-on-failure -j "$JOBS" -L 'ubsan|perf_smoke'
+  # UBSan gets the dedicated vector-kernel sweep plus the determinism gates
+  # (their scalar-reference and cross-width comparisons execute every SIMD
+  # code path under the sanitizer), the trace-mode identity and the
+  # streaming gate. ctest ANDs -L with -R, hence two calls.
+  run ctest --test-dir build-ubsan --output-on-failure -j "$JOBS" -L ubsan
+  run ctest --test-dir build-ubsan --output-on-failure -j "$JOBS" \
+      -R 'ParallelDeterminism\.|Simd(Reductions|Elementwise|Determinism)\.|SquaredDistance\.|ReluInplace\.|SoftmaxRows\.|ModesNeverChangeResults|^ooc_stream$'
 
   configure_build build-tsan -DSUGAR_SANITIZE=thread
-  run ctest --test-dir build-tsan --output-on-failure -j "$JOBS" -L 'tsan|perf_smoke'
+  # The stress binaries plus the pool-width gates and the paged fits racing
+  # the prefetch thread. ooc_stream stays out: under TSan its RSS bound
+  # would measure TSan's shadow memory, not the fit.
+  run ctest --test-dir build-tsan --output-on-failure -j "$JOBS" -L tsan
+  run ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
+      -R 'ParallelDeterminism\.|PagedFitTest\.|ModesNeverChangeResults'
 }
 
 bench() {
@@ -89,16 +100,20 @@ bench() {
 
 trace() {
   configure_build build-check
-  # Everything labeled `trace`: the off-vs-spans digest-identity gate, the
-  # schema-4 validation corpus, the traced Fig 6 smoke + chrome dump, and
-  # the golden-artifact regression compare.
+  # Everything labeled `trace`: the schema-4 validation corpus, the traced
+  # Fig 6 smoke + chrome dump + compare against the untraced golden, and
+  # the golden-artifact regression compare. Then the trace unit and
+  # integration tests, among them the per-kernel off/summary/spans
+  # identity gate.
   run ctest --test-dir build-check --output-on-failure -L trace
+  run ctest --test-dir build-check --output-on-failure -j "$JOBS" \
+      -R 'TraceTest\.|TraceIntegrationTest\.'
   # Concurrent span emission under TSan: emitters racing snapshotters and
   # the supervisor's parallel cell crews.
   configure_build build-tsan -DSUGAR_SANITIZE=thread
   run ctest --test-dir build-tsan --output-on-failure -R tsan_stress_trace
-  # Three-mode profiling harness: off / summary / spans, each artifact
-  # json_check-validated, normalized results diffed for bit-identity.
+  # Profiling harness: one traced Fig 6 run, its artifact and chrome dump
+  # json_check-validated, and the top phases by wall time.
   run scripts/profile.sh build-check
 }
 
@@ -145,9 +160,8 @@ ooc() {
   done
   # The streaming gate: paged children fit a store 24x their cache budget
   # with digests identical to the resident fit and peak RSS below the
-  # dataset payload, with json_check revalidating the artifact.
-  run ctest --test-dir build-check --output-on-failure \
-      -R 'ooc_compare|ooc_compare_json'
+  # dataset payload.
+  run ctest --test-dir build-check --output-on-failure -L ooc
   # Demand loads racing prefetch, eviction and drop_file under TSan.
   configure_build build-tsan -DSUGAR_SANITIZE=thread
   run ctest --test-dir build-tsan --output-on-failure -R tsan_stress

@@ -3,12 +3,12 @@
 #
 #   scripts/profile.sh [build-dir]     (default: build)
 #
-# Runs bench_fig6_timing at smoke scale under all three SUGAR_TRACE modes
-# (off / summary / spans), validates every artifact with json_check, and
-# diffs the normalized artifacts across modes — the trace mode may change
-# what is recorded, never the results. The spans run also emits a
-# chrome://tracing-loadable timeline (kept in the output directory) and a
-# per-phase wall/CPU breakdown is printed from the schema-4 trace section.
+# Runs bench_fig6_timing at smoke scale with SUGAR_TRACE=spans, validates
+# the artifact and its chrome://tracing-loadable timeline (kept in the
+# output directory) with json_check, and prints a per-phase wall/CPU
+# breakdown from the schema-4 trace section. That tracing never changes
+# results is checked in ctest: TraceIntegrationTest.ModesNeverChangeResults
+# per kernel, and fig6_trace_golden_compare end to end.
 #
 # Knobs (env): SUGAR_SCALE (default 0.05), SUGAR_EPOCHS (default 1),
 # SUGAR_SEED (default 1), SUGAR_PROFILE_DIR (default <build>/profile).
@@ -36,28 +36,10 @@ run() {
   "$@"
 }
 
-for mode in off summary spans; do
-  artifact="$OUT/BENCH_fig6_$mode.json"
-  args=(--json "$artifact" --cell-timeout-s 300)
-  if [[ "$mode" == spans ]]; then
-    args+=(--trace "$OUT/fig6_chrome_trace.json")
-  fi
-  echo "=== SUGAR_TRACE=$mode ==="
-  SUGAR_TRACE="$mode" run "$BENCH" "${args[@]}"
-  run "$CHECK" "$artifact"
-  run "$CHECK" --normalize "$artifact" > "$OUT/normalized_$mode.json"
-done
+SUGAR_TRACE=spans run "$BENCH" --json "$OUT/BENCH_fig6_spans.json" \
+    --cell-timeout-s 300 --trace "$OUT/fig6_chrome_trace.json"
+run "$CHECK" "$OUT/BENCH_fig6_spans.json"
 run "$CHECK" --chrome "$OUT/fig6_chrome_trace.json"
-
-# The observability contract: results are identical whatever was recorded.
-for mode in summary spans; do
-  if ! cmp -s "$OUT/normalized_off.json" "$OUT/normalized_$mode.json"; then
-    echo "profile.sh: results under SUGAR_TRACE=$mode differ from off:" >&2
-    diff "$OUT/normalized_off.json" "$OUT/normalized_$mode.json" >&2 || true
-    exit 1
-  fi
-  echo "normalized artifact identical: off vs $mode"
-done
 
 # Per-phase breakdown from the spans artifact (no jq dependency).
 python3 - "$OUT/BENCH_fig6_spans.json" <<'EOF'
@@ -75,5 +57,5 @@ if dropped:
 EOF
 
 echo
-echo "profile.sh: all three trace modes ran, artifacts valid, results identical."
+echo "profile.sh: traced run done, artifact and chrome trace valid."
 echo "Chrome trace: $OUT/fig6_chrome_trace.json (load via chrome://tracing or Perfetto)"

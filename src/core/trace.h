@@ -9,9 +9,9 @@
 //   off      (default) nothing is recorded. The macro guard is a single
 //            relaxed atomic load; spans and counters are observational
 //            only, so kernel outputs are bit-identical to a build without
-//            any instrumentation (gated by bench_micro_substrate
-//            --trace-compare). Compiling with -DSUGAR_TRACE_DISABLED
-//            removes even the atomic load.
+//            any instrumentation (gated by TraceIntegrationTest.
+//            ModesNeverChangeResults). Compiling with
+//            -DSUGAR_TRACE_DISABLED removes even the atomic load.
 //   summary  per-phase aggregates (call count, wall ns, thread-CPU ns)
 //            and counters are kept; individual span events are not.
 //   spans    everything in summary, plus a retained per-thread event

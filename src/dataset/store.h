@@ -301,8 +301,8 @@ class PagedCodeSource final : public ml::BinnedColumnSource {
 };
 
 /// Fully resident BinnedColumnSource: one owned code vector per feature.
-/// The in-memory comparator arm of --ooc-compare, and the degraded form
-/// tiny datasets use when paging buys nothing.
+/// The in-memory comparator arm of the ooc_stream gate, and the degraded
+/// form tiny datasets use when paging buys nothing.
 class ResidentCodeSource final : public ml::BinnedColumnSource {
  public:
   ResidentCodeSource(std::vector<std::vector<std::uint8_t>> codes,

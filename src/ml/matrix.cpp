@@ -48,8 +48,7 @@ void Matrix::take_rows_into(const std::vector<std::size_t>& idx,
 // branch-skip. On the float matrices these see (features, activations,
 // gradients) zeros are common but unpredictable, so the branch is a
 // mispredict tax on the inner loop, and skipping iterations breaks
-// vectorization. bench_micro_substrate carries the legacy branchy kernel
-// for comparison.
+// vectorization.
 //
 // Vectorization runs along the output column j (simd::axpy): every C(i,j)
 // keeps its k-ascending accumulation order, so the SIMD kernels are

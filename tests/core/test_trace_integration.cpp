@@ -1,22 +1,33 @@
 // Integration coverage for the trace wiring: the supervisor's schema-4
 // artifact (trace section, per-cell counter deltas, chrome trace file),
 // the off-mode guarantee that artifacts stay schema 2 with no trace keys,
-// the --trace CLI flag, and an end-to-end tiny-scale shallow scenario that
+// the --trace CLI flag, an end-to-end tiny-scale shallow scenario that
 // must light up the expected span names and counter keys across env ->
-// dataset -> pipeline -> ml.
+// dataset -> pipeline -> ml, and the zero-interference contract: no trace
+// mode changes a single output byte of an instrumented kernel.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
+#include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/env.h"
 #include "core/pipeline.h"
 #include "core/supervisor.h"
+#include "core/threadpool.h"
 #include "core/trace.h"
+#include "ml/forest.h"
+#include "ml/gbdt.h"
+#include "ml/knn.h"
+#include "ml/matrix.h"
+#include "net/pcap.h"
+#include "trafficgen/datasets.h"
 
 namespace sugar::core {
 namespace {
@@ -33,6 +44,29 @@ CellSummary ok_summary() {
   s.accuracy = 0.5;
   s.macro_f1 = 0.25;
   return s;
+}
+
+ml::Matrix random_matrix(std::size_t rows, std::size_t cols,
+                         std::uint64_t seed) {
+  ml::Matrix m(rows, cols);
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<float> dist(-1.0f, 1.0f);
+  for (auto& v : m.data()) v = dist(rng);
+  return m;
+}
+
+/// Pins the global pool width for a test body, then restores the default.
+class ScopedThreads {
+ public:
+  explicit ScopedThreads(std::size_t n) { set_global_threads(n); }
+  ~ScopedThreads() { set_global_threads(0); }
+};
+
+/// The raw bytes of a buffer, so -0.0f vs +0.0f or a last-ulp drift shows.
+template <typename T, typename Alloc>
+std::string raw_bytes(const std::vector<T, Alloc>& v) {
+  return std::string(reinterpret_cast<const char*>(v.data()),
+                     v.size() * sizeof(T));
 }
 
 /// Trace-clean fixture with a per-test temp dir: every test starts with an
@@ -305,21 +339,90 @@ TEST_F(TraceIntegrationTest, GbdtScenarioEmitsRoundAndTreeSpans) {
 }
 
 TEST_F(TraceIntegrationTest, SummaryModeScenarioKeepsAggregatesOnly) {
+  const auto run = [] {
+    EnvConfig ec;
+    ec.seed = 2;
+    ec.flows_per_class_iscx = 3;
+    BenchmarkEnv env(ec);
+    ScenarioOptions opts;
+    opts.seed = 2;
+    return run_shallow_scenario(env, dataset::TaskId::VpnBinary,
+                                ShallowKind::RandomForest, true, opts);
+  };
+  const auto untraced = run();
   trace::set_mode(trace::Mode::kSummary);
-
-  EnvConfig ec;
-  ec.seed = 2;
-  ec.flows_per_class_iscx = 3;
-  BenchmarkEnv env(ec);
-  ScenarioOptions opts;
-  opts.seed = 2;
-  auto result = run_shallow_scenario(env, dataset::TaskId::VpnBinary,
-                                     ShallowKind::RandomForest, true, opts);
+  const auto result = run();
   EXPECT_GT(result.metrics.accuracy, 0.0);
+  EXPECT_EQ(result.metrics.accuracy, untraced.metrics.accuracy);
+  EXPECT_EQ(result.metrics.macro_f1, untraced.metrics.macro_f1);
 
   EXPECT_FALSE(trace::phase_stats().empty());
   EXPECT_TRUE(trace::events().empty())
       << "summary mode must not retain timeline events";
+}
+
+// Tracing observes computation, it never perturbs it: each instrumented
+// kernel runs under off, summary and spans at one pool width (so only the
+// mode varies), and its raw output bytes must be identical in all three.
+TEST_F(TraceIntegrationTest, ModesNeverChangeResults) {
+  ScopedThreads threads(2);
+  const ml::Matrix a = random_matrix(224, 192, 301);
+  const ml::Matrix b = random_matrix(192, 160, 302);
+  const ml::Matrix x = random_matrix(420, 20, 303);
+  std::vector<int> y(x.rows());
+  for (std::size_t i = 0; i < y.size(); ++i) y[i] = static_cast<int>(i % 5);
+  const ml::Matrix emb = random_matrix(360, 24, 304);
+  std::vector<int> labels(emb.rows());
+  for (std::size_t i = 0; i < labels.size(); ++i)
+    labels[i] = static_cast<int>(i % 6);
+  trafficgen::GenOptions gen;
+  gen.seed = 42;
+  gen.flows_per_class = 4;
+  const auto packets = trafficgen::generate_iscx_vpn(gen).packets;
+
+  const std::pair<const char*, std::function<std::string()>> kernels[] = {
+      {"matmul", [&] { return raw_bytes(ml::matmul(a, b).data()); }},
+      {"forest", [&] {
+         ml::ForestConfig cfg;
+         cfg.num_trees = 24;
+         ml::RandomForest rf(cfg);
+         rf.fit(x, y, 5);
+         return raw_bytes(rf.predict(x)) + raw_bytes(rf.feature_importance());
+       }},
+      {"knn_purity", [&] {
+         auto p = ml::knn_purity(emb, labels, 5);
+         p.histogram.push_back(p.mean_purity);
+         return raw_bytes(p.histogram);
+       }},
+      {"pcap_roundtrip", [&] {
+         std::stringstream ss;
+         {
+           net::PcapWriter writer(ss);
+           writer.write_all(packets);
+         }
+         std::string out = ss.str();
+         net::PcapReader reader(ss);
+         for (const auto& p : reader.read_all()) out += raw_bytes(p.data);
+         return out;
+       }},
+      {"gbdt", [&] {
+         ml::GradientBoosting gb;
+         gb.fit(x, y, 5);
+         return raw_bytes(gb.decision_function(x).data());
+       }},
+  };
+  for (const auto& [name, run] : kernels) {
+    trace::set_mode(trace::Mode::kOff);
+    const std::string off = run();
+    ASSERT_FALSE(off.empty()) << name;
+    for (const auto m : {trace::Mode::kSummary, trace::Mode::kSpans}) {
+      trace::reset();
+      trace::set_mode(m);
+      EXPECT_TRUE(run() == off)
+          << name << " output differs under " << trace::mode_name(m);
+    }
+  }
+  EXPECT_FALSE(trace::phase_stats().empty()) << "the kernels emitted no spans";
 }
 
 }  // namespace
