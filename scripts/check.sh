@@ -37,7 +37,14 @@
 #                               corruption corpus, breaker, watchdog) swept
 #                               at SUGAR_THREADS=1/2/7, plus the chaos
 #                               smoke under TSan
-#   scripts/check.sh all        everything above
+#   scripts/check.sh perf       perf ledger (BENCH_trajectory.json): with
+#                               PERF_BASE=<git rev> and PERF_PR=<n>, first
+#                               runs perfbench pairs of that revision against
+#                               this tree and appends them as an entry; then
+#                               prints the newest entry against the
+#                               BENCHMARK.json bounds and fails if a median
+#                               is worse than its bound
+#   scripts/check.sh all        everything above but perf
 #
 # Each configuration builds into its own directory (build-check, build-asan,
 # build-ubsan, build-tsan) so sanitizer flags never leak into the default
@@ -216,6 +223,25 @@ scenario() {
   SUGAR_THREADS=7 run ctest --test-dir build-asan --output-on-failure -L scenario
 }
 
+perf() {
+  # Performance is measured by perfbench and recorded in the ledger, never
+  # gated in ctest. PERF_SEEDS and PERF_WORKLOADS (default: every
+  # BENCHMARK.json workload) pick the pairs; the parent side is an export
+  # of PERF_BASE, the change side this working tree.
+  if [[ -n "${PERF_BASE:-}" ]]; then
+    local base
+    base="$(mktemp -d)"
+    git archive "$PERF_BASE" | tar -x -C "$base"
+    run python3 scripts/perf_ledger.py append --parent "$base" --change . \
+        --pr "${PERF_PR:?PERF_PR must name the change}" --title "${PERF_TITLE:-}" \
+        --commit "$(git rev-parse --short "$PERF_BASE")..$(git describe --always --dirty)" \
+        ${PERF_WORKLOADS:+--workloads "$PERF_WORKLOADS"} \
+        --seeds "${PERF_SEEDS:-1,2,3,4,5,6,7,8,9,10}"
+    rm -rf "${base:?}"
+  fi
+  run python3 scripts/perf_ledger.py compare
+}
+
 case "$MODE" in
   quick) plain ;;
   sanitize) sanitize ;;
@@ -226,6 +252,7 @@ case "$MODE" in
   ooc) ooc ;;
   crash) crash ;;
   scenario) scenario ;;
+  perf) perf ;;
   all)
     plain
     bench
@@ -238,7 +265,7 @@ case "$MODE" in
     sanitize
     ;;
   *)
-    echo "usage: scripts/check.sh [quick|sanitize|bench|trace|trees|serve|ooc|crash|scenario|all]" >&2
+    echo "usage: scripts/check.sh [quick|sanitize|bench|trace|trees|serve|ooc|crash|scenario|perf|all]" >&2
     exit 2
     ;;
 esac

@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "core/crc32.h"
@@ -517,11 +518,19 @@ std::unique_ptr<StoreReader> StoreReader::open(const std::string& path,
 core::PageCache::Loader StoreReader::make_loader(std::size_t page) const {
   // Captures the shared fd handle and the page entry BY VALUE: a prefetch
   // job may run after this reader is gone. Validation beyond the CRC (the
-  // Bytes offsets check) also rides in the capture.
+  // Bytes offsets check, the code range of a U8 column with cuts) also
+  // rides in the capture.
   const PageEntry p = index_[page];
   std::shared_ptr<FileHandle> fh = fh_;
-  const bool is_bytes = schema_[p.col].type == ColumnType::Bytes;
-  return [fh, p, is_bytes](std::vector<std::uint8_t>& out, std::string& error) {
+  const ColumnSpec& spec = schema_[p.col];
+  const bool is_bytes = spec.type == ColumnType::Bytes;
+  // A code column's codes index its cuts.size() + 1 histogram bins; 0 means
+  // unchecked (no cuts recorded: a plain byte column, or a one-bin feature
+  // that tree fits never read).
+  const std::size_t max_code =
+      spec.type == ColumnType::U8 ? spec.cuts.size() : 0;
+  return [fh, p, is_bytes, max_code](std::vector<std::uint8_t>& out,
+                                     std::string& error) {
     out.resize(p.payload_bytes);
     if (!pread_all(fh->fd, out.data(), out.size(), p.payload_offset)) {
       error = "[truncated] page read short at offset " +
@@ -546,6 +555,15 @@ core::PageCache::Loader StoreReader::make_loader(std::size_t page) const {
         }
         prev = ends[i];
       }
+    }
+    if (max_code > 0 && std::any_of(out.begin(), out.end(), [&](std::uint8_t c) {
+          return c > max_code;
+        })) {
+      // A code past its column's cuts would index past the feature's
+      // packed histogram slot in a tree fit.
+      error = "[schema] code exceeds its column's " +
+              std::to_string(max_code) + " cuts";
+      return false;
     }
     return true;
   };
@@ -620,8 +638,6 @@ PagedCodeSource::PagedCodeSource(const StoreReader& r,
 std::size_t PagedCodeSource::rows() const {
   return static_cast<std::size_t>(r_->rows());
 }
-
-int PagedCodeSource::bins() const { return r_->bins(); }
 
 const std::vector<float>& PagedCodeSource::cuts(std::size_t f) const {
   return r_->schema()[code_cols_[f]].cuts;

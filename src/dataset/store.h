@@ -97,8 +97,8 @@ class StoreWriter {
     /// Rows per page group — the page-size knob (a U8 column's page is
     /// group_rows bytes, an F32 column's 4× that).
     std::size_t group_rows = 65536;
-    /// Histogram resolution code columns were quantized at (metadata for
-    /// PagedCodeSource::bins()); 0 when the store carries no codes.
+    /// Histogram resolution code columns were quantized at (metadata,
+    /// read back by StoreReader::bins()); 0 when the store carries no codes.
     int bins = 0;
     core::Io* io = nullptr;  // default: real_io()
   };
@@ -288,7 +288,6 @@ class PagedCodeSource final : public ml::BinnedColumnSource {
 
   [[nodiscard]] std::size_t rows() const override;
   [[nodiscard]] std::size_t cols() const override { return code_cols_.size(); }
-  [[nodiscard]] int bins() const override;
   [[nodiscard]] const std::vector<float>& cuts(std::size_t f) const override;
   [[nodiscard]] ml::CodeChunk fetch(
       std::size_t f, std::size_t row,
@@ -306,14 +305,13 @@ class PagedCodeSource final : public ml::BinnedColumnSource {
 class ResidentCodeSource final : public ml::BinnedColumnSource {
  public:
   ResidentCodeSource(std::vector<std::vector<std::uint8_t>> codes,
-                     std::vector<std::vector<float>> cuts, int bins)
-      : codes_(std::move(codes)), cuts_(std::move(cuts)), bins_(bins) {}
+                     std::vector<std::vector<float>> cuts)
+      : codes_(std::move(codes)), cuts_(std::move(cuts)) {}
 
   [[nodiscard]] std::size_t rows() const override {
     return codes_.empty() ? 0 : codes_.front().size();
   }
   [[nodiscard]] std::size_t cols() const override { return codes_.size(); }
-  [[nodiscard]] int bins() const override { return bins_; }
   [[nodiscard]] const std::vector<float>& cuts(std::size_t f) const override {
     return cuts_[f];
   }
@@ -326,7 +324,6 @@ class ResidentCodeSource final : public ml::BinnedColumnSource {
  private:
   std::vector<std::vector<std::uint8_t>> codes_;
   std::vector<std::vector<float>> cuts_;
-  int bins_ = 0;
 };
 
 }  // namespace sugar::dataset

@@ -88,8 +88,6 @@ class BinnedColumnSource {
 
   [[nodiscard]] virtual std::size_t rows() const = 0;
   [[nodiscard]] virtual std::size_t cols() const = 0;
-  /// Configured maximum bin count (the uniform histogram stride).
-  [[nodiscard]] virtual int bins() const = 0;
   /// Ascending distinct cut points of feature f.
   [[nodiscard]] virtual const std::vector<float>& cuts(std::size_t f) const = 0;
 
@@ -157,7 +155,8 @@ class BinnedMatrix final : public BinnedColumnSource {
 
   [[nodiscard]] std::size_t rows() const override { return rows_; }
   [[nodiscard]] std::size_t cols() const override { return cols_; }
-  [[nodiscard]] int bins() const override { return bins_; }
+  /// Configured maximum bin count; bin_count(f) is feature f's own.
+  [[nodiscard]] int bins() const { return bins_; }
 
   [[nodiscard]] const std::vector<float>& cuts(std::size_t f) const override {
     return cuts_[f];

@@ -12,20 +12,14 @@ namespace sugar::ml {
 void GradientBoosting::fit(const Matrix& x, const std::vector<int>& y,
                            int num_classes) {
   SUGAR_TRACE_SPAN("ml.gbdt.fit");
-  // Quantize once: all rounds × classes share the bin codes.
-  boost(BinnedMatrix(x, cfg_.tree.histogram_bins), &x, y, num_classes);
+  fit_binned(BinnedMatrix(x, cfg_.tree.histogram_bins), y, num_classes);
 }
 
-void GradientBoosting::fit_binned(const BinnedColumnSource& src,
+void GradientBoosting::fit_binned(const BinnedColumnSource& codes,
                                   const std::vector<int>& y, int num_classes) {
   SUGAR_TRACE_SPAN("ml.gbdt.fit_binned");
-  boost(src, nullptr, y, num_classes);
-}
-
-void GradientBoosting::boost(const BinnedColumnSource& codes, const Matrix* raw,
-                             const std::vector<int>& y, int num_classes) {
   const std::size_t n = codes.rows();
-  const char* where = raw ? "GradientBoosting::fit" : "GradientBoosting::fit_binned";
+  const char* where = "GradientBoosting::fit_binned";
   num_classes_ = num_classes;
   num_outputs_ = num_classes <= 2 ? 1 : num_classes;
   const auto outs = static_cast<std::size_t>(num_outputs_);
@@ -78,7 +72,7 @@ void GradientBoosting::boost(const BinnedColumnSource& codes, const Matrix* raw,
           c.hess[i] = std::max(p * (1.0f - p), 1e-6f);
         }
         std::mt19937_64 rng(tree_seed(cfg_.seed, static_cast<std::size_t>(r) * outs + k));
-        c.tree.fit_regression(codes, raw, c.grad, c.hess, tree_cfg, rng, c.out);
+        c.tree.fit_regression(codes, c.grad, c.hess, tree_cfg, rng, c.out);
         for (std::size_t i = 0; i < n; ++i) c.margin[i] += cfg_.learning_rate * c.out[i];
       }
     });

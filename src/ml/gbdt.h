@@ -1,8 +1,11 @@
 // Gradient-boosted decision trees with second-order (Newton) boosting and
 // softmax multi-class output. Two presets mirror the paper's Table 8
 // baselines: XGBoost-style depth-wise trees and LightGBM-style leaf-wise
-// trees. Binary tasks use a single logistic tree per round; multi-class
-// rounds fit their per-class trees in parallel on the thread pool.
+// trees. Like those libraries' histogram methods, every split is chosen from
+// histogram cuts only: the estimator is fit_binned over bin codes, and fit()
+// quantizes its floats and calls it. Binary tasks use a single logistic tree
+// per round; multi-class rounds fit their per-class trees in parallel on the
+// thread pool.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +35,9 @@ struct GbdtConfig {
     tree.max_depth = 6;
     tree.min_samples_leaf = 4;
     tree.features_per_split = 0;  // all features
-    tree.histogram_bins = 64;
+    // XGBoost's and LightGBM's max_bin default (256 and 255); fewer bins
+    // cost the Table 8 GBDT cells macro-F1 (DESIGN.md §16).
+    tree.histogram_bins = 256;
   }
 
   static GbdtConfig xgboost_style() {
@@ -55,16 +60,15 @@ class GradientBoosting {
  public:
   explicit GradientBoosting(GbdtConfig cfg = {}) : cfg_(cfg) {}
 
-  /// Quantizes `x` once (ml::BinnedMatrix), shared by every round's trees;
-  /// sibling-subtraction histograms apply since GBDT splits consider all
-  /// features.
+  /// fit_binned(BinnedMatrix(x, cfg.tree.histogram_bins), y, num_classes):
+  /// `x` is quantized once and every round's trees share the codes.
   void fit(const Matrix& x, const std::vector<int>& y, int num_classes);
 
-  /// Out-of-core fit: fit() without the raw floats, so the float matrix
-  /// never materializes. Histogram-only splits (exact_split_max forced to
-  /// 0) make this a different estimator from fit(); it is bit-identical to
-  /// itself at any cache budget, page size, or thread count.
-  void fit_binned(const BinnedColumnSource& src, const std::vector<int>& y,
+  /// The boosting loop, over codes from a resident BinnedMatrix or a paged
+  /// store; bit-identical for the same codes at any cache budget, page size
+  /// or thread count. Each tree's fit hands back its training rows'
+  /// outputs, read off its own row partition, for the margin update.
+  void fit_binned(const BinnedColumnSource& codes, const std::vector<int>& y,
                   int num_classes);
   [[nodiscard]] std::vector<int> predict(const Matrix& x) const;
   /// Raw margin scores [n×classes].
@@ -74,12 +78,6 @@ class GradientBoosting {
   [[nodiscard]] int rounds_used() const { return rounds_used_; }
 
  private:
-  /// The boosting loop behind fit() and fit_binned(): `raw` null means out
-  /// of core. Each tree's fit hands back its training rows' outputs, read
-  /// off its own row partition, for the margin update.
-  void boost(const BinnedColumnSource& codes, const Matrix* raw,
-             const std::vector<int>& y, int num_classes);
-
   GbdtConfig cfg_;
   int num_classes_ = 0;
   int rounds_used_ = 0;

@@ -31,8 +31,9 @@ struct DecisionTree::BuildContext {
   /// Quantize-once codes shared per fit: a resident BinnedMatrix, or any
   /// BinnedColumnSource (paged store) for the out-of-core fits.
   const BinnedColumnSource* codes = nullptr;
-  /// The floats `codes` were quantized from, or null: then every split must
-  /// come from the histogram sweep and partitioning runs on codes.
+  /// The floats `codes` were quantized from (classifier fits only), or
+  /// null: then every split must come from the histogram sweep and
+  /// partitioning runs on codes.
   const Matrix* raw = nullptr;
   // Classification:
   const std::vector<int>* y = nullptr;
@@ -93,13 +94,17 @@ void DecisionTree::build(BuildContext& ctx) {
           ? std::min<std::size_t>(static_cast<std::size_t>(cfg.features_per_split), d)
           : d;
 
-  // Histogram geometry. Every feature slot has a uniform stride (`slot`
-  // doubles) so whole-tree buffers stay flat:
-  //   classification: hist[(s*bins + code)*k + class]  counts
-  //   regression:     hist[(s*bins + code)*3 + {0,1,2}] = {g, h, count}
+  // Histogram geometry, packed: feature f's slot starts at slot_off[f] and
+  // spans its own bin_count(f) bins, `per_bin` doubles each, so a 2-valued
+  // flag column costs 2 bins and not the configured maximum:
+  //   classification: hist[slot_off[f] + code*k + class]  counts
+  //   regression:     hist[slot_off[f] + code*3 + {0,1,2}] = {g, h, count}
   const std::size_t k = static_cast<std::size_t>(std::max(ctx.num_classes, 1));
-  const std::size_t slot_vals = ctx.regression() ? 3 : k;
-  const std::size_t slot = static_cast<std::size_t>(codes.bins()) * slot_vals;
+  const std::size_t per_bin = ctx.regression() ? 3 : k;
+  std::vector<std::size_t> slot_off(d + 1, 0);
+  for (std::size_t f = 0; f < d; ++f)
+    slot_off[f + 1] =
+        slot_off[f] + static_cast<std::size_t>(codes.bin_count(f)) * per_bin;
   // Sibling subtraction needs parent and children to share the same feature
   // set, so it only pays when every split considers all features (GBDT).
   // Feature-sampled fits (forest) accumulate just the sampled slots per
@@ -120,26 +125,46 @@ void DecisionTree::build(BuildContext& ctx) {
     b.assign(size, 0.0);
     return b;
   };
-  auto release_hist = [&](F64Buffer&& b) { hist_pool.push_back(std::move(b)); };
+  auto release_hist = [&](F64Buffer&& b) {
+    if (!b.empty()) hist_pool.push_back(std::move(b));
+  };
+  // Removes a node's cached histogram; empty if it has none.
+  auto take_hist = [&](int node_index) {
+    F64Buffer h;
+    if (auto it = node_hist.find(node_index); it != node_hist.end()) {
+      h = std::move(it->second);
+      node_hist.erase(it);
+    }
+    return h;
+  };
+  // A node that stays a leaf hands its cached histogram back at once, so
+  // leaf-wise growth holds buffers only for the candidates still open.
+  auto drop_hist = [&](int node_index) { release_hist(take_hist(node_index)); };
 
   // Scratch.
   F64Buffer sampled_hist;  // per-node buffer without subtraction (sampled feats)
+  std::vector<std::size_t> sampled_off;  // its packed slot offsets
   std::vector<double> left_counts;
   std::vector<std::uint32_t> part_scratch;  // stable code-partition right side
 
-  // Accumulates [begin, end) of ctx.rows into per-feature histogram slots.
-  // One feature per pool block (grain 1): each slot is written by exactly
-  // one worker, sequentially in row order, so the result is bit-identical
-  // at any SUGAR_THREADS (stronger than the block-ordered reduction
-  // contract — writes are disjoint). Re-entrant dispatch (inside the
-  // forest's per-tree or GBDT's per-class parallel_for) runs inline.
+  // Accumulates [begin, end) of ctx.rows into per-feature histogram slots,
+  // feats[s]'s slot at h + off[s]. One feature per pool block (grain 1):
+  // each slot is written by exactly one worker, sequentially in row order,
+  // so the result is bit-identical at any SUGAR_THREADS (stronger than the
+  // block-ordered reduction contract — writes are disjoint). Re-entrant
+  // dispatch (inside the forest's per-tree or GBDT's per-class
+  // parallel_for) runs inline.
   auto accumulate_binned = [&](std::size_t begin, std::size_t end,
-                               const std::vector<std::size_t>& feats, double* h) {
+                               const std::vector<std::size_t>& feats,
+                               const std::size_t* off, double* h) {
     core::global_pool().parallel_for(
         0, feats.size(), 1, [&](std::size_t s0, std::size_t s1) {
           for (std::size_t s = s0; s < s1; ++s) {
+            // A one-bin feature has no split to sweep, so its codes (which
+            // a store cannot range-check without cuts) are never read.
+            if (codes.bin_count(feats[s]) == 1) continue;
             CodeCursor code(codes, feats[s]);
-            double* hf = h + s * slot;
+            double* hf = h + off[s];
             if (ctx.regression()) {
               const float* gv = ctx.grad->data();
               const float* hv = ctx.hess->data();
@@ -160,6 +185,12 @@ void DecisionTree::build(BuildContext& ctx) {
             }
           }
         });
+  };
+  // All-feature histogram of rows [begin, end) in a pooled buffer.
+  auto node_histogram = [&](std::size_t begin, std::size_t end) {
+    F64Buffer h = acquire_hist(slot_off[d]);
+    accumulate_binned(begin, end, all_features, slot_off.data(), h.data());
+    return h;
   };
 
   // Each node's [begin, end) range of ctx.rows as of its make_leaf: for the
@@ -218,9 +249,10 @@ void DecisionTree::build(BuildContext& ctx) {
       for (double c : parent_counts) parent_sum_sq += c * c;
     }
 
-    // Exact split search for small nodes: sort samples per feature and
-    // sweep all boundaries between distinct values. Needs the raw floats,
-    // so fits without them (exact_split_max forced to 0) never take it.
+    // Exact split search for the small nodes of a classifier fit given its
+    // raw floats: sort samples per feature and sweep all boundaries between
+    // distinct values. Fits without the floats (exact_split_max forced to
+    // 0) never take it.
     if (ctx.raw && n <= cfg.exact_split_max) {
       std::vector<std::uint32_t> sorted(ctx.rows.begin() + static_cast<std::ptrdiff_t>(begin),
                                         ctx.rows.begin() + static_cast<std::ptrdiff_t>(end));
@@ -228,58 +260,35 @@ void DecisionTree::build(BuildContext& ctx) {
         std::sort(sorted.begin(), sorted.end(), [&](std::uint32_t a, std::uint32_t b) {
           return (*ctx.raw)(a, f) < (*ctx.raw)(b, f);
         });
-        if (ctx.regression()) {
-          double gl = 0, hl = 0;
-          double parent_score = total_g * total_g / (total_h + cfg.lambda);
-          for (std::size_t i = 0; i + 1 < n; ++i) {
-            std::uint32_t r = sorted[i];
-            gl += (*ctx.grad)[r];
-            hl += (*ctx.hess)[r];
-            float v = (*ctx.raw)(r, f);
-            float vn = (*ctx.raw)(sorted[i + 1], f);
-            if (v == vn) continue;  // not a boundary
-            std::size_t nl = i + 1;
-            if (nl < cfg.min_samples_leaf || n - nl < cfg.min_samples_leaf) continue;
-            double gr = total_g - gl, hr = total_h - hl;
-            double gain = gl * gl / (hl + cfg.lambda) + gr * gr / (hr + cfg.lambda) -
-                          parent_score;
-            if (gain > best.gain)
-              best = {.feature = static_cast<int>(f),
-                      .threshold = 0.5f * (v + vn),
-                      .gain = gain,
-                      .left_count = nl};
-          }
-        } else {
-          std::vector<double> left(static_cast<std::size_t>(ctx.num_classes), 0.0);
-          double sum_sq_l = 0;
-          double sum_sq_r = parent_sum_sq;
-          for (std::size_t i = 0; i + 1 < n; ++i) {
-            std::uint32_t r = sorted[i];
-            auto y = static_cast<std::size_t>((*ctx.y)[r]);
-            // Incremental sum-of-squares update when one sample of class y
-            // moves from the right partition to the left.
-            double rc = parent_counts[y] - left[y];
-            sum_sq_r += -2.0 * rc + 1.0;
-            sum_sq_l += 2.0 * left[y] + 1.0;
-            left[y] += 1.0;
-            float v = (*ctx.raw)(r, f);
-            float vn = (*ctx.raw)(sorted[i + 1], f);
-            if (v == vn) continue;
-            double nl = static_cast<double>(i + 1);
-            double nr = static_cast<double>(n) - nl;
-            if (nl < static_cast<double>(cfg.min_samples_leaf) ||
-                nr < static_cast<double>(cfg.min_samples_leaf))
-              continue;
-            double imp_l = 1.0 - sum_sq_l / (nl * nl);
-            double imp_r = 1.0 - sum_sq_r / (nr * nr);
-            double child = (nl * imp_l + nr * imp_r) / static_cast<double>(n);
-            double gain = (parent_impurity - child) * static_cast<double>(n);
-            if (gain > best.gain)
-              best = {.feature = static_cast<int>(f),
-                      .threshold = 0.5f * (v + vn),
-                      .gain = gain,
-                      .left_count = static_cast<std::size_t>(nl)};
-          }
+        std::vector<double> left(static_cast<std::size_t>(ctx.num_classes), 0.0);
+        double sum_sq_l = 0;
+        double sum_sq_r = parent_sum_sq;
+        for (std::size_t i = 0; i + 1 < n; ++i) {
+          std::uint32_t r = sorted[i];
+          auto y = static_cast<std::size_t>((*ctx.y)[r]);
+          // Incremental sum-of-squares update when one sample of class y
+          // moves from the right partition to the left.
+          double rc = parent_counts[y] - left[y];
+          sum_sq_r += -2.0 * rc + 1.0;
+          sum_sq_l += 2.0 * left[y] + 1.0;
+          left[y] += 1.0;
+          float v = (*ctx.raw)(r, f);
+          float vn = (*ctx.raw)(sorted[i + 1], f);
+          if (v == vn) continue;
+          double nl = static_cast<double>(i + 1);
+          double nr = static_cast<double>(n) - nl;
+          if (nl < static_cast<double>(cfg.min_samples_leaf) ||
+              nr < static_cast<double>(cfg.min_samples_leaf))
+            continue;
+          double imp_l = 1.0 - sum_sq_l / (nl * nl);
+          double imp_r = 1.0 - sum_sq_r / (nr * nr);
+          double child = (nl * imp_l + nr * imp_r) / static_cast<double>(n);
+          double gain = (parent_impurity - child) * static_cast<double>(n);
+          if (gain > best.gain)
+            best = {.feature = static_cast<int>(f),
+                    .threshold = 0.5f * (v + vn),
+                    .gain = gain,
+                    .left_count = static_cast<std::size_t>(nl)};
         }
       }
       if (best.gain < cfg.min_gain) best.feature = -1;
@@ -362,20 +371,20 @@ void DecisionTree::build(BuildContext& ctx) {
       // split on the exact path) accumulates on demand; everyone else
       // inherited theirs from propagate_hists below.
       auto it = node_hist.find(node_index);
-      if (it == node_hist.end()) {
-        F64Buffer h = acquire_hist(d * slot);
-        accumulate_binned(begin, end, all_features, h.data());
-        it = node_hist.emplace(node_index, std::move(h)).first;
-      }
+      if (it == node_hist.end())
+        it = node_hist.emplace(node_index, node_histogram(begin, end)).first;
       const double* h = it->second.data();
-      for (std::size_t f : feats) sweep(h + f * slot, codes.cuts(f), f);
+      for (std::size_t f : feats) sweep(h + slot_off[f], codes.cuts(f), f);
     } else {
-      // Sampled-feature fit: accumulate only this split's candidate slots
-      // into a transient buffer.
-      sampled_hist.assign(feats.size() * slot, 0.0);
-      accumulate_binned(begin, end, feats, sampled_hist.data());
+      // Sampled-feature fit: accumulate only this split's candidate slots,
+      // packed in sample order, into a transient buffer.
+      sampled_off.assign(feats.size() + 1, 0);
       for (std::size_t s = 0; s < feats.size(); ++s)
-        sweep(sampled_hist.data() + s * slot, codes.cuts(feats[s]), feats[s]);
+        sampled_off[s + 1] = sampled_off[s] + slot_off[feats[s] + 1] - slot_off[feats[s]];
+      sampled_hist.assign(sampled_off.back(), 0.0);
+      accumulate_binned(begin, end, feats, sampled_off.data(), sampled_hist.data());
+      for (std::size_t s = 0; s < feats.size(); ++s)
+        sweep(sampled_hist.data() + sampled_off[s], codes.cuts(feats[s]), feats[s]);
     }
     if (best.gain < cfg.min_gain) best.feature = -1;
     return best;
@@ -426,58 +435,34 @@ void DecisionTree::build(BuildContext& ctx) {
 
   // After splitting `parent` rows [begin,end) at `mid`: hand histograms to
   // the children that will need them. Accumulate only the smaller side and
-  // derive the other from the parent by subtraction — the sibling trick
+  // derive the larger from the parent by subtraction — the sibling trick
   // that halves accumulation work per level. Classification counts are
   // integers in doubles, so subtracted histograms are exact.
   auto propagate_hists = [&](int parent, int left, int right, std::size_t begin,
                              std::size_t mid, std::size_t end, int child_depth) {
     if (!subtract_mode) return;
-    auto pit = node_hist.find(parent);
-    if (pit == node_hist.end()) return;  // parent split on the exact path
-    F64Buffer ph = std::move(pit->second);
-    node_hist.erase(pit);
-    const std::size_t n_l = mid - begin, n_r = end - mid;
-    const bool need_l = child_needs_hist(n_l, child_depth);
-    const bool need_r = child_needs_hist(n_r, child_depth);
-    if (!need_l && !need_r) {
+    F64Buffer ph = take_hist(parent);
+    if (ph.empty()) return;  // parent split on the exact path
+    const bool left_small = mid - begin <= end - mid;
+    const bool need_small =
+        child_needs_hist(left_small ? mid - begin : end - mid, child_depth);
+    const bool need_large =
+        child_needs_hist(left_small ? end - mid : mid - begin, child_depth);
+    if (!need_small && !need_large) {
       release_hist(std::move(ph));
       return;
     }
-    if (need_l && need_r) {
-      const bool left_small = n_l <= n_r;
-      F64Buffer small = acquire_hist(ph.size());
-      if (left_small)
-        accumulate_binned(begin, mid, all_features, small.data());
-      else
-        accumulate_binned(mid, end, all_features, small.data());
+    F64Buffer small = left_small ? node_histogram(begin, mid) : node_histogram(mid, end);
+    if (need_large) {
       for (std::size_t i = 0; i < ph.size(); ++i) ph[i] -= small[i];
-      node_hist.emplace(left_small ? left : right, std::move(small));
       node_hist.emplace(left_small ? right : left, std::move(ph));
-      return;
-    }
-    // Only one child stays on the histogram path. Still accumulate
-    // whichever side is smaller: direct build if that's the needy child,
-    // else build the sibling and subtract.
-    const bool needed_left = need_l;
-    const std::size_t needed_n = needed_left ? n_l : n_r;
-    const std::size_t other_n = needed_left ? n_r : n_l;
-    F64Buffer buf = acquire_hist(ph.size());
-    if (needed_n <= other_n) {
-      if (needed_left)
-        accumulate_binned(begin, mid, all_features, buf.data());
-      else
-        accumulate_binned(mid, end, all_features, buf.data());
-      node_hist.emplace(needed_left ? left : right, std::move(buf));
-      release_hist(std::move(ph));
     } else {
-      if (needed_left)
-        accumulate_binned(mid, end, all_features, buf.data());
-      else
-        accumulate_binned(begin, mid, all_features, buf.data());
-      for (std::size_t i = 0; i < ph.size(); ++i) ph[i] -= buf[i];
-      node_hist.emplace(needed_left ? left : right, std::move(ph));
-      release_hist(std::move(buf));
+      release_hist(std::move(ph));
     }
+    if (need_small)
+      node_hist.emplace(left_small ? left : right, std::move(small));
+    else
+      release_hist(std::move(small));
   };
 
   // Root.
@@ -501,6 +486,8 @@ void DecisionTree::build(BuildContext& ctx) {
       SplitResult s = find_split(node_index, begin, end);
       if (s.feature >= 0)
         heap.push({s.gain, node_index, begin, end, depth, s});
+      else
+        drop_hist(node_index);
     };
     push_candidate(0, 0, ctx.rows.size(), 0);
     int leaves = 1;
@@ -509,7 +496,10 @@ void DecisionTree::build(BuildContext& ctx) {
       heap.pop();
       std::size_t mid = partition(c.begin, c.end, c.split.feature,
                                   c.split.threshold, c.split.bin);
-      if (mid == c.begin || mid == c.end) continue;  // degenerate
+      if (mid == c.begin || mid == c.end) {  // degenerate
+        drop_hist(c.node_index);
+        continue;
+      }
       // Re-index after every emplace_back: the vector may reallocate.
       int left = static_cast<int>(nodes_.size());
       nodes_.emplace_back();
@@ -536,9 +526,12 @@ void DecisionTree::build(BuildContext& ctx) {
       make_leaf(p.node_index, p.begin, p.end);
       if (p.depth >= cfg.max_depth) continue;
       SplitResult s = find_split(p.node_index, p.begin, p.end);
-      if (s.feature < 0) continue;
-      std::size_t mid = partition(p.begin, p.end, s.feature, s.threshold, s.bin);
-      if (mid == p.begin || mid == p.end) continue;
+      const std::size_t mid =
+          s.feature < 0 ? p.begin : partition(p.begin, p.end, s.feature, s.threshold, s.bin);
+      if (mid == p.begin || mid == p.end) {  // no split, or a degenerate one
+        drop_hist(p.node_index);
+        continue;
+      }
       // Append children first: emplace_back may reallocate nodes_.
       int left = static_cast<int>(nodes_.size());
       nodes_.emplace_back();
@@ -556,10 +549,10 @@ void DecisionTree::build(BuildContext& ctx) {
     }
   }
 
-  // Every leaf stamps its value on the training rows its range holds. The
-  // partition routed each row as leaf_index() does (`x < threshold` on
-  // floats; `code <= bin` <=> `x < cuts[bin]` on codes), so these are the
-  // predict_value() outputs, bit for bit.
+  // Every leaf stamps its value on the training rows its range holds. A
+  // regression fit partitions on codes, and `code <= bin` <=> `x < cuts[bin]`
+  // routes each row as leaf_index() does, so these are the predict_value()
+  // outputs, bit for bit.
   if (ctx.row_values) {
     ctx.row_values->resize(codes.rows());
     for (std::size_t j = 0; j < nodes_.size(); ++j) {
@@ -584,13 +577,12 @@ void DecisionTree::fit_classifier(const BinnedColumnSource& codes, const Matrix*
   build(ctx);
 }
 
-void DecisionTree::fit_regression(const BinnedColumnSource& codes, const Matrix* raw,
+void DecisionTree::fit_regression(const BinnedColumnSource& codes,
                                   const std::vector<float>& grad,
                                   const std::vector<float>& hess,
                                   const TreeConfig& cfg, std::mt19937_64& rng,
                                   std::vector<float>& row_values) {
   BuildContext ctx{.codes = &codes,
-                   .raw = raw,
                    .grad = &grad,
                    .hess = &hess,
                    .row_values = &row_values,

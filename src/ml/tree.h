@@ -4,20 +4,21 @@
 // regression splits, plus depth-wise and leaf-wise (LightGBM-style) growth.
 //
 // A tree reads its training data from quantize-once bin codes (a
-// BinnedMatrix, or any BinnedColumnSource such as a paged store): large
-// nodes accumulate per-node histograms from the codes, and siblings reuse
-// the parent's histogram via subtraction. Histograms accumulate
-// feature-parallel on the thread pool when the tree is fitted from the top
-// level (binary GBDT, the out-of-core forest); inside a forest's per-tree or
-// a GBDT round's per-class pool block the same feature blocks run inline.
+// BinnedMatrix, or any BinnedColumnSource such as a paged store): nodes
+// accumulate histograms from the codes, packed so each feature spans only
+// its own bins, and siblings reuse the parent's histogram via subtraction.
+// Histograms accumulate feature-parallel on the thread pool when the tree is
+// fitted from the top level (binary GBDT, the out-of-core forest); inside a
+// forest's per-tree or a GBDT round's per-class pool block the same feature
+// blocks run inline.
 //
-// The raw float matrix is an optional second input, and passing it or not
-// is the whole difference between a resident fit and an out-of-core fit.
-// With it, nodes of at most `exact_split_max` rows (default 1024) take the
-// exact sorted sweep and rows partition on floats. Without it every split is
-// a histogram split and rows partition stably on codes. Either way the
-// thresholds are raw-float values and predict() walks them, so serving is
-// the same code for every fit.
+// Only the classifier fit takes the raw float matrix, as an optional second
+// input (the resident forest). With it, nodes of at most `exact_split_max`
+// rows take the exact sorted sweep and rows partition on floats. Without it,
+// and in every regression (GBDT) fit, each split is a histogram split and
+// rows partition stably on codes. Either way the thresholds are raw-float
+// values and predict() walks them, so serving is the same code for every
+// fit.
 #pragma once
 
 #include <cstdint>
@@ -55,10 +56,11 @@ struct TreeConfig {
   float lambda = 1.0f;
   /// Minimum gain to accept a split.
   float min_gain = 1e-7f;
-  /// Nodes with at most this many samples use exact (sorted-sweep) split
-  /// search instead of the shared histogram grid — crucial for composing
-  /// fine-grained thresholds (IP octets, sequence ranges) deep in the tree.
-  /// Needs the raw floats, so fits without them treat it as 0.
+  /// Classifier fits given the raw floats: nodes with at most this many
+  /// samples use exact (sorted-sweep) split search instead of the shared
+  /// histogram grid, for fine-grained thresholds (IP octets, sequence
+  /// ranges) deep in the tree. Regression fits and fits without the floats
+  /// treat it as 0.
   std::size_t exact_split_max = 1024;
   /// Derive the larger child's histogram from the parent's by subtracting
   /// the smaller child's (halves accumulation work per level). Only a test
@@ -82,12 +84,13 @@ class DecisionTree {
                       const std::vector<std::uint32_t>* subset = nullptr);
 
   /// Second-order regression fit on per-row gradient/hessian (gradient
-  /// boosting) over every row of `codes`. Leaf value = -G/(H+lambda).
-  /// `codes` and `raw` as in fit_classifier. `row_values[i]` receives
-  /// training row i's leaf value, read off the fit's own row partition —
-  /// which routes a row exactly as predict() does, so it equals
-  /// predict_value(row i) bit for bit.
-  void fit_regression(const BinnedColumnSource& codes, const Matrix* raw,
+  /// boosting) over every row of `codes`. Leaf value = -G/(H+lambda). Codes
+  /// only: every split is a histogram split and rows partition stably, as
+  /// in fit_classifier without `raw`. `row_values[i]` receives training row
+  /// i's leaf value, read off the fit's own row partition — which routes a
+  /// row exactly as predict() does, so it equals predict_value(row i) bit
+  /// for bit.
+  void fit_regression(const BinnedColumnSource& codes,
                       const std::vector<float>& grad, const std::vector<float>& hess,
                       const TreeConfig& cfg, std::mt19937_64& rng,
                       std::vector<float>& row_values);

@@ -95,7 +95,6 @@ TEST(TsanStress, ConcurrentGbdtFitsBitIdentical) {
     fits.emplace_back([&, c] {
       ml::GbdtConfig cfg = ml::GbdtConfig::xgboost_style();
       cfg.rounds = 3;
-      cfg.tree.exact_split_max = 32;  // keep nodes on the histogram path
       ml::GradientBoosting gb(cfg);
       gb.fit(x, y, 9);
       scores[c] = gb.decision_function(x);

@@ -231,7 +231,7 @@ TEST(OocStream, PagedFitStreamsAndMatchesResidentAtEveryWidth) {
   }
   if (!err) writer.finalize(&err);
   ASSERT_FALSE(err) << err.message;
-  const ResidentCodeSource resident(std::move(codes), cuts, kBins);
+  const ResidentCodeSource resident(std::move(codes), cuts);
 
   for (const std::size_t w : {1, 2, 7}) {
     std::string resident_digest;

@@ -6,12 +6,14 @@
 // row-by-row produces exactly the cuts ml::BinnedMatrix derives resident.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "core/runerror.h"
 #include "core/threadpool.h"
 #include "dataset/store.h"
 #include "ml/binned.h"
@@ -131,7 +133,7 @@ TEST_F(PagedFitTest, ForestPagedFitIsBitIdenticalAcrossWidthsAndPageSizes) {
   const ml::Matrix x = make_x();
   const std::vector<int> y = make_y();
   const CodeTable t = quantize(x);
-  const ResidentCodeSource resident(t.codes, t.cuts, kBins);
+  const ResidentCodeSource resident(t.codes, t.cuts);
 
   ml::ForestConfig cfg;
   cfg.num_trees = 4;
@@ -160,7 +162,7 @@ TEST_F(PagedFitTest, ForestPagedFitIsBitIdenticalAcrossWidthsAndPageSizes) {
     for (std::size_t c = 0; c < kCols; ++c) code_cols.push_back(c);
     const PagedCodeSource paged(*reader, code_cols);
     EXPECT_EQ(paged.rows(), kRows);
-    EXPECT_EQ(paged.bins(), kBins);
+    EXPECT_EQ(reader->bins(), kBins);
 
     for (const std::size_t width : {1u, 2u, 7u}) {
       ScopedThreads scoped(width);
@@ -184,7 +186,7 @@ TEST_F(PagedFitTest, GbdtPagedFitIsBitIdenticalAcrossWidthsAndPageSizes) {
   const ml::Matrix x = make_x();
   const std::vector<int> y = make_y();
   const CodeTable t = quantize(x);
-  const ResidentCodeSource resident(t.codes, t.cuts, kBins);
+  const ResidentCodeSource resident(t.codes, t.cuts);
 
   ml::GbdtConfig cfg;
   cfg.rounds = 6;
@@ -232,7 +234,7 @@ TEST_F(PagedFitTest, BinnedMatrixAsSourceMatchesResidentCodes) {
   const std::vector<int> y = make_y();
   const ml::BinnedMatrix bm(x, kBins);
   const CodeTable t = quantize(x);
-  const ResidentCodeSource resident(t.codes, t.cuts, kBins);
+  const ResidentCodeSource resident(t.codes, t.cuts);
 
   ml::ForestConfig cfg;
   cfg.num_trees = 3;
@@ -246,6 +248,71 @@ TEST_F(PagedFitTest, BinnedMatrixAsSourceMatchesResidentCodes) {
   b.fit_binned(resident, y, kClasses);
   EXPECT_EQ(a.predict(x), b.predict(x));
   EXPECT_EQ(a.feature_importance(), b.feature_importance());
+}
+
+TEST_F(PagedFitTest, CodePastItsCutsFailsTheFit) {
+  // The last feature's packed histogram slot ends the buffer: a code past
+  // its cuts would write beyond it. The page load must refuse it instead.
+  const ml::Matrix x = make_x();
+  const std::vector<int> y = make_y();
+  CodeTable t = quantize(x);
+  t.codes[kCols - 1][kRows / 2] =
+      static_cast<std::uint8_t>(t.cuts[kCols - 1].size() + 1);
+  const std::string path = write_code_store(dir_, t, y, 64);
+  StoreError err;
+  auto reader = StoreReader::open(path, &err);
+  ASSERT_TRUE(reader) << err.message;
+  std::vector<std::size_t> code_cols;
+  for (std::size_t c = 0; c < kCols; ++c) code_cols.push_back(c);
+  const PagedCodeSource paged(*reader, code_cols);
+
+  ml::ForestConfig cfg;
+  cfg.num_trees = 2;
+  cfg.tree.histogram_bins = kBins;
+  for (const std::size_t width : {1u, 7u}) {
+    ScopedThreads scoped(width);
+    ml::RandomForest rf(cfg);
+    EXPECT_THROW(rf.fit_binned(paged, y, kClasses), core::RunError)
+        << "threads=" << width;
+  }
+}
+
+TEST_F(PagedFitTest, OneBinColumnIsNeverRead) {
+  // A constant feature records no cuts, so its page cannot be range-checked;
+  // fits must not read it. Any byte there leaves the model unchanged.
+  const ml::Matrix x = make_x();
+  const std::vector<int> y = make_y();
+  CodeTable t = quantize(x);
+  t.cuts[0].clear();
+  std::fill(t.codes[0].begin(), t.codes[0].end(), std::uint8_t{0});
+  const ResidentCodeSource clean(t.codes, t.cuts);
+  // Code 1 would land in the next slot, 255 past the buffer's end.
+  for (std::size_t r = 0; r < kRows; r += 3) t.codes[0][r] = 1;
+  t.codes[0][kRows / 2] = 255;
+  const std::string path = write_code_store(dir_, t, y, 64);
+  StoreError err;
+  auto reader = StoreReader::open(path, &err);
+  ASSERT_TRUE(reader) << err.message;
+  std::vector<std::size_t> code_cols;
+  for (std::size_t c = 0; c < kCols; ++c) code_cols.push_back(c);
+  const PagedCodeSource paged(*reader, code_cols);
+
+  ml::ForestConfig forest_cfg;
+  forest_cfg.num_trees = 4;
+  forest_cfg.seed = 3;
+  forest_cfg.tree.histogram_bins = kBins;
+  ml::RandomForest want(forest_cfg), got(forest_cfg);
+  want.fit_binned(clean, y, kClasses);
+  got.fit_binned(paged, y, kClasses);
+  EXPECT_EQ(got.predict(x), want.predict(x));
+  EXPECT_EQ(got.feature_importance(), want.feature_importance());
+
+  ml::GbdtConfig gbdt_cfg;
+  gbdt_cfg.rounds = 4;
+  ml::GradientBoosting want_gb(gbdt_cfg), got_gb(gbdt_cfg);
+  want_gb.fit_binned(clean, y, kClasses);
+  got_gb.fit_binned(paged, y, kClasses);
+  EXPECT_EQ(got_gb.predict(x), want_gb.predict(x));
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -58,7 +59,8 @@ constexpr std::size_t kGroupRows = 16;
 Reference make_reference() {
   Reference ref;
   for (std::size_t r = 0; r < kRows; ++r) {
-    ref.u8.push_back(static_cast<std::uint8_t>(r * 7 + 3));
+    // Codes 0..2: the u8 column records two cuts, so 2 is its largest code.
+    ref.u8.push_back(static_cast<std::uint8_t>((r * 7 + 3) % 3));
     ref.i32.push_back(static_cast<std::int32_t>(r) * -91 + 17);
     ref.f32.push_back(static_cast<float>(r) * 0.37f - 5.0f);
     ref.u64.push_back(r * 0x9E3779B97F4A7C15ull);
@@ -244,6 +246,36 @@ TEST_F(StoreTest, PagedCodeSourceRejectsNonCodeColumn) {
 }
 
 // ---- corruption corpus --------------------------------------------------
+
+TEST_F(StoreTest, CodePastItsCutsIsATypedPinError) {
+  // CRC-valid but hostile: row 9 holds code 3 in a column with two cuts
+  // (codes 0..2). Its page must fail to load; the other pages still serve.
+  const std::string path = (dir_ / "code.sugc").string();
+  StoreWriter::Options opts;
+  opts.group_rows = 4;
+  opts.bins = 3;
+  StoreWriter w(path, {{"code", ColumnType::U8, {0.5f, 1.5f}}}, opts);
+  StoreError err;
+  for (std::size_t r = 0; r < 12; ++r) {
+    w.add_u8(0, static_cast<std::uint8_t>(r == 9 ? 3 : r % 3));
+    ASSERT_TRUE(w.end_row(&err)) << err.message;
+  }
+  ASSERT_TRUE(w.finalize(&err)) << err.message;
+  auto r = StoreReader::open(path, &err);
+  ASSERT_TRUE(r) << err.message;
+
+  ColumnCursor cur(*r, 0);
+  ColumnBlock blk;
+  std::size_t served = 0;
+  while (cur.next(blk, &err)) served += blk.nrows;
+  EXPECT_EQ(served, 8u) << "groups 0 and 1 are in range";
+  EXPECT_EQ(err.kind, StoreErrorKind::kBadSchema) << err.message;
+
+  const PagedCodeSource paged(*r, {0});
+  std::shared_ptr<const void> keepalive;
+  EXPECT_EQ(paged.fetch(0, 5, keepalive).data[1], 2u);
+  EXPECT_THROW((void)paged.fetch(0, 9, keepalive), core::RunError);
+}
 
 TEST_F(StoreTest, TruncationAtEveryStrideIsATypedOpenError) {
   const Reference ref = make_reference();

@@ -149,14 +149,25 @@ TEST(HistogramTree, SiblingSubtractionIdenticalToDirectAccumulation) {
   // Classification histograms hold integer counts in doubles, so the
   // subtracted sibling histogram is exact — the trees must be identical,
   // not merely close. All features per split => subtract mode engages;
-  // tiny exact_split_max keeps nodes on the histogram path deep down.
-  auto [x, y] = make_blobs(4, 300, 6, 1.2, 5);
+  // tiny exact_split_max keeps nodes on the histogram path deep down. A
+  // constant column (1 bin) and a two-valued flag (2 bins) sit between the
+  // wide blob columns, so packed slots of every width are neighbours.
+  auto [blobs, y] = make_blobs(4, 300, 6, 1.2, 5);
+  Matrix x(blobs.rows(), blobs.cols() + 2);
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    for (std::size_t c = 0; c < blobs.cols(); ++c)
+      x(r, c + (c >= 2) + (c >= 4)) = blobs(r, c);
+    x(r, 2) = 7.0f;
+    x(r, 5) = static_cast<float>(y[r] >= 2 && r % 4 != 0);
+  }
   TreeConfig cfg;
   cfg.max_depth = 9;
   cfg.histogram_bins = 32;
   cfg.exact_split_max = 16;
   cfg.features_per_split = 0;  // all features: subtraction eligible
   const BinnedMatrix bm(x, cfg.histogram_bins);
+  ASSERT_EQ(bm.bin_count(2), 1);
+  ASSERT_EQ(bm.bin_count(5), 2);
 
   DecisionTree direct, subtracted;
   {
@@ -204,7 +215,6 @@ TEST(HistogramTree, GbdtSubtractionPreservesQuality) {
   auto [x, y] = make_blobs(3, 200, 5, 1.0, 21);
   GbdtConfig cfg = GbdtConfig::lightgbm_style();
   cfg.rounds = 10;
-  cfg.tree.exact_split_max = 16;
 
   cfg.tree.hist_subtraction = true;
   GradientBoosting with_sub(cfg);
@@ -262,7 +272,6 @@ TEST(HistogramTree, GbdtFitDigestIdenticalAcrossPoolWidths) {
     GbdtConfig cfg =
         leafwise ? GbdtConfig::lightgbm_style() : GbdtConfig::xgboost_style();
     cfg.rounds = 6;
-    cfg.tree.exact_split_max = 16;
 
     Matrix ref_scores;
     for (std::size_t w : {std::size_t{1}, std::size_t{2}, std::size_t{7}}) {
@@ -291,9 +300,10 @@ std::uint64_t digest_of(const T* data, std::size_t count) {
       std::string_view(reinterpret_cast<const char*>(data), count * sizeof(T)));
 }
 
-/// Fixed problem for the pinned digests: 1,600 rows, so the GBDT root
-/// (above exact_split_max = 1024) takes the histogram path and its children
-/// the exact sorted sweep.
+/// Fixed problem for the pinned digests: 1,600 rows of 8 class-dependent
+/// features. The forest pins sweep exactly at every node (exact_split_max
+/// 4096) or from 32 rows down; the GBDT and fit_binned pins split on
+/// histograms only.
 std::pair<Matrix, std::vector<int>> pinned_problem(int classes) {
   constexpr std::size_t kRows = 1600, kDims = 8;
   std::mt19937_64 rng(2024);
@@ -312,27 +322,21 @@ std::pair<Matrix, std::vector<int>> pinned_problem(int classes) {
 struct PinnedGbdt {
   int classes;
   bool leafwise;
-  bool binned;  // fit_binned over the problem's BinnedMatrix, else fit
   std::uint64_t scores;      // decision_function bytes
   std::uint64_t importance;  // feature_importance bytes
 };
 
-// Recorded from the serial fit this per-class parallel fit replaced (one
-// tree at a time, one shared RNG stream that the default configs never
-// draw from). A model that moves here has changed, not just its schedule.
+// Recorded from fit_binned over the problem's 256-bin codes. A round's
+// class trees fit in parallel but draw no random numbers, so a model that
+// moves here has changed, not just its schedule. fit(x) is that same
+// estimator, so it must read the same pin.
 constexpr PinnedGbdt kPinnedGbdt[] = {
-    {2, false, false, 0xc634fca0bb1edc31ull, 0x6b09a33344dc15b8ull},
-    {2, false, true, 0x7e8848f92baa7f01ull, 0xff50ada5137e3a20ull},
-    {2, true, false, 0xc634fca0bb1edc31ull, 0x6b09a33344dc15b8ull},
-    {2, true, true, 0x7e8848f92baa7f01ull, 0xff50ada5137e3a20ull},
-    {5, false, false, 0x833ffb296c571d98ull, 0x7005271cae4802deull},
-    {5, false, true, 0x4b5be02a7baa2ee2ull, 0xadb47d69ade05a1bull},
-    {5, true, false, 0xdeb8b645750f5f06ull, 0x7a1a3d628b55e109ull},
-    {5, true, true, 0x0a8da104e965115full, 0xd055cd87ca371a13ull},
-    {12, false, false, 0x9f28968fdb73e9d5ull, 0xaaa192946cfcf42full},
-    {12, false, true, 0xeef7b39ce47c2ce9ull, 0x2c58fe248c93007dull},
-    {12, true, false, 0xfa370e75d7e835a9ull, 0xe43243dbbaff429eull},
-    {12, true, true, 0x5ec7d060c29ef9a9ull, 0x3e44d719eb5ddf2eull},
+    {2, false, 0x16acb702fbed20c2ull, 0x6e9c047be390c495ull},
+    {2, true, 0x16acb702fbed20c2ull, 0x6e9c047be390c495ull},
+    {5, false, 0x7482e718744c1069ull, 0xbe7a419a8b150c9full},
+    {5, true, 0x914ae77b727362e3ull, 0x1a750dcbfb43a70eull},
+    {12, false, 0xa5adff08876464fcull, 0x5385b96a7ada0c70ull},
+    {12, true, 0xbe1a8507c8697610ull, 0x92804f16656d3545ull},
 };
 
 TEST(HistogramTree, GbdtDigestsPinnedAcrossPoolWidths) {
@@ -343,19 +347,21 @@ TEST(HistogramTree, GbdtDigestsPinnedAcrossPoolWidths) {
       GbdtConfig cfg =
           pin.leafwise ? GbdtConfig::lightgbm_style() : GbdtConfig::xgboost_style();
       cfg.rounds = 8;
-      GradientBoosting gbdt(cfg);
-      if (pin.binned)
-        gbdt.fit_binned(BinnedMatrix(x, cfg.tree.histogram_bins), y, pin.classes);
-      else
-        gbdt.fit(x, y, pin.classes);
-      const Matrix scores = gbdt.decision_function(x);
-      const std::vector<double> imp = gbdt.feature_importance();
-      const std::string where = std::to_string(pin.classes) + " classes, " +
-                                (pin.leafwise ? "lightgbm" : "xgboost") +
-                                (pin.binned ? " fit_binned" : " fit") +
-                                ", threads " + std::to_string(w);
-      EXPECT_EQ(digest_of(scores.data().data(), scores.size()), pin.scores) << where;
-      EXPECT_EQ(digest_of(imp.data(), imp.size()), pin.importance) << where;
+      for (bool binned : {false, true}) {
+        GradientBoosting gbdt(cfg);
+        if (binned)
+          gbdt.fit_binned(BinnedMatrix(x, 256), y, pin.classes);
+        else
+          gbdt.fit(x, y, pin.classes);
+        const Matrix scores = gbdt.decision_function(x);
+        const std::vector<double> imp = gbdt.feature_importance();
+        const std::string where = std::to_string(pin.classes) + " classes, " +
+                                  (pin.leafwise ? "lightgbm" : "xgboost") +
+                                  (binned ? " fit_binned" : " fit") + ", threads " +
+                                  std::to_string(w);
+        EXPECT_EQ(digest_of(scores.data().data(), scores.size()), pin.scores) << where;
+        EXPECT_EQ(digest_of(imp.data(), imp.size()), pin.importance) << where;
+      }
     }
   }
 }
@@ -432,7 +438,6 @@ class CancellingSource final : public BinnedColumnSource {
       : bm_(bm), token_(token), after_(after) {}
   std::size_t rows() const override { return bm_.rows(); }
   std::size_t cols() const override { return bm_.cols(); }
-  int bins() const override { return bm_.bins(); }
   const std::vector<float>& cuts(std::size_t f) const override { return bm_.cuts(f); }
   CodeChunk fetch(std::size_t f, std::size_t row,
                   std::shared_ptr<const void>& keepalive) const override {

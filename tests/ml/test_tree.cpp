@@ -99,17 +99,16 @@ TEST(DecisionTree, RegressionFitsResiduals) {
   cfg.lambda = 0.0f;
   std::mt19937_64 rng(8);
   std::vector<float> row_values;
-  tree.fit_regression(BinnedMatrix(x, cfg.histogram_bins), &x, grad, hess, cfg, rng,
+  tree.fit_regression(BinnedMatrix(x, cfg.histogram_bins), grad, hess, cfg, rng,
                       row_values);
   EXPECT_NEAR(tree.predict_value(x.row(10)), 2.0f, 0.2f);
   EXPECT_NEAR(tree.predict_value(x.row(90)), -4.0f, 0.2f);
 }
 
 TEST(DecisionTree, RegressionRowValuesMatchPredict) {
-  // The row values come from the fit's own partition; they must be the
-  // predict_value() outputs bit for bit, with and without the raw floats
-  // (float vs stable code partition) and for both growth orders. A small
-  // exact_split_max mixes exact and histogram splits in the resident fit.
+  // The row values come from the fit's own stable code partition; they
+  // must be the predict_value() outputs bit for bit, for both growth
+  // orders.
   std::mt19937_64 data_rng(21);
   std::normal_distribution<float> normal(0.0f, 1.0f);
   std::uniform_real_distribution<float> unif(0.05f, 1.0f);
@@ -124,23 +123,20 @@ TEST(DecisionTree, RegressionRowValuesMatchPredict) {
   cfg.max_depth = 8;
   cfg.min_samples_leaf = 4;
   cfg.histogram_bins = 64;
-  cfg.exact_split_max = 200;
   const BinnedMatrix codes(x, cfg.histogram_bins);
-  for (bool with_raw : {true, false}) {
-    for (int max_leaves : {0, 31}) {
-      TreeConfig c = cfg;
-      c.max_leaves = max_leaves;
-      DecisionTree tree;
-      std::mt19937_64 rng(22);
-      std::vector<float> row_values;
-      tree.fit_regression(codes, with_raw ? &x : nullptr, grad, hess, c, rng, row_values);
-      ASSERT_GT(tree.node_count(), 15u) << "tree too small to exercise the partition";
-      ASSERT_EQ(row_values.size(), x.rows());
-      for (std::size_t i = 0; i < x.rows(); ++i) {
-        const float want = tree.predict_value(x.row(i));
-        ASSERT_EQ(std::memcmp(&row_values[i], &want, sizeof(float)), 0)
-            << "row " << i << " raw " << with_raw << " max_leaves " << max_leaves;
-      }
+  for (int max_leaves : {0, 31}) {
+    TreeConfig c = cfg;
+    c.max_leaves = max_leaves;
+    DecisionTree tree;
+    std::mt19937_64 rng(22);
+    std::vector<float> row_values;
+    tree.fit_regression(codes, grad, hess, c, rng, row_values);
+    ASSERT_GT(tree.node_count(), 15u) << "tree too small to exercise the partition";
+    ASSERT_EQ(row_values.size(), x.rows());
+    for (std::size_t i = 0; i < x.rows(); ++i) {
+      const float want = tree.predict_value(x.row(i));
+      ASSERT_EQ(std::memcmp(&row_values[i], &want, sizeof(float)), 0)
+          << "row " << i << " max_leaves " << max_leaves;
     }
   }
 }
