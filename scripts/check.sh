@@ -132,7 +132,8 @@ serve() {
   # the concurrency stress in its plain-build form.
   run ctest --test-dir build-check --output-on-failure -j "$JOBS" \
       -R 'FlowTable|ServeEngine|ServeDeterminism|ServeStress|StreamFaults|serve_stress|bench_serve'
-  # Shard workers vs stats snapshotters vs the idle evictor under TSan.
+  # Producers writing the ingest ring vs the pump's rounds, stats
+  # snapshotters, the idle evictor and a checkpointer under TSan.
   configure_build build-tsan -DSUGAR_SANITIZE=thread
   run ctest --test-dir build-tsan --output-on-failure -R serve_stress
 }
@@ -186,7 +187,8 @@ crash() {
         --output-on-failure -L chaos
   done
   # Chaos storm (stalls, classifier faults, disk faults, breaker flips)
-  # under TSan: every injection site racing the shard workers.
+  # under TSan: the pump's rounds racing a background idle evictor through
+  # every injection site and the breaker.
   configure_build build-tsan -DSUGAR_SANITIZE=thread
   run ctest --test-dir build-tsan --output-on-failure -R chaos_tsan_smoke
 }

@@ -25,7 +25,7 @@
 namespace sugar::core {
 
 enum class ChaosSite : std::uint8_t {
-  kShardStall = 0,      // shard worker sleeps mid-round
+  kShardStall = 0,      // a shard's fold sleeps mid-round
   kClassifierDelay,     // classify() latency spike
   kClassifierFault,     // classify() hard failure (simulated exception)
   kFlowTableAlloc,      // flow-table slot allocation fails

@@ -1,6 +1,7 @@
 // Classification backends for the serve engine. A FlowClassifier scores one
-// flow-feature vector at a time and must be safe to call concurrently from
-// every shard worker — implementations are immutable after construction.
+// flow-feature vector at a time and must be safe to call concurrently (the
+// engine's round and a background evict_idle_now() both classify) —
+// implementations are immutable after construction.
 // ForestFlowClassifier wraps the paper's winning shallow model (RandomForest
 // on header features); HeuristicClassifier is the test double.
 #pragma once

@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "core/chaos.h"
-#include "core/threadpool.h"
 #include "core/trace.h"
 #include "net/parser.h"
 
@@ -65,6 +64,12 @@ ServeEngine::ServeEngine(ServeConfig cfg,
         return t;
       }()) {
   feature_dim_ = table_.config().feature_dim;
+  ring_.resize(cfg_.queue_capacity + cfg_.batch_size);
+  batch_.resize(cfg_.batch_size);
+  keys_.resize(cfg_.batch_size);
+  kinds_.resize(cfg_.batch_size);
+  features_.resize(cfg_.batch_size * feature_dim_);
+  order_.resize(table_.shard_count());
   shard_active_ = std::vector<std::atomic<std::uint8_t>>(table_.shard_count());
   quarantined_ = std::vector<std::atomic<std::uint8_t>>(table_.shard_count());
   clean_rounds_ = std::vector<std::atomic<std::uint32_t>>(table_.shard_count());
@@ -90,15 +95,23 @@ ServeEngine::~ServeEngine() {
   }
 }
 
+void ServeEngine::push_locked(const net::Packet& pkt, std::uint64_t enq_ns) {
+  QueueEntry& e = ring_[ring_slot(count_)];
+  e.pkt.ts_usec = pkt.ts_usec;
+  e.pkt.data.assign(pkt.data.begin(), pkt.data.end());
+  e.enq_ns = enq_ns;
+  ++count_;
+}
+
 bool ServeEngine::offer(const net::Packet& pkt) {
   offered_.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(queue_mu_);
-  if (queue_.size() >= cfg_.queue_capacity) {
+  if (count_ >= cfg_.queue_capacity) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-  queue_.push_back(QueueEntry{pkt, now_ns()});
-  peak_queue_depth_ = std::max<std::uint64_t>(peak_queue_depth_, queue_.size());
+  push_locked(pkt, now_ns());
+  peak_queue_depth_ = std::max<std::uint64_t>(peak_queue_depth_, count_);
   return true;
 }
 
@@ -177,22 +190,18 @@ void ServeEngine::classify_into(std::size_t shard, const FlowView& v,
   }
 }
 
-void ServeEngine::process_shard(std::size_t shard,
-                                const std::vector<QueueEntry>& batch,
-                                const std::vector<std::uint32_t>& order,
-                                const std::vector<net::FlowKey>& keys,
-                                const std::vector<float>& features,
-                                std::uint64_t round_now, ShedStage stage,
-                                RoundDelta& delta) {
+void ServeEngine::process_shard(std::size_t shard, std::uint64_t round_now,
+                                ShedStage stage) {
   SUGAR_TRACE_SPAN("serve.shard");
   if (cfg_.shard_hook) cfg_.shard_hook(shard);
   if (cfg_.chaos)
     cfg_.chaos->maybe_stall(core::ChaosSite::kShardStall, &round_abort_);
+  const std::vector<std::uint32_t>& order = order_[shard];
 
   // 1. Idle sweep on the stream's virtual clock.
-  delta.counters.evicted_idle += table_.evict_idle(
+  delta_.counters.evicted_idle += table_.evict_idle(
       shard, round_now, cfg_.idle_timeout_usec, [&](const FlowView& v) {
-        classify_into(shard, v, VerdictReason::kEvictIdle, delta);
+        classify_into(shard, v, VerdictReason::kEvictIdle, delta_);
       });
 
   // 2. Fold this shard's packets in arrival order, polling the abort flag
@@ -201,184 +210,183 @@ void ServeEngine::process_shard(std::size_t shard,
   std::size_t processed = order.size();
   for (std::size_t oi = 0; oi < order.size(); ++oi) {
     if (round_abort_.load(std::memory_order_relaxed)) {
-      delta.requeued.insert(delta.requeued.end(), order.begin() + oi,
-                            order.end());
+      delta_.requeued.insert(delta_.requeued.end(), order.begin() + oi,
+                             order.end());
       processed = oi;
       break;
     }
     const std::uint32_t idx = order[oi];
-    const QueueEntry& entry = batch[idx];
-    auto res = table_.touch(shard, keys[idx], entry.pkt.ts_usec,
-                            features.data() + std::size_t{idx} * feature_dim_,
+    auto res = table_.touch(shard, keys_[idx], batch_[idx].pkt.ts_usec,
+                            features_.data() + std::size_t{idx} * feature_dim_,
                             admit_new);
     switch (res.status) {
       case ShardedFlowTable::TouchStatus::kNotAdmitted:
-        ++delta.counters.packets_shed_new_flow;
+        ++delta_.counters.packets_shed_new_flow;
         continue;
       case ShardedFlowTable::TouchStatus::kFull:
-        ++delta.counters.flows_rejected_full;
+        ++delta_.counters.flows_rejected_full;
         continue;
       case ShardedFlowTable::TouchStatus::kCreated:
-        ++delta.counters.flows_created;
+        ++delta_.counters.flows_created;
         break;
       case ShardedFlowTable::TouchStatus::kExisting:
         break;
     }
     if (res.ready) {
       const FlowView v = table_.view(shard, res.slot);
-      classify_into(shard, v, VerdictReason::kFirstN, delta);
+      classify_into(shard, v, VerdictReason::kFirstN, delta_);
       table_.mark_classified(shard, res.slot);
     }
   }
 
   // 3. Shed-ladder sweeps, most aggressive last (skipped by an aborted
-  // round — bail fast). Targets pull occupancy back to the low watermark
+  // shard — bail fast). Targets pull occupancy back to the low watermark
   // so the ladder can actually step down.
+  const bool aborted = processed < order.size();
   const auto target = static_cast<std::size_t>(
       cfg_.table_lo * static_cast<double>(table_.shard_capacity()));
-  if (delta.requeued.empty() && stage >= ShedStage::kEarlyClassify) {
-    delta.counters.evicted_early += table_.evict_ready(
+  if (!aborted && stage >= ShedStage::kEarlyClassify) {
+    delta_.counters.evicted_early += table_.evict_ready(
         shard, target, cfg_.min_classify_packets, cfg_.early_evict_scan,
         [&](const FlowView& v) {
-          classify_into(shard, v, VerdictReason::kEvictEarly, delta);
+          classify_into(shard, v, VerdictReason::kEvictEarly, delta_);
         });
   }
-  if (delta.requeued.empty() && stage >= ShedStage::kSampleEvict) {
+  if (!aborted && stage >= ShedStage::kSampleEvict) {
     std::size_t forced = 0;
     while (table_.live(shard) > target && forced < cfg_.early_evict_scan) {
       if (!table_.evict_tail(shard, [&](const FlowView& v) {
-            classify_into(shard, v, VerdictReason::kEvictSampled, delta);
+            classify_into(shard, v, VerdictReason::kEvictSampled, delta_);
           }))
         break;
       ++forced;
     }
-    delta.counters.evicted_sampled += forced;
+    delta_.counters.evicted_sampled += forced;
   }
 
   // 4. Per-packet latency (enqueue -> shard completion) for the packets
-  // this round actually consumed. Wall-clock only; never feeds back into
+  // this shard actually consumed. Wall-clock only; never feeds back into
   // any decision.
   const std::uint64_t end_ns = now_ns();
   for (std::size_t oi = 0; oi < processed; ++oi)
-    delta.latency.record(end_ns -
-                         std::min(end_ns, batch[order[oi]].enq_ns));
+    delta_.latency.record(end_ns -
+                         std::min(end_ns, batch_[order[oi]].enq_ns));
 }
 
 std::size_t ServeEngine::pump() {
   std::lock_guard<std::mutex> pump_lock(pump_mu_);
   SUGAR_TRACE_SPAN("serve.pump");
 
-  std::vector<QueueEntry> batch;
+  // Drain: swap up to batch_size entries out of the ring into batch_, so
+  // the ring keeps the batch's previous buffers and nothing is allocated.
   std::size_t depth_at_start = 0;
+  std::size_t n = 0;
   {
+    SUGAR_TRACE_SPAN("serve.pump.drain");
     std::lock_guard<std::mutex> lock(queue_mu_);
-    depth_at_start = queue_.size();
-    const std::size_t n = std::min(cfg_.batch_size, queue_.size());
-    batch.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      batch.push_back(std::move(queue_.front()));
-      queue_.pop_front();
-    }
+    depth_at_start = count_;
+    n = std::min(cfg_.batch_size, count_);
+    for (std::size_t i = 0; i < n; ++i)
+      std::swap(batch_[i], ring_[ring_slot(i)]);
+    count_ -= n;
+    head_ = count_ == 0 ? 0 : ring_slot(n);
   }
   const ShedStage stage = evaluate_stage(depth_at_start, table_.live_total());
-  if (batch.empty()) return 0;
-
-  const std::size_t n = batch.size();
+  if (n == 0) return 0;
   const std::size_t shards = table_.shard_count();
 
-  // Prepare phase: parse, key and featurize every packet in parallel
-  // blocks (fixed grain — deterministic at any thread count).
+  // Prepare: parse, key and featurize every packet.
   enum : std::uint8_t { kOk = 0, kKeyless = 1, kMalformed = 2 };
-  std::vector<net::FlowKey> keys(n);
-  std::vector<std::uint8_t> kind(n, kMalformed);
-  std::vector<float> features(n * feature_dim_);
-  core::global_pool().parallel_for(0, n, 64, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      auto parsed = net::parse_packet(batch[i].pkt);
+  {
+    SUGAR_TRACE_SPAN("serve.pump.prepare");
+    for (std::size_t i = 0; i < n; ++i) {
+      auto parsed = net::parse_packet(batch_[i].pkt);
       if (!parsed.ok()) {
-        kind[i] = kMalformed;
+        kinds_[i] = kMalformed;
         continue;
       }
       bool forward = false;
-      if (!net::FlowKey::from_parsed(*parsed.parsed, keys[i], forward)) {
-        kind[i] = kKeyless;
+      if (!net::FlowKey::from_parsed(*parsed.parsed, keys_[i], forward)) {
+        kinds_[i] = kKeyless;
         continue;
       }
-      kind[i] = kOk;
-      replearn::extract_header_features(batch[i].pkt, *parsed.parsed,
+      kinds_[i] = kOk;
+      replearn::extract_header_features(batch_[i].pkt, *parsed.parsed,
                                         cfg_.features.spec,
-                                        features.data() + i * feature_dim_);
+                                        features_.data() + i * feature_dim_);
     }
-  });
+  }
 
-  // Partition by flow-key hash (pure function of the key, so the shard a
-  // packet lands on never depends on the arrival thread).
-  RoundDelta base;
-  std::vector<std::vector<std::uint32_t>> order(shards);
+  // Partition by flow-key hash (a pure function of the key, so a packet's
+  // shard depends only on the stream).
   std::uint64_t round_now = virtual_now_usec_.load(std::memory_order_relaxed);
-  for (std::size_t i = 0; i < n; ++i)
-    round_now = std::max(round_now, batch[i].pkt.ts_usec);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (kind[i] == kMalformed) {
-      ++base.counters.packets_malformed;
-    } else if (kind[i] == kKeyless) {
-      ++base.counters.packets_keyless;
-    } else {
-      order[table_.shard_of(keys[i])].push_back(static_cast<std::uint32_t>(i));
+  {
+    SUGAR_TRACE_SPAN("serve.pump.partition");
+    for (auto& o : order_) o.clear();
+    for (std::size_t i = 0; i < n; ++i) {
+      round_now = std::max(round_now, batch_[i].pkt.ts_usec);
+      if (kinds_[i] == kMalformed) {
+        ++delta_.counters.packets_malformed;
+      } else if (kinds_[i] == kKeyless) {
+        ++delta_.counters.packets_keyless;
+      } else {
+        order_[table_.shard_of(keys_[i])].push_back(
+            static_cast<std::uint32_t>(i));
+      }
     }
   }
   virtual_now_usec_.store(round_now, std::memory_order_relaxed);
 
-  // Shard phase: one worker per shard, heartbeat per completed shard so
-  // the watchdog can tell a slow round from a stuck one, active markers so
-  // it knows WHICH shard to quarantine.
-  std::vector<RoundDelta> deltas(shards);
-  round_abort_.store(false, std::memory_order_release);
-  round_active_.store(true, std::memory_order_release);
-  core::global_pool().parallel_for(0, shards, 1, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t s = lo; s < hi; ++s) {
+  // Fold, shard by shard in ascending order: a heartbeat per completed
+  // shard lets the watchdog tell a slow round from a stuck one, and the
+  // active markers tell it WHICH shard to quarantine.
+  {
+    SUGAR_TRACE_SPAN("serve.pump.fold");
+    round_abort_.store(false, std::memory_order_release);
+    round_active_.store(true, std::memory_order_release);
+    for (std::size_t s = 0; s < shards; ++s) {
       shard_active_[s].store(1, std::memory_order_release);
-      process_shard(s, batch, order[s], keys, features, round_now, stage,
-                    deltas[s]);
+      process_shard(s, round_now, stage);
       shard_active_[s].store(0, std::memory_order_release);
       heartbeat_.fetch_add(1, std::memory_order_relaxed);
     }
-  });
-  round_active_.store(false, std::memory_order_release);
+    round_active_.store(false, std::memory_order_release);
+  }
 
-  // Packets an aborted round skipped go back to the FRONT of the queue in
+  SUGAR_TRACE_SPAN("serve.pump.merge");
+  // Packets an aborted round skipped go back to the FRONT of the ring in
   // arrival order, so the restarted round sees the same stream.
-  std::vector<std::uint32_t> requeued;
-  for (RoundDelta& d : deltas)
-    requeued.insert(requeued.end(), d.requeued.begin(), d.requeued.end());
-  if (!requeued.empty()) {
+  std::vector<std::uint32_t>& requeued = delta_.requeued;
+  const std::size_t requeued_count = requeued.size();
+  if (requeued_count > 0) {
     std::sort(requeued.begin(), requeued.end());
     std::lock_guard<std::mutex> lock(queue_mu_);
-    for (auto it = requeued.rbegin(); it != requeued.rend(); ++it)
-      queue_.push_front(std::move(batch[*it]));
-    base.counters.packets_requeued += requeued.size();
+    for (auto it = requeued.rbegin(); it != requeued.rend(); ++it) {
+      head_ = (head_ == 0 ? ring_.size() : head_) - 1;
+      std::swap(ring_[head_], batch_[*it]);
+      ++count_;
+    }
+    delta_.counters.packets_requeued += requeued_count;
   }
 
   // Malformed/keyless packets complete here; give them a latency sample too.
   const std::uint64_t end_ns = now_ns();
   for (std::size_t i = 0; i < n; ++i)
-    if (kind[i] != kOk)
-      base.latency.record(end_ns - std::min(end_ns, batch[i].enq_ns));
+    if (kinds_[i] != kOk)
+      delta_.latency.record(end_ns - std::min(end_ns, batch_[i].enq_ns));
   // Requeued packets will be counted when a later round consumes them.
-  base.counters.packets_processed += n - requeued.size();
-  ++base.counters.rounds;
+  delta_.counters.packets_processed += n - requeued_count;
+  ++delta_.counters.rounds;
 
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_.counters.merge(base.counters);
-    stats_.latency.merge(base.latency);
-    merge_deltas(deltas);
+    merge_delta(delta_);
     peak_flows_ = std::max<std::uint64_t>(peak_flows_, table_.live_total());
   }
 
   // A completed (non-aborted) round is a clean round for every quarantined
   // shard; two in a row lift the quarantine.
-  if (requeued.empty()) {
+  if (requeued_count == 0) {
     for (std::size_t s = 0; s < shards; ++s) {
       if (quarantined_[s].load(std::memory_order_relaxed) == 0) continue;
       const std::uint32_t clean =
@@ -399,20 +407,20 @@ std::size_t ServeEngine::pump() {
   return n;
 }
 
-void ServeEngine::merge_deltas(std::vector<RoundDelta>& deltas) {
-  // Caller holds stats_mu_. Ascending shard order keeps verdict order (and
-  // therefore every downstream aggregate) deterministic.
-  for (RoundDelta& d : deltas) {
-    stats_.counters.merge(d.counters);
-    stats_.latency.merge(d.latency);
-    for (Verdict& v : d.verdicts) {
-      if (verdicts_.size() >= cfg_.max_recorded_verdicts) {
-        ++stats_.counters.verdicts_dropped;
-        continue;
-      }
-      verdicts_.push_back(std::move(v));
+void ServeEngine::merge_delta(RoundDelta& delta) {
+  stats_.counters.merge(delta.counters);
+  stats_.latency.merge(delta.latency);
+  for (Verdict& v : delta.verdicts) {
+    if (verdicts_.size() >= cfg_.max_recorded_verdicts) {
+      ++stats_.counters.verdicts_dropped;
+      continue;
     }
+    verdicts_.push_back(std::move(v));
   }
+  delta.counters = ServeCounters{};
+  delta.latency = LatencyHistogram{};
+  delta.verdicts.clear();
+  delta.requeued.clear();
 }
 
 void ServeEngine::drain() {
@@ -421,33 +429,34 @@ void ServeEngine::drain() {
 }
 
 std::size_t ServeEngine::evict_idle_now(std::uint64_t now_usec) {
+  // Runs beside pump() (a background evictor), so it fills its own delta,
+  // not the round's.
   std::size_t evicted = 0;
-  std::vector<RoundDelta> deltas(table_.shard_count());
+  RoundDelta delta;
   for (std::size_t s = 0; s < table_.shard_count(); ++s) {
     evicted += table_.evict_idle(s, now_usec, cfg_.idle_timeout_usec,
                                  [&](const FlowView& v) {
                                    classify_into(s, v,
                                                  VerdictReason::kEvictIdle,
-                                                 deltas[s]);
+                                                 delta);
                                  });
   }
   std::lock_guard<std::mutex> lock(stats_mu_);
   stats_.counters.evicted_idle += evicted;
-  merge_deltas(deltas);
+  merge_delta(delta);
   return evicted;
 }
 
 void ServeEngine::flush() {
   std::lock_guard<std::mutex> pump_lock(pump_mu_);
-  std::vector<RoundDelta> deltas(table_.shard_count());
   std::size_t evicted = 0;
   for (std::size_t s = 0; s < table_.shard_count(); ++s)
     evicted += table_.evict_all(s, [&](const FlowView& v) {
-      classify_into(s, v, VerdictReason::kFlush, deltas[s]);
+      classify_into(s, v, VerdictReason::kFlush, delta_);
     });
   std::lock_guard<std::mutex> lock(stats_mu_);
   stats_.counters.evicted_flush += evicted;
-  merge_deltas(deltas);
+  merge_delta(delta_);
 }
 
 ServeStats ServeEngine::stats() const {
@@ -461,7 +470,7 @@ ServeStats ServeEngine::stats() const {
   out.counters.packets_rejected = rejected_.load(std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
-    out.gauges.queue_depth = queue_.size();
+    out.gauges.queue_depth = count_;
     out.gauges.peak_queue_depth = peak_queue_depth_;
   }
   out.gauges.current_flows = table_.live_total();
@@ -475,7 +484,7 @@ ServeStats ServeEngine::stats() const {
 
 std::size_t ServeEngine::queue_depth() const {
   std::lock_guard<std::mutex> lock(queue_mu_);
-  return queue_.size();
+  return count_;
 }
 
 std::vector<Verdict> ServeEngine::take_verdicts() {
@@ -516,7 +525,7 @@ void ServeEngine::watchdog_loop() {
       }
       std::fprintf(stderr,
                    "serve: watchdog — round stuck for %.1fs (heartbeat %llu); "
-                   "a shard worker is not making progress\n",
+                   "a shard's fold is not making progress\n",
                    cfg_.watchdog_timeout_s,
                    static_cast<unsigned long long>(beat));
     }

@@ -1,10 +1,11 @@
 // ServeEngine: the online classification pipeline. Packets enter through a
-// bounded ingest queue (offer(), thread-safe, explicit backpressure); pump()
-// drains one batch and runs a deterministic round on the shared
-// core::ThreadPool — parse + featurize in parallel blocks, partition by
-// flow-key hash, then one worker per shard folds its packets into the
-// ShardedFlowTable in arrival order, classifying flows at first-N packets
-// and on eviction.
+// bounded ingest ring (offer(), thread-safe, explicit backpressure); pump()
+// drains one batch and runs a deterministic round on the calling thread —
+// parse + featurize, partition by flow-key hash, then fold each shard's
+// packets into the ShardedFlowTable in arrival order, shards in ascending
+// order, classifying flows at first-N packets and on eviction. A round
+// never dispatches to core::ThreadPool: at these batch sizes the wake-ups
+// and cross-core frame reads cost more than the work they would split.
 //
 // Overload control is a three-stage shed ladder evaluated (with hysteresis)
 // at every round boundary from queue depth and table occupancy:
@@ -13,22 +14,24 @@
 //            (bounded-memory backpressure, counted packets_rejected)
 //   stage 1  drop-newest-flows: packets that would create a new flow are
 //            shed; resident flows keep progressing toward first-N
-//   stage 2  early-classify: shard workers sweep the LRU tail and evict
+//   stage 2  early-classify: each shard's fold sweeps the LRU tail, evicting
 //            (classifying) flows that already carry enough packets,
 //            pulling occupancy back under the high watermark
 //   stage 3  sample-evict: a new flow arriving at a full shard replaces
 //            the LRU tail (classified if eligible, dropped otherwise)
 //
 // Every transition and every shed decision is counted in ServeStats — the
-// engine degrades observably, never silently, and its memory is bounded by
-// queue_capacity frames + the flow table's preallocated slabs.
+// engine degrades observably, never silently. Its memory is bounded by the
+// ring's queue_capacity + batch_size slots, whose frame buffers are reused
+// (with the batch's, at most queue_capacity + 2 x batch_size buffers), plus
+// the flow table's slabs.
 //
 // Determinism: given the same packet sequence and the same offer()/pump()
 // schedule, verdicts and every eviction/shed counter are identical at any
-// SUGAR_THREADS value — shard assignment and round partitioning depend
-// only on the stream, and eviction time is the stream's own virtual clock
-// (max packet timestamp seen), never the wall. Only the latency histogram
-// and wall-time gauges are non-deterministic.
+// SUGAR_THREADS value — a round runs on one thread, shard assignment
+// depends only on the stream, and eviction time is the stream's own
+// virtual clock (max packet timestamp seen), never the wall. Only the
+// latency histogram and wall-time gauges are non-deterministic.
 //
 // Supervision: with watchdog_timeout_s > 0 a RunSupervisor-style watchdog
 // thread checks that an in-flight round makes progress (per-shard
@@ -38,22 +41,22 @@
 //   2x timeout  quarantine: every shard still mid-round is marked; its
 //               classifications route to cfg.fallback (when present) until
 //               the shard completes two clean rounds
-//   4x timeout  abort: round_abort_ asks shard workers to bail; their
-//               unprocessed packets are re-queued at the front of the
-//               ingest queue in arrival order and re-drained next round
+//   4x timeout  abort: round_abort_ asks the round to bail; the stuck
+//               shard's unprocessed packets and every later shard's are
+//               re-queued at the front of the ingest ring in arrival order
+//               and re-drained next round
 //
 // Crash tolerance: save_snapshot()/restore_snapshot() (see snapshot.h)
 // checkpoint the full engine state between rounds, so a restored engine
 // replaying from the recorded stream position is bit-identical to one that
 // never crashed. cfg.chaos (core::ChaosInjector) injects deterministic
-// worker stalls, classifier faults and flow-table allocation failures for
+// shard stalls, classifier faults and flow-table allocation failures for
 // exercising all of the above.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -127,12 +130,12 @@ struct ServeConfig {
   bool record_verdicts = false;
   /// Cap on buffered verdicts (overflow counted verdicts_dropped).
   std::size_t max_recorded_verdicts = 1 << 20;
-  /// Test hook invoked inside each shard worker (stall injection).
+  /// Test hook invoked as each shard's fold starts (stall injection).
   std::function<void(std::size_t shard)> shard_hook;
   /// Degradation target: quarantined shards classify through this instead
   /// of the primary (counted fallback_classified). Null disables routing.
   std::shared_ptr<const FlowClassifier> fallback;
-  /// Deterministic fault injection (worker stalls, flow-table allocation
+  /// Deterministic fault injection (shard stalls, flow-table allocation
   /// failures). Not owned; must outlive the engine. Null injects nothing.
   core::ChaosInjector* chaos = nullptr;
 };
@@ -148,9 +151,10 @@ class ServeEngine {
   /// queue is full — the explicit backpressure signal. Thread-safe.
   bool offer(const net::Packet& pkt);
 
-  /// Drains and processes one batch. Returns packets processed (0 when the
-  /// queue was empty). Concurrent pump() calls serialize. Thread-safe
-  /// against offer(), stats(), evict_idle_now() and flush().
+  /// Drains one batch and processes it on the calling thread. Returns
+  /// packets processed (0 when the queue was empty). Concurrent pump()
+  /// calls serialize. Thread-safe against offer(), stats(),
+  /// evict_idle_now() and flush().
   std::size_t pump();
 
   /// pump() until the queue is empty.
@@ -214,7 +218,8 @@ class ServeEngine {
     std::uint64_t enq_ns = 0;
   };
 
-  /// Per-shard, per-round accumulation merged serially in shard order.
+  /// One round's accumulation, filled shard by shard in ascending order
+  /// (so verdicts keep a deterministic order) and merged under stats_mu_.
   struct RoundDelta {
     ServeCounters counters;
     LatencyHistogram latency;
@@ -222,16 +227,22 @@ class ServeEngine {
     std::vector<std::uint32_t> requeued;  // batch indices an abort skipped
   };
 
-  void process_shard(std::size_t shard, const std::vector<QueueEntry>& batch,
-                     const std::vector<std::uint32_t>& order,
-                     const std::vector<net::FlowKey>& keys,
-                     const std::vector<float>& features,
-                     std::uint64_t round_now, ShedStage stage,
-                     RoundDelta& delta);
+  void process_shard(std::size_t shard, std::uint64_t round_now,
+                     ShedStage stage);
   void classify_into(std::size_t shard, const FlowView& v,
                      VerdictReason reason, RoundDelta& delta);
   ShedStage evaluate_stage(std::size_t queued, std::size_t live);
-  void merge_deltas(std::vector<RoundDelta>& deltas);
+  /// Folds `delta` into stats_ and verdicts_ (caller holds stats_mu_) and
+  /// clears it for reuse.
+  void merge_delta(RoundDelta& delta);
+  /// Ring index of the i-th queued entry (caller holds queue_mu_).
+  [[nodiscard]] std::size_t ring_slot(std::size_t i) const {
+    const std::size_t j = head_ + i;
+    return j < ring_.size() ? j : j - ring_.size();
+  }
+  /// Copies `pkt` into the tail slot's buffer; the caller holds queue_mu_
+  /// and has checked that a slot is free.
+  void push_locked(const net::Packet& pkt, std::uint64_t enq_ns);
   void watchdog_loop();
 
   ServeConfig cfg_;
@@ -239,10 +250,25 @@ class ServeEngine {
   ShardedFlowTable table_;
   std::size_t feature_dim_ = 0;
 
-  // Ingest queue.
+  // Ingest ring (queue_mu_): queue_capacity + batch_size slots, so an
+  // aborted round's requeue always fits. Entry i lives at ring_slot(i).
+  // Slot buffers are never freed: offer() assigns into them and pump()
+  // swaps them with batch_'s, so frame storage is recycled, not allocated.
   mutable std::mutex queue_mu_;
-  std::deque<QueueEntry> queue_;
+  std::vector<QueueEntry> ring_;
+  std::size_t head_ = 0;   // reset to 0 whenever the ring empties
+  std::size_t count_ = 0;
   std::uint64_t peak_queue_depth_ = 0;
+
+  // Round scratch (pump_mu_), reused every round: the drained batch, its
+  // keys, parse outcomes and features, per-shard arrival order, and the
+  // round's delta.
+  std::vector<QueueEntry> batch_;
+  std::vector<net::FlowKey> keys_;
+  std::vector<std::uint8_t> kinds_;
+  std::vector<float> features_;
+  std::vector<std::vector<std::uint32_t>> order_;
+  RoundDelta delta_;
 
   // offer()-side counters (atomic: hot path, no round context).
   std::atomic<std::uint64_t> offered_{0};
@@ -253,7 +279,7 @@ class ServeEngine {
   ServeStats stats_;
   std::vector<Verdict> verdicts_;
 
-  std::mutex pump_mu_;  // serializes pump()/flush() rounds
+  std::mutex pump_mu_;  // serializes pump()/flush() rounds and the scratch
   std::atomic<std::uint64_t> virtual_now_usec_{0};
   std::atomic<std::uint32_t> stage_{0};
   std::uint64_t peak_flows_ = 0;  // under stats_mu_

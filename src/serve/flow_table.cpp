@@ -11,8 +11,9 @@ ShardedFlowTable::ShardedFlowTable(FlowTableConfig cfg) : cfg_(cfg) {
   per_shard_cap_ = (cfg_.max_flows + shards - 1) / shards;
   shards_ = std::vector<Shard>(shards);
   for (Shard& s : shards_) {
-    // Reserve the index up front so admission at capacity never rehashes;
-    // the slot/feature slabs grow on demand but are capped by touch().
+    // Reserve the index up front so admission at capacity never rehashes
+    // (each created flow still allocates one index node); the slot/feature
+    // slabs grow on demand but are capped by touch().
     s.index.reserve(per_shard_cap_);
   }
 }
@@ -89,10 +90,9 @@ ShardedFlowTable::TouchResult ShardedFlowTable::touch(std::size_t shard,
     slot.live = true;
     std::fill_n(s.features.data() + std::size_t{i} * cfg_.feature_dim,
                 cfg_.feature_dim, 0.0f);
-    s.index.emplace(key, i);
+    it = s.index.emplace(key, i).first;
     ++s.live;
     lru_push_head(s, i);
-    it = s.index.find(key);
     res.status = TouchStatus::kCreated;
   } else {
     res.status = TouchStatus::kExisting;

@@ -3,16 +3,19 @@
 // (FlowKeyHash % shards) — never by arrival thread — so the same packet
 // stream produces the same shard contents at any SUGAR_THREADS value.
 //
-// Memory bound: every shard owns a preallocated slot slab plus a flat
-// feature-accumulator slab (feature_dim floats per slot). Once a shard
-// reaches its capacity no code path allocates; admission beyond the bound
-// is an explicit policy decision (reject, or evict-to-admit at shed ladder
-// stage 3), so the table cannot OOM no matter how hostile the stream is.
+// Memory bound: every shard owns a slot slab and a flat feature-accumulator
+// slab (feature_dim floats per slot), both grown on demand up to the
+// shard's capacity and never beyond, plus a key index reserved for that
+// capacity so it never rehashes. Admission beyond the bound is an explicit
+// policy decision (reject, or evict-to-admit at shed ladder stage 3), so
+// the table cannot OOM no matter how hostile the stream is. It is not
+// allocation-free at capacity: the index is a std::unordered_map, so every
+// created flow allocates one node, freed when the flow is evicted.
 // bytes_cap() is the arithmetic bound DESIGN.md §13 quotes.
 //
-// Concurrency: each per-shard operation takes that shard's mutex, so shard
-// workers (one shard each inside the engine's parallel round), a
-// maintenance evictor and stats snapshotters can overlap freely.
+// Concurrency: each per-shard operation takes that shard's mutex, so the
+// engine's round, a maintenance evictor and stats snapshotters can overlap
+// freely.
 // LRU order is last-touch order; the tail is always the coldest flow.
 #pragma once
 
@@ -112,7 +115,7 @@ class ShardedFlowTable {
 
   /// View of a resident slot. Only valid under the guarantee that no other
   /// thread evicts this shard between touch() and the read — the engine
-  /// reads inside the same shard-worker step that touched the flow.
+  /// reads inside the same shard fold that touched the flow.
   [[nodiscard]] FlowView view(std::size_t shard, std::uint32_t slot) const;
 
   using EvictFn = std::function<void(const FlowView&)>;

@@ -246,8 +246,9 @@ SnapshotOutcome ServeEngine::save_snapshot(const std::string& path,
     {
       std::lock_guard<std::mutex> lock(queue_mu_);
       peak_queue = peak_queue_depth_;
-      put_u64(queue_sec, queue_.size());
-      for (const QueueEntry& e : queue_) {
+      put_u64(queue_sec, count_);
+      for (std::size_t i = 0; i < count_; ++i) {
+        const QueueEntry& e = ring_[ring_slot(i)];
         put_u64(queue_sec, e.pkt.ts_usec);
         put_u64(queue_sec, e.pkt.data.size());
         put_bytes(queue_sec, e.pkt.data.data(), e.pkt.data.size());
@@ -605,10 +606,10 @@ SnapshotOutcome ServeEngine::restore_snapshot(const std::string& path,
     }
     {
       std::lock_guard<std::mutex> lock(queue_mu_);
-      queue_.clear();
+      head_ = 0;
+      count_ = 0;
       const std::uint64_t ns = now_ns();
-      for (net::Packet& pkt : staged.queue)
-        queue_.push_back(QueueEntry{std::move(pkt), ns});
+      for (const net::Packet& pkt : staged.queue) push_locked(pkt, ns);
       peak_queue_depth_ = staged.peak_queue_depth;
     }
     {

@@ -19,7 +19,6 @@
 
 #include "core/chaos.h"
 #include "core/io.h"
-#include "core/threadpool.h"
 #include "serve/breaker.h"
 #include "serve/engine.h"
 #include "trafficgen/datasets.h"
@@ -31,12 +30,6 @@ using core::ChaosConfig;
 using core::ChaosInjector;
 using core::ChaosIo;
 using core::ChaosSite;
-
-class ScopedThreads {
- public:
-  explicit ScopedThreads(std::size_t n) { core::set_global_threads(n); }
-  ~ScopedThreads() { core::set_global_threads(0); }
-};
 
 /// Sets (or clears, when value is null) an env var for one test body.
 class ScopedEnv {
@@ -416,7 +409,6 @@ TEST(EngineChaos, WatchdogEscalatesAndRecovers) {
 // and as the chaos_tsan_smoke ctest case under -DSUGAR_SANITIZE=thread.
 
 TEST(ChaosTsan, StormSmoke) {
-  ScopedThreads threads(7);
   const auto stream = sample_stream();
   ChaosConfig ccfg;
   ccfg.enabled = true;
@@ -455,6 +447,15 @@ TEST(ChaosTsan, StormSmoke) {
   cfg.fallback = fallback;
   serve::ServeEngine engine(cfg, breaker);
 
+  // Rounds run on this thread; a background evictor classifies through the
+  // same breaker and injection sites at the same time.
+  std::atomic<bool> storm_done{false};
+  std::thread evictor([&] {
+    while (!storm_done.load(std::memory_order_acquire)) {
+      engine.evict_idle_now(engine.stats().gauges.virtual_now_usec + 1'000'000);
+      std::this_thread::yield();
+    }
+  });
   const std::string path = ::testing::TempDir() + "/chaos_tsan.snap";
   std::size_t pos = 0;
   for (std::size_t round = 0; pos < stream.size() && round < 64; ++round) {
@@ -463,6 +464,8 @@ TEST(ChaosTsan, StormSmoke) {
     engine.pump();
     if (round % 8 == 7) engine.save_snapshot(path, &chaos_io);  // may fail: counted
   }
+  storm_done.store(true, std::memory_order_release);
+  evictor.join();
   engine.drain();
   engine.flush();
 

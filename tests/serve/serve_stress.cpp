@@ -1,17 +1,19 @@
 // Concurrency stress for the serve engine, intended for a TSan build
 // (-DSUGAR_SANITIZE=thread; `ctest -L tsan`) but also correct — and run —
 // under plain builds. Exercises the race-prone seams: many producer
-// threads hammering offer() against the pump loop, stats() snapshotters
-// reading mid-round, an external evictor sweeping idle flows, and verdict
-// harvesting — all while the shard workers run on the shared pool.
+// threads writing into the ingest ring while the pump thread swaps batches
+// out of it and runs rounds, stats() snapshotters reading mid-round, an
+// external evictor sweeping idle flows, verdict harvesting, and a
+// checkpointer walking the ring in save_snapshot().
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
-#include "core/threadpool.h"
 #include "serve/engine.h"
 #include "trafficgen/datasets.h"
 
@@ -45,11 +47,11 @@ ServeConfig stress_config() {
 }
 
 // Producers offering packets vs the pump loop vs stats snapshotters vs an
-// idle evictor vs a verdict harvester: the full concurrent surface of the
-// engine, checked for data races (TSan) and for the accounting identity
-// packets_offered == packets_rejected + packets_processed at quiesce.
+// idle evictor vs a verdict harvester vs a checkpointer: the full
+// concurrent surface of the engine, checked for data races (TSan) and for
+// the accounting identity packets_offered == packets_rejected +
+// packets_processed at quiesce.
 TEST(ServeStress, ProducersPumpSnapshotsAndEvictor) {
-  core::set_global_threads(4);
   const auto stream = sample_stream();
   ServeEngine engine(stress_config(), zero_classifier());
 
@@ -104,6 +106,16 @@ TEST(ServeStress, ProducersPumpSnapshotsAndEvictor) {
     }
   });
 
+  // save_snapshot() quiesces rounds but not offer(): it walks the ring
+  // under the queue lock while producers keep writing into it.
+  std::thread checkpointer([&] {
+    const std::string path = ::testing::TempDir() + "/sugar_serve_stress.snap";
+    do {
+      EXPECT_TRUE(engine.save_snapshot(path).ok());
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    } while (!done.load(std::memory_order_acquire));
+  });
+
   for (auto& t : producers) t.join();
   // Producers finished: let the pump drain the residue, then quiesce.
   done.store(true, std::memory_order_release);
@@ -111,6 +123,7 @@ TEST(ServeStress, ProducersPumpSnapshotsAndEvictor) {
   snapshotter.join();
   evictor.join();
   harvester.join();
+  checkpointer.join();
   engine.flush();
 
   const ServeStats stats = engine.stats();
@@ -119,14 +132,14 @@ TEST(ServeStress, ProducersPumpSnapshotsAndEvictor) {
             stats.counters.packets_rejected + stats.counters.packets_processed);
   EXPECT_EQ(stats.gauges.current_flows, 0u);
   EXPECT_EQ(stats.counters.watchdog_stalls, 0u);
-  core::set_global_threads(0);
+  EXPECT_GE(engine.recovery().snapshots_saved, 1u);
+  EXPECT_EQ(engine.recovery().save_failures, 0u);
 }
 
 // Concurrent offer() against destruction-adjacent teardown: engines built
 // and torn down repeatedly while a watchdog thread is live must not race
 // in the dtor path.
 TEST(ServeStress, RepeatedEngineLifecycleWithWatchdog) {
-  core::set_global_threads(2);
   const auto stream = sample_stream();
   for (int round = 0; round < 8; ++round) {
     ServeConfig cfg = stress_config();
@@ -136,7 +149,6 @@ TEST(ServeStress, RepeatedEngineLifecycleWithWatchdog) {
       engine.offer(stream[i]);
     engine.pump();
   }  // dtor joins the watchdog with work still queued
-  core::set_global_threads(0);
 }
 
 }  // namespace
