@@ -231,12 +231,19 @@ perf() {
   # BENCHMARK.json workload) pick the pairs; the parent side is an export
   # of PERF_BASE, the change side this working tree.
   if [[ -n "${PERF_BASE:-}" ]]; then
-    local base
+    local base change
     base="$(mktemp -d)"
     git archive "$PERF_BASE" | tar -x -C "$base"
+    # The change side is this working tree: uncommitted edits are the
+    # change itself, so a dirty tree has no hash of its own to name.
+    if [[ -n "$(git status --porcelain)" ]]; then
+      change="(this change)"
+    else
+      change="$(git rev-parse --short HEAD)"
+    fi
     run python3 scripts/perf_ledger.py append --parent "$base" --change . \
         --pr "${PERF_PR:?PERF_PR must name the change}" --title "${PERF_TITLE:-}" \
-        --commit "$(git rev-parse --short "$PERF_BASE")..$(git describe --always --dirty)" \
+        --commit "$(git rev-parse --short "$PERF_BASE")..$change" \
         ${PERF_WORKLOADS:+--workloads "$PERF_WORKLOADS"} \
         --seeds "${PERF_SEEDS:-1,2,3,4,5,6,7,8,9,10}"
     rm -rf "${base:?}"

@@ -279,16 +279,6 @@ inline float reduce8_max(const float p[8]) {
   return mx(mx(mx(p[0], p[4]), mx(p[2], p[6])), mx(mx(p[1], p[5]), mx(p[3], p[7])));
 }
 
-/// dst[i] += a * src[i] — the GEMM microkernel row update. Elementwise, so
-/// each dst[i] keeps its accumulation order no matter the lane width.
-inline void axpy(float* dst, const float* src, float a, std::size_t n) {
-  const f32x8 va = broadcast(a);
-  std::size_t i = 0;
-  for (; i + kLanes <= n; i += kLanes)
-    storeu(dst + i, mul_add(va, loadu(src + i), loadu(dst + i)));
-  for (; i < n; ++i) dst[i] += a * src[i];
-}
-
 /// dst[i] += src[i].
 inline void vadd_inplace(float* dst, const float* src, std::size_t n) {
   std::size_t i = 0;

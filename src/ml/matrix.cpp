@@ -1,7 +1,5 @@
 #include "ml/matrix.h"
 
-#include "core/trace.h"
-
 #include <algorithm>
 #include <cmath>
 
@@ -16,12 +14,104 @@ namespace {
 namespace simd = core::simd;
 
 // Rows of the output matrix per parallel block. Fixed (never derived from
-// the thread count) so the block structure — and therefore every
-// floating-point accumulation order — is identical at any SUGAR_THREADS.
+// the thread count); the blocks only decide which thread computes a C(i,j),
+// never the order of its operations, so results are identical at any
+// SUGAR_THREADS.
 constexpr std::size_t kRowGrain = 8;
-// k-panel width: a panel of B rows (kPanel × cols floats) stays hot in L1/L2
-// while it is streamed against every A row of the block.
-constexpr std::size_t kPanel = 64;
+
+/// C[R×m] += A'[R×kk] · B[kk×m] for one R-row register tile (R = 1..4),
+/// with B and C row-major at stride m and A'(r,k) = a[r*a_rs + k*a_ks]:
+/// matmul_into walks rows of A, matmul_tn_acc columns. Each 8-column strip of the tile is loaded into R
+/// f32x8 accumulators once, takes one mul_add per k in ascending k, and is
+/// stored once. Leftover columns run the same multiply-then-add per k in
+/// scalars. The accumulators are named, not an array: as a rolled array
+/// GCC -O2 keeps them on the stack.
+template <std::size_t R>
+void gemm_tile(const float* __restrict__ a, std::size_t a_rs, std::size_t a_ks,
+               const float* __restrict__ b, float* __restrict__ c, std::size_t kk,
+               std::size_t m) {
+  static_assert(R >= 1 && R <= 4);
+  std::size_t j = 0;
+  for (; j + simd::kLanes <= m; j += simd::kLanes) {
+    float* cj = c + j;
+    simd::f32x8 c0 = simd::loadu(cj), c1 = c0, c2 = c0, c3 = c0;
+    if constexpr (R > 1) c1 = simd::loadu(cj + m);
+    if constexpr (R > 2) c2 = simd::loadu(cj + 2 * m);
+    if constexpr (R > 3) c3 = simd::loadu(cj + 3 * m);
+    for (std::size_t k = 0; k < kk; ++k) {
+      const float* ak = a + k * a_ks;
+      const simd::f32x8 b8 = simd::loadu(b + k * m + j);
+      c0 = simd::mul_add(simd::broadcast(ak[0]), b8, c0);
+      if constexpr (R > 1) c1 = simd::mul_add(simd::broadcast(ak[a_rs]), b8, c1);
+      if constexpr (R > 2) c2 = simd::mul_add(simd::broadcast(ak[2 * a_rs]), b8, c2);
+      if constexpr (R > 3) c3 = simd::mul_add(simd::broadcast(ak[3 * a_rs]), b8, c3);
+    }
+    simd::storeu(cj, c0);
+    if constexpr (R > 1) simd::storeu(cj + m, c1);
+    if constexpr (R > 2) simd::storeu(cj + 2 * m, c2);
+    if constexpr (R > 3) simd::storeu(cj + 3 * m, c3);
+  }
+  for (; j < m; ++j) {
+    float s[R];
+    for (std::size_t r = 0; r < R; ++r) s[r] = c[r * m + j];
+    for (std::size_t k = 0; k < kk; ++k) {
+      const float bkj = b[k * m + j];
+      for (std::size_t r = 0; r < R; ++r) s[r] += a[r * a_rs + k * a_ks] * bkj;
+    }
+    for (std::size_t r = 0; r < R; ++r) c[r * m + j] = s[r];
+  }
+}
+
+/// Rows [r0, r1) of C += A' · B in 4-row tiles, the leftover rows in one
+/// narrower tile. Row i of A' starts at a + i*a_rs.
+void gemm_rows(std::size_t r0, std::size_t r1, const float* a, std::size_t a_rs,
+               std::size_t a_ks, const float* b, float* c, std::size_t kk,
+               std::size_t m) {
+  std::size_t i = r0;
+  for (; i + 4 <= r1; i += 4)
+    gemm_tile<4>(a + i * a_rs, a_rs, a_ks, b, c + i * m, kk, m);
+  switch (r1 - i) {
+    case 3: gemm_tile<3>(a + i * a_rs, a_rs, a_ks, b, c + i * m, kk, m); break;
+    case 2: gemm_tile<2>(a + i * a_rs, a_rs, a_ks, b, c + i * m, kk, m); break;
+    case 1: gemm_tile<1>(a + i * a_rs, a_rs, a_ks, b, c + i * m, kk, m); break;
+    default: break;
+  }
+}
+
+/// C(i,j), C(i,j+1), C(i+1,j), C(i+1,j+1) of A·B^T as four strided-8 dots
+/// that share their row loads. Each ends as simd::dot does: the tail
+/// elements land in lanes 0.., then the fixed reduce8 tree, so each is
+/// bit-equal to simd::dot of its pair.
+void dot_2x2(const float* __restrict__ a0, const float* __restrict__ a1,
+             const float* __restrict__ b0, const float* __restrict__ b1,
+             std::size_t n, float* __restrict__ c0, float* __restrict__ c1) {
+  simd::f32x8 s00 = simd::zeros(), s01 = simd::zeros();
+  simd::f32x8 s10 = simd::zeros(), s11 = simd::zeros();
+  std::size_t k = 0;
+  for (; k + simd::kLanes <= n; k += simd::kLanes) {
+    const simd::f32x8 x0 = simd::loadu(a0 + k), x1 = simd::loadu(a1 + k);
+    const simd::f32x8 y0 = simd::loadu(b0 + k), y1 = simd::loadu(b1 + k);
+    s00 = simd::mul_add(x0, y0, s00);
+    s01 = simd::mul_add(x0, y1, s01);
+    s10 = simd::mul_add(x1, y0, s10);
+    s11 = simd::mul_add(x1, y1, s11);
+  }
+  float lanes[4][simd::kLanes];
+  simd::storeu(lanes[0], s00);
+  simd::storeu(lanes[1], s01);
+  simd::storeu(lanes[2], s10);
+  simd::storeu(lanes[3], s11);
+  for (std::size_t t = k; t < n; ++t) {
+    lanes[0][t - k] += a0[t] * b0[t];
+    lanes[1][t - k] += a0[t] * b1[t];
+    lanes[2][t - k] += a1[t] * b0[t];
+    lanes[3][t - k] += a1[t] * b1[t];
+  }
+  c0[0] = simd::reduce8(lanes[0]);
+  c0[1] = simd::reduce8(lanes[1]);
+  c1[0] = simd::reduce8(lanes[2]);
+  c1[1] = simd::reduce8(lanes[3]);
+}
 
 }  // namespace
 
@@ -50,11 +140,13 @@ void Matrix::take_rows_into(const std::vector<std::size_t>& idx,
 // mispredict tax on the inner loop, and skipping iterations breaks
 // vectorization.
 //
-// Vectorization runs along the output column j (simd::axpy): every C(i,j)
-// keeps its k-ascending accumulation order, so the SIMD kernels are
-// bit-equal to the scalar loops they replaced — at any thread count and on
-// any core::simd backend. matmul_nt is a dot-product shape instead; its
-// per-(i,j) reduction uses the strided-8 order (simd::dot).
+// Every C(i,j) sees a fixed sequence of IEEE-754 operations that depends
+// only on the shapes. matmul_into and matmul_tn_acc: start from +0 or from
+// C's current value, then one multiply and one add per k, in ascending k.
+// matmul_nt_into: the strided-8 dot of simd::dot. The register tiles only
+// decide which products run side by side in lanes, so results are bit-equal
+// to the per-element loops at any thread count and on any core::simd
+// backend.
 
 Matrix matmul(const Matrix& a, const Matrix& b) {
   Matrix c;
@@ -71,15 +163,8 @@ void matmul_into(const Matrix& a, const Matrix& b, Matrix& c) {
   SUGAR_TRACE_COUNT("ml.gemm_flops", 2 * a.rows() * kk * m);
   core::global_pool().parallel_for(
       0, a.rows(), kRowGrain, [&](std::size_t r0, std::size_t r1) {
-        for (std::size_t k0 = 0; k0 < kk; k0 += kPanel) {
-          const std::size_t k1 = std::min(kk, k0 + kPanel);
-          for (std::size_t i = r0; i < r1; ++i) {
-            const float* __restrict__ ai = a.row(i);
-            float* __restrict__ ci = c.row(i);
-            for (std::size_t k = k0; k < k1; ++k)
-              simd::axpy(ci, b.row(k), ai[k], m);
-          }
-        }
+        gemm_rows(r0, r1, a.data().data(), kk, 1, b.data().data(),
+                  c.data().data(), kk, m);
       });
 }
 
@@ -96,17 +181,12 @@ void matmul_tn_acc(const Matrix& a, const Matrix& b, Matrix& c) {
   check_internal(&c != &a && &c != &b, "matmul_tn_acc: output aliases an input");
   const std::size_t n = a.rows(), m = b.cols();
   SUGAR_TRACE_COUNT("ml.gemm_flops", 2 * n * a.cols() * m);
-  // Output rows are columns of A; each block owns rows [i0, i1) of C, and
-  // the k (sample) loop stays outermost so A and B are streamed once per
-  // block in row-major order.
+  // Output rows are columns of A: row i of A^T is A's column i, stride
+  // a.cols() along k.
   core::global_pool().parallel_for(
       0, a.cols(), kRowGrain, [&](std::size_t i0, std::size_t i1) {
-        for (std::size_t k = 0; k < n; ++k) {
-          const float* __restrict__ ak = a.row(k);
-          const float* __restrict__ bk = b.row(k);
-          for (std::size_t i = i0; i < i1; ++i)
-            simd::axpy(c.row(i), bk, ak[i], m);
-        }
+        gemm_rows(i0, i1, a.data().data(), 1, a.cols(), b.data().data(),
+                  c.data().data(), n, m);
       });
 }
 
@@ -124,9 +204,23 @@ void matmul_nt_into(const Matrix& a, const Matrix& b, Matrix& c) {
   SUGAR_TRACE_COUNT("ml.gemm_flops", 2 * a.rows() * kk * m);
   core::global_pool().parallel_for(
       0, a.rows(), kRowGrain, [&](std::size_t r0, std::size_t r1) {
-        for (std::size_t i = r0; i < r1; ++i) {
-          const float* __restrict__ ai = a.row(i);
-          float* __restrict__ ci = c.row(i);
+        std::size_t i = r0;
+        for (; i + 2 <= r1; i += 2) {
+          const float* a0 = a.row(i);
+          const float* a1 = a.row(i + 1);
+          float* c0 = c.row(i);
+          float* c1 = c.row(i + 1);
+          std::size_t j = 0;
+          for (; j + 2 <= m; j += 2)
+            dot_2x2(a0, a1, b.row(j), b.row(j + 1), kk, c0 + j, c1 + j);
+          if (j < m) {
+            c0[j] = simd::dot(a0, b.row(j), kk);
+            c1[j] = simd::dot(a1, b.row(j), kk);
+          }
+        }
+        if (i < r1) {
+          const float* ai = a.row(i);
+          float* ci = c.row(i);
           for (std::size_t j = 0; j < m; ++j) ci[j] = simd::dot(ai, b.row(j), kk);
         }
       });

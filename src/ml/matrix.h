@@ -1,10 +1,13 @@
 // Minimal dense linear algebra for the from-scratch ML stack: row-major
 // float matrices with the handful of operations the classifiers and
-// encoders need. No BLAS dependency; the GEMM kernels are cache-blocked
-// (row-partitioned ikj with k-panel tiling), vectorized along the output
-// column with core::simd's 8-lane f32x8, and run on the shared
-// core::ThreadPool (SUGAR_THREADS), with a fixed block structure so
-// results are bit-identical at any thread count and any SIMD backend.
+// encoders need. No BLAS dependency. The GEMM kernels are register tiles
+// over core::simd's 8-lane f32x8: A·B and A^T·B keep a 4×8 block of C in
+// accumulators for the whole k loop, A·B^T computes 2×2 dots that share
+// their row loads. Row blocks of C run on the shared core::ThreadPool
+// (SUGAR_THREADS). A tile only decides which products share a vector,
+// never the order of one C(i,j)'s operations (k-ascending multiply-adds,
+// or simd::dot's strided-8 order for A·B^T), so results are bit-identical
+// at any thread count and on any SIMD backend.
 //
 // Storage is 64-byte aligned (cache line / AVX-512 friendly) via a
 // drop-in allocator; the buffer type is still a std::vector

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "core/simd.h"
+#include "core/threadpool.h"
 #include "ml/guard.h"
 
 namespace sugar::ml {
@@ -56,6 +57,10 @@ void Linear::zero_grad() {
 
 namespace {
 
+// Weights per parallel Adam block. The update is elementwise, so the block
+// boundaries decide only which thread updates a weight, never its value.
+constexpr std::size_t kAdamGrain = 8192;
+
 /// One Adam parameter update over n contiguous floats. Pure elementwise —
 /// the vector body and the scalar tail evaluate the exact expression
 /// shapes of the original scalar loop, so the result is independent of
@@ -99,9 +104,15 @@ void Linear::adam_step(float lr, float beta1, float beta2, float eps) {
   ++adam_.t;
   float bc1 = 1.0f - std::pow(beta1, static_cast<float>(adam_.t));
   float bc2 = 1.0f - std::pow(beta2, static_cast<float>(adam_.t));
-  adam_update(w_.data().data(), adam_.m_w.data().data(),
-              adam_.v_w.data().data(), grad_w_.data().data(), w_.size(), lr,
-              beta1, beta2, eps, bc1, bc2);
+  float* w = w_.data().data();
+  float* m = adam_.m_w.data().data();
+  float* v = adam_.v_w.data().data();
+  const float* g = grad_w_.data().data();
+  core::global_pool().parallel_for(
+      0, w_.size(), kAdamGrain, [&](std::size_t lo, std::size_t hi) {
+        adam_update(w + lo, m + lo, v + lo, g + lo, hi - lo, lr, beta1, beta2,
+                    eps, bc1, bc2);
+      });
   adam_update(b_.data(), adam_.m_b.data(), adam_.v_b.data(), grad_b_.data(),
               b_.size(), lr, beta1, beta2, eps, bc1, bc2);
 }

@@ -1,18 +1,23 @@
-// Determinism contract of the parallel ml kernels: GEMM, forest, and k-NN
-// must produce bit-identical results at SUGAR_THREADS = 1, 2 and 7 (an odd
-// width catches remainder-partition bugs), and the blocked GEMM must match
-// a naive triple-loop reference exactly (same k-ascending accumulation
-// order, so equality is bitwise, not approximate).
+// Determinism contract of the parallel ml kernels: GEMM, forest, k-NN and
+// the MLP training step must produce bit-identical results at
+// SUGAR_THREADS = 1, 2 and 7 (an odd width catches remainder-partition
+// bugs), and each GEMM kernel must match its per-element reference exactly
+// (same operation order, so equality is bitwise, not approximate).
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <random>
+#include <string>
+#include <string_view>
 #include <vector>
 
+#include "core/artifact.h"
+#include "core/simd.h"
 #include "core/threadpool.h"
 #include "ml/forest.h"
 #include "ml/knn.h"
 #include "ml/matrix.h"
+#include "ml/nn.h"
 
 namespace sugar::ml {
 namespace {
@@ -39,8 +44,8 @@ bool bit_equal(const Matrix& a, const Matrix& b) {
                      a.size() * sizeof(float)) == 0;
 }
 
-/// Naive ikj reference with the same k-ascending accumulation order as the
-/// blocked kernel.
+/// C = A B reference: every C(i,j) starts from +0, then one multiply and
+/// one add per k, in ascending k.
 Matrix naive_matmul(const Matrix& a, const Matrix& b) {
   Matrix c(a.rows(), b.cols());
   for (std::size_t i = 0; i < a.rows(); ++i)
@@ -50,49 +55,82 @@ Matrix naive_matmul(const Matrix& a, const Matrix& b) {
   return c;
 }
 
+/// C += A^T B reference: every C(i,j) accumulates k ascending from C's
+/// current value, one multiply then one add per step.
+void naive_matmul_tn_acc(const Matrix& a, const Matrix& b, Matrix& c) {
+  for (std::size_t k = 0; k < a.rows(); ++k)
+    for (std::size_t i = 0; i < a.cols(); ++i)
+      for (std::size_t j = 0; j < b.cols(); ++j)
+        c(i, j) += a(k, i) * b(k, j);
+}
+
+/// C = A B^T reference: each C(i,j) is simd::dot of row i of A and row j
+/// of B, i.e. the strided-8 partial sums combined by reduce8.
+Matrix dot_matmul_nt(const Matrix& a, const Matrix& b) {
+  Matrix c(a.rows(), b.rows());
+  for (std::size_t i = 0; i < a.rows(); ++i)
+    for (std::size_t j = 0; j < b.rows(); ++j)
+      c(i, j) = core::simd::dot(a.row(i), b.row(j), a.cols());
+  return c;
+}
+
 const std::size_t kWidths[] = {1, 2, 7};
 
+/// {output rows, inner, output cols}. The first leaves a remainder in every
+/// tile dimension (rows % 4, rows % 2, cols % 8, cols % 2 and inner % 8
+/// all nonzero) and spans several row blocks; the rest are a 1×1, inner
+/// dimensions below one 8-lane vector, and rows/cols below one tile.
+const std::size_t kShapes[][3] = {
+    {67, 129, 43}, {1, 1, 1}, {13, 5, 19}, {1, 7, 9}, {6, 3, 1}, {9, 16, 8}};
+
+std::string shape_name(const std::size_t* s) {
+  return std::to_string(s[0]) + "x" + std::to_string(s[1]) + "x" +
+         std::to_string(s[2]);
+}
+
 TEST(ParallelDeterminism, MatmulMatchesNaiveAndAllWidths) {
-  // Odd shapes so both the row grain (8) and the k panel (64) leave
-  // remainders.
-  const Matrix a = random_matrix(67, 129, 11);
-  const Matrix b = random_matrix(129, 43, 12);
-  const Matrix ref = naive_matmul(a, b);
-  for (std::size_t w : kWidths) {
-    ScopedThreads threads(w);
-    EXPECT_TRUE(bit_equal(matmul(a, b), ref)) << "threads " << w;
+  for (const auto& s : kShapes) {
+    const Matrix a = random_matrix(s[0], s[1], 11);
+    const Matrix b = random_matrix(s[1], s[2], 12);
+    const Matrix ref = naive_matmul(a, b);
+    for (std::size_t w : kWidths) {
+      ScopedThreads threads(w);
+      EXPECT_TRUE(bit_equal(matmul(a, b), ref))
+          << shape_name(s) << " threads " << w;
+    }
   }
 }
 
 TEST(ParallelDeterminism, MatmulTnAllWidths) {
-  const Matrix a = random_matrix(129, 67, 21);  // [k×n]^T
-  const Matrix b = random_matrix(129, 43, 22);
-  Matrix ref;
-  {
-    ScopedThreads threads(1);
-    ref = matmul_tn(a, b);
-  }
-  ASSERT_EQ(ref.rows(), 67u);
-  ASSERT_EQ(ref.cols(), 43u);
-  for (std::size_t w : kWidths) {
-    ScopedThreads threads(w);
-    EXPECT_TRUE(bit_equal(matmul_tn(a, b), ref)) << "threads " << w;
+  for (const auto& s : kShapes) {
+    const Matrix a = random_matrix(s[1], s[0], 13);  // [inner×rows]^T
+    const Matrix b = random_matrix(s[1], s[2], 14);
+    const Matrix c0 = random_matrix(s[0], s[2], 15);  // non-zero start
+    Matrix ref_zero(s[0], s[2]);
+    naive_matmul_tn_acc(a, b, ref_zero);
+    Matrix ref_acc = c0;
+    naive_matmul_tn_acc(a, b, ref_acc);
+    for (std::size_t w : kWidths) {
+      ScopedThreads threads(w);
+      EXPECT_TRUE(bit_equal(matmul_tn(a, b), ref_zero))
+          << shape_name(s) << " threads " << w;
+      Matrix c = c0;
+      matmul_tn_acc(a, b, c);
+      EXPECT_TRUE(bit_equal(c, ref_acc)) << shape_name(s) << " acc, threads " << w;
+    }
   }
 }
 
 TEST(ParallelDeterminism, MatmulNtAllWidths) {
-  const Matrix a = random_matrix(67, 129, 31);
-  const Matrix b = random_matrix(43, 129, 32);  // [m×k], used transposed
-  Matrix ref;
-  {
-    ScopedThreads threads(1);
-    ref = matmul_nt(a, b);
-  }
-  ASSERT_EQ(ref.rows(), 67u);
-  ASSERT_EQ(ref.cols(), 43u);
-  for (std::size_t w : kWidths) {
-    ScopedThreads threads(w);
-    EXPECT_TRUE(bit_equal(matmul_nt(a, b), ref)) << "threads " << w;
+  for (const auto& s : kShapes) {
+    const Matrix a = random_matrix(s[0], s[1], 16);
+    const Matrix b = random_matrix(s[2], s[1], 17);  // [cols×inner]
+    const Matrix ref = dot_matmul_nt(a, b);
+    for (std::size_t w : kWidths) {
+      ScopedThreads threads(w);
+      EXPECT_TRUE(bit_equal(matmul_nt(a, b), ref))
+          << shape_name(s) << " threads " << w;
+    }
   }
 }
 
@@ -152,6 +190,37 @@ TEST(ParallelDeterminism, KnnPredictAndPurityAllWidths) {
     for (std::size_t j = 0; j < purity.histogram.size(); ++j)
       EXPECT_EQ(purity.histogram[j], ref_purity.histogram[j])
           << "bin " << j << " threads " << w;
+  }
+}
+
+/// FNV-1a over a matrix's raw float bytes.
+std::uint64_t digest_of(const Matrix& m) {
+  return core::fnv1a64(std::string_view(
+      reinterpret_cast<const char*>(m.data().data()), m.size() * sizeof(float)));
+}
+
+// Recorded before the GEMM kernels were register-tiled and before Adam ran
+// on the pool. The first layer is 131×97 = 12,707 weights: one whole
+// 8,192-element Adam block, then a block whose length is not a multiple of
+// 8. Every GEMM shape here leaves row, column and inner remainders.
+constexpr std::uint64_t kPinnedMlpOutputs = 0xf4f5596af30ec8d9ull;
+
+TEST(ParallelDeterminism, MlpAdamDigestPinnedAcrossPoolWidths) {
+  const Matrix x = random_matrix(37, 131, 61);
+  std::vector<int> y(x.rows());
+  for (std::size_t i = 0; i < y.size(); ++i) y[i] = static_cast<int>(i % 5);
+  for (std::size_t w : kWidths) {
+    ScopedThreads threads(w);
+    MlpNet net({131, 97, 5}, 62);
+    Matrix grad;
+    for (int step = 0; step < 6; ++step) {
+      net.zero_grad();
+      Matrix& logits = net.forward(x, true);
+      softmax_cross_entropy(logits, y, grad);
+      net.backward(grad);
+      net.adam_step(0.01f);
+    }
+    EXPECT_EQ(digest_of(net.forward(x, false)), kPinnedMlpOutputs) << "threads " << w;
   }
 }
 

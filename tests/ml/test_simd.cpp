@@ -133,18 +133,6 @@ TEST(SimdReductions, MatchScalarSpecAtEveryLength) {
   }
 }
 
-TEST(SimdElementwise, AxpyMatchesScalarAtEveryLength) {
-  for (std::size_t n : kLengths) {
-    auto dst = random_vec(n, 3000 + n);
-    auto src = random_vec(n, 4000 + n);
-    auto ref = dst;
-    for (std::size_t i = 0; i < n; ++i) ref[i] += 1.5f * src[i];
-    simd::axpy(dst.data(), src.data(), 1.5f, n);
-    for (std::size_t i = 0; i < n; ++i)
-      EXPECT_TRUE(bits_equal(dst[i], ref[i])) << "axpy n=" << n << " i=" << i;
-  }
-}
-
 TEST(SquaredDistance, EdgeCases) {
   // Length 0: empty sum is exactly zero.
   EXPECT_TRUE(bits_equal(squared_distance(nullptr, nullptr, 0), 0.0f));
