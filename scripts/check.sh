@@ -85,19 +85,22 @@ sanitize() {
   configure_build build-ubsan -DSUGAR_SANITIZE=undefined
   # UBSan gets the dedicated vector-kernel sweep plus the determinism gates
   # (their scalar-reference and cross-width comparisons execute every SIMD
-  # code path under the sanitizer), the trace-mode identity and the
-  # streaming gate. ctest ANDs -L with -R, hence two calls.
+  # code path under the sanitizer), the training digest pins (with the
+  # gates' MLP fit they run every network fit's shared epoch loop), the
+  # trace-mode identity and the streaming gate. ctest ANDs -L with -R,
+  # hence two calls.
   run ctest --test-dir build-ubsan --output-on-failure -j "$JOBS" -L ubsan
   run ctest --test-dir build-ubsan --output-on-failure -j "$JOBS" \
-      -R 'ParallelDeterminism\.|Simd(Reductions|Elementwise|Determinism)\.|SquaredDistance\.|ReluInplace\.|SoftmaxRows\.|ModesNeverChangeResults|^ooc_stream$'
+      -R 'ParallelDeterminism\.|Pretrain\.TrainingDigests|DownstreamModel\.FrozenFitDigests|Simd(Reductions|Elementwise|Determinism)\.|SquaredDistance\.|ReluInplace\.|SoftmaxRows\.|ModesNeverChangeResults|^ooc_stream$'
 
   configure_build build-tsan -DSUGAR_SANITIZE=thread
-  # The stress binaries plus the pool-width gates and the paged fits racing
-  # the prefetch thread. ooc_stream stays out: under TSan its RSS bound
-  # would measure TSan's shadow memory, not the fit.
+  # The stress binaries plus the pool-width gates (kernels and the training
+  # digest pins) and the paged fits racing the prefetch thread. ooc_stream
+  # stays out: under TSan its RSS bound would measure TSan's shadow memory,
+  # not the fit.
   run ctest --test-dir build-tsan --output-on-failure -j "$JOBS" -L tsan
   run ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-      -R 'ParallelDeterminism\.|PagedFitTest\.|ModesNeverChangeResults'
+      -R 'ParallelDeterminism\.|Pretrain\.TrainingDigests|DownstreamModel\.FrozenFitDigests|PagedFitTest\.|ModesNeverChangeResults'
 }
 
 bench() {

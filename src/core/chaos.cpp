@@ -5,19 +5,10 @@
 #include <thread>
 
 #include "core/envparse.h"
+#include "core/splitmix.h"
 
 namespace sugar::core {
 namespace {
-
-/// splitmix64 — the same mixer the forest's per-tree RNG streams use; one
-/// application per (seed, site, draw) triple gives an independent uniform
-/// 64-bit value per decision.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
 
 double unit_interval(std::uint64_t h) {
   // Top 53 bits -> [0, 1) with full double resolution.
@@ -70,7 +61,8 @@ bool ChaosInjector::should_fire(ChaosSite site) {
   // Site salt: spread sites far apart in the seed space so adjacent seeds
   // never alias two sites' streams.
   const std::uint64_t h =
-      mix64(cfg_.seed ^ mix64((s + 1) * 0x9E3779B97F4A7C15ull) ^ mix64(n));
+      splitmix64(cfg_.seed ^ splitmix64((s + 1) * 0x9E3779B97F4A7C15ull) ^
+                 splitmix64(n));
   const bool fire = unit_interval(h) < cfg_.probability[s];
   if (fire) fired_[s].fetch_add(1, std::memory_order_relaxed);
   return fire;

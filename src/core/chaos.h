@@ -4,10 +4,13 @@
 // (seed, site, draw-index) triple always decides the same way — chaos runs
 // are replayable the same way net::FaultInjector's frame mutations are, and
 // firing at one site never perturbs another site's stream. Draw indices are
-// per-site atomic counters; under a multi-threaded round the *assignment*
-// of draws to packets can vary with scheduling, so chaos-enabled runs are
-// outside the bit-identity contract (chaos-off runs are unaffected: every
-// injection point is a single branch on a null pointer).
+// per-site atomic counters. Serve rounds run on the pump thread, so a
+// seeded chaos run draws in stream order and replays exactly at any pool
+// width (ServeDeterminism.ChaosRunsReplayAtAllWidths) — unless a latency
+// budget or watchdog makes faults follow the wall clock, or another thread
+// (an idle evictor) classifies through the same injector. Chaos-off runs
+// are unaffected: every injection point is a single branch on a null
+// pointer.
 //
 // Sites cover the fault classes the crash-tolerance arc needs: worker
 // stalls, classifier latency spikes and hard faults, flow-table allocation

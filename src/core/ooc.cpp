@@ -6,6 +6,7 @@
 #include "core/io.h"
 #include "core/pager.h"
 #include "core/runerror.h"
+#include "core/splitmix.h"
 #include "core/trace.h"
 #include "dataset/store.h"
 #include "ml/binned.h"
@@ -46,13 +47,6 @@ std::unique_ptr<StoreReader> open_or_die(const std::string& path,
   return r;
 }
 
-std::uint64_t splitmix(std::uint64_t z) {
-  z += 0x9E3779B97F4A7C15ull;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
 }  // namespace
 
 OocResult run_ooc_scale(const OocOptions& opts) {
@@ -83,7 +77,7 @@ OocResult run_ooc_scale(const OocOptions& opts) {
     constexpr std::int32_t kFlowStride = 1 << 20;
     for (std::int32_t chunk = 0; w.rows() < opts.target_packets; ++chunk) {
       trafficgen::GenOptions gen;
-      gen.seed = splitmix(opts.seed * 0x10001ull + static_cast<std::uint64_t>(chunk));
+      gen.seed = splitmix64(opts.seed * 0x10001ull + static_cast<std::uint64_t>(chunk));
       gen.flows_per_class = 8;
       gen.spurious_fraction = 0.05;
       trafficgen::GeneratedTrace trace = trafficgen::generate_iscx_vpn(gen);
@@ -160,7 +154,7 @@ OocResult run_ooc_scale(const OocOptions& opts) {
         std::uint8_t split = 2;  // dropped
         if (kb.data[i] != 0) {
           const std::uint64_t h =
-              splitmix(static_cast<std::uint64_t>(flow[i]) ^ (opts.seed << 32));
+              splitmix64(static_cast<std::uint64_t>(flow[i]) ^ (opts.seed << 32));
           split = (h % 100) < threshold ? 0 : 1;
         }
         w.add_u8(0, split);

@@ -10,8 +10,7 @@
 //            relaxed atomic load; spans and counters are observational
 //            only, so kernel outputs are bit-identical to a build without
 //            any instrumentation (gated by TraceIntegrationTest.
-//            ModesNeverChangeResults). Compiling with
-//            -DSUGAR_TRACE_DISABLED removes even the atomic load.
+//            ModesNeverChangeResults).
 //   summary  per-phase aggregates (call count, wall ns, thread-CPU ns)
 //            and counters are kept; individual span events are not.
 //   spans    everything in summary, plus a retained per-thread event
@@ -162,17 +161,8 @@ void reset();
 // function-local static (std::map nodes are never erased, so the reference
 // cannot dangle). Because the first call names the call site's counter for
 // the rest of the process, `name` must be a string literal: the macro
-// pastes it after "" so anything else fails to compile. Both compile to
-// nothing under -DSUGAR_TRACE_DISABLED and cost one relaxed load when
-// tracing is off.
-#if defined(SUGAR_TRACE_DISABLED)
-#define SUGAR_TRACE_SPAN(name) \
-  do {                         \
-  } while (false)
-#define SUGAR_TRACE_COUNT(name, delta) \
-  do {                                 \
-  } while (false)
-#else
+// pastes it after "" so anything else fails to compile. Both cost one
+// relaxed load when tracing is off.
 #define SUGAR_TRACE_CAT2(a, b) a##b
 #define SUGAR_TRACE_CAT(a, b) SUGAR_TRACE_CAT2(a, b)
 #define SUGAR_TRACE_SPAN(name)                                    \
@@ -190,4 +180,3 @@ void reset();
           .add(static_cast<std::uint64_t>(delta));                        \
     }                                                                     \
   } while (false)
-#endif

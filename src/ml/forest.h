@@ -63,8 +63,9 @@ class RandomForest {
   /// Majority vote of the trees on one feature row, ties to the lowest
   /// class: the forest's only vote, behind predict(), the serve engine's
   /// classifier and the out-of-core evaluation. It allocates nothing after
-  /// a thread's first call and never dispatches to the pool, so serve shard
-  /// workers can call it from inside the engine's parallel round.
+  /// a thread's first call and never dispatches to the pool, so predict()'s
+  /// pool blocks call it without nesting a dispatch, and a serve round on
+  /// the pump thread pays only for the tree walks.
   [[nodiscard]] int vote(const float* row) const;
 
   /// Normalized (sums to 1) mean split-gain importance per feature.

@@ -98,15 +98,9 @@ Matrix GradientBoosting::decision_function(const Matrix& x) const {
 
 std::vector<int> GradientBoosting::predict(const Matrix& x) const {
   Matrix scores = decision_function(x);
+  if (num_outputs_ != 1) return argmax_rows(scores);
   std::vector<int> out(x.rows(), 0);
-  for (std::size_t i = 0; i < x.rows(); ++i) {
-    if (num_outputs_ == 1) {
-      out[i] = scores(i, 0) > 0 ? 1 : 0;
-    } else {
-      const float* r = scores.row(i);
-      out[i] = static_cast<int>(std::max_element(r, r + scores.cols()) - r);
-    }
-  }
+  for (std::size_t i = 0; i < x.rows(); ++i) out[i] = scores(i, 0) > 0 ? 1 : 0;
   return out;
 }
 

@@ -126,7 +126,7 @@ Matrix Matrix::take_rows(const std::vector<std::size_t>& idx) const {
   return out;
 }
 
-void Matrix::take_rows_into(const std::vector<std::size_t>& idx,
+void Matrix::take_rows_into(std::span<const std::size_t> idx,
                             Matrix& out) const {
   check_internal(&out != this, "take_rows_into: output aliases input");
   out.reshape(idx.size(), cols_);
@@ -280,6 +280,15 @@ void softmax_rows(Matrix& m) {
     for (std::size_t j = 0; j < n; ++j) r[j] = std::exp(r[j] - mx);
     simd::vscale_inplace(r, 1.0f / simd::sum(r, n), n);
   }
+}
+
+std::vector<int> argmax_rows(const Matrix& m) {
+  std::vector<int> out(m.rows(), 0);
+  for (std::size_t i = 0; i < m.rows(); ++i) {
+    const float* r = m.row(i);
+    out[i] = static_cast<int>(std::max_element(r, r + m.cols()) - r);
+  }
+  return out;
 }
 
 float squared_distance(const float* a, const float* b, std::size_t n) {

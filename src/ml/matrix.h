@@ -22,6 +22,7 @@
 #include <cassert>
 #include <cstddef>
 #include <new>
+#include <span>
 #include <vector>
 
 namespace sugar::ml {
@@ -96,7 +97,7 @@ class Matrix {
   /// Copies selected rows into a new matrix.
   [[nodiscard]] Matrix take_rows(const std::vector<std::size_t>& idx) const;
   /// Same, into a reused buffer (no allocation once `out` has capacity).
-  void take_rows_into(const std::vector<std::size_t>& idx, Matrix& out) const;
+  void take_rows_into(std::span<const std::size_t> idx, Matrix& out) const;
 
  private:
   std::size_t rows_ = 0, cols_ = 0;
@@ -131,6 +132,10 @@ void hadamard_inplace(Matrix& m, const Matrix& o);
 /// Row-wise softmax in place (numerically stabilized). Row max and sum use
 /// the strided-8 reduction order from core/simd.h.
 void softmax_rows(Matrix& m);
+
+/// Index of each row's largest element, ties to the lowest column: the
+/// class decision over a score matrix (MLP, downstream head, GBDT).
+std::vector<int> argmax_rows(const Matrix& m);
 
 /// Squared L2 distance between two float vectors of equal length, in the
 /// strided-8 reduction order from core/simd.h.

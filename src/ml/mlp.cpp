@@ -2,7 +2,6 @@
 
 #include "core/trace.h"
 
-#include <algorithm>
 #include <numeric>
 #include <random>
 
@@ -20,49 +19,30 @@ void MlpClassifier::fit(const Matrix& x, const std::vector<int>& y, int num_clas
   std::vector<std::size_t> order(x.rows());
   std::iota(order.begin(), order.end(), 0);
 
-  float best_loss = 1e30f;
-  int stall = 0;
   // Batch scratch hoisted out of the loops: with the arena-backed net this
   // makes the steady-state epoch allocation-free.
-  std::vector<std::size_t> idx;
   std::vector<int> yb;
   Matrix xb, grad;
+  auto step = [&](std::span<const std::size_t> idx) {
+    x.take_rows_into(idx, xb);
+    yb.resize(idx.size());
+    for (std::size_t i = 0; i < idx.size(); ++i) yb[i] = y[idx[i]];
+    net_.zero_grad();
+    Matrix& logits = net_.forward(xb, /*training=*/true);
+    const float loss = softmax_cross_entropy(logits, yb, grad);
+    net_.backward(grad);
+    net_.adam_step(cfg_.learning_rate);
+    return loss;
+  };
   SUGAR_TRACE_SPAN("ml.fit");
   for (int epoch = 0; epoch < cfg_.epochs; ++epoch) {
     SUGAR_TRACE_SPAN("ml.fit.epoch");
     const std::size_t allocs_before = net_.arena().heap_allocations();
-    std::shuffle(order.begin(), order.end(), rng);
-    float epoch_loss = 0;
-    std::size_t batches = 0;
-    for (std::size_t start = 0; start < order.size(); start += cfg_.batch_size) {
-      throw_if_cancelled(cfg_.cancel, "MlpClassifier::fit");
-      std::size_t end = std::min(order.size(), start + cfg_.batch_size);
-      idx.assign(order.begin() + static_cast<std::ptrdiff_t>(start),
-                 order.begin() + static_cast<std::ptrdiff_t>(end));
-      x.take_rows_into(idx, xb);
-      yb.resize(idx.size());
-      for (std::size_t i = 0; i < idx.size(); ++i) yb[i] = y[idx[i]];
-
-      net_.zero_grad();
-      Matrix& logits = net_.forward(xb, /*training=*/true);
-      epoch_loss += softmax_cross_entropy(logits, yb, grad);
-      ++batches;
-      net_.backward(grad);
-      net_.adam_step(cfg_.learning_rate);
-    }
-    epoch_loss /= static_cast<float>(std::max<std::size_t>(batches, 1));
+    train_epoch(order, cfg_.batch_size, rng, cfg_.cancel, "MlpClassifier::fit",
+                epoch, step);
     SUGAR_TRACE_COUNT("ml.epochs", 1);
     SUGAR_TRACE_COUNT("ml.arena_growths",
                       net_.arena().heap_allocations() - allocs_before);
-    check_loss_finite(epoch_loss, "MlpClassifier::fit", epoch);
-    if (cfg_.early_stop_delta > 0) {
-      if (epoch_loss < best_loss - cfg_.early_stop_delta) {
-        best_loss = epoch_loss;
-        stall = 0;
-      } else if (++stall >= cfg_.patience) {
-        break;
-      }
-    }
   }
 }
 
@@ -74,13 +54,9 @@ Matrix MlpClassifier::predict_proba(const Matrix& x) const {
 }
 
 std::vector<int> MlpClassifier::predict(const Matrix& x) const {
-  Matrix probs = predict_proba(x);
-  std::vector<int> out(x.rows(), 0);
-  for (std::size_t i = 0; i < x.rows(); ++i) {
-    const float* r = probs.row(i);
-    out[i] = static_cast<int>(std::max_element(r, r + probs.cols()) - r);
-  }
-  return out;
+  // The argmax runs over the probabilities, not the logits: softmax rounding
+  // can tie two close logits, and the tie goes to the lower class.
+  return argmax_rows(predict_proba(x));
 }
 
 }  // namespace sugar::ml

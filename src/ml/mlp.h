@@ -18,10 +18,6 @@ struct MlpConfig {
   std::size_t batch_size = 64;
   float learning_rate = 1e-3f;
   std::uint64_t seed = 29;
-  /// Stop when training loss improves less than this over `patience` epochs
-  /// (0 disables early stopping).
-  float early_stop_delta = 0.0f;
-  int patience = 5;
   /// Polled at batch granularity; fit() throws CancelledError when set.
   const CancelToken* cancel = nullptr;
 };

@@ -13,13 +13,21 @@
 // caches its forward input by pointer, not by copy; the pointed-to matrix
 // must stay alive until the matching backward() — MlpNet guarantees this
 // for its own layers (the inputs are arena slots or the caller's batch).
+//
+// Every network fit (the MLP baseline, the downstream head, MAE and
+// Pcap-Encoder pre-training) runs its epochs through train_epoch(), so
+// shuffling, batch slicing, cancellation and the divergence check exist
+// once.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <random>
+#include <span>
 #include <vector>
 
+#include "ml/guard.h"
 #include "ml/matrix.h"
 
 namespace sugar::ml {
@@ -138,5 +146,30 @@ float softmax_cross_entropy(Matrix& logits, const std::vector<int>& labels,
 /// Mean squared error: fills grad = 2(pred-target)/n and returns mean
 /// loss. `grad` is reshaped in place, reusing its capacity across batches.
 float mse_loss(const Matrix& pred, const Matrix& target, Matrix& grad);
+
+/// One minibatch epoch: shuffles `order` with `rng`, then hands each run of
+/// at most `batch_size` indices, in order, to `step`, which trains on that
+/// batch and returns its loss (it may draw from `rng` after the shuffle).
+/// `cancel` is polled before every batch (CancelledError). Returns the mean
+/// batch loss, `float` sum / `float(max(batches, 1))`, after
+/// check_loss_finite (DivergenceError names `where` and `epoch`).
+template <typename Step>
+float train_epoch(std::vector<std::size_t>& order, std::size_t batch_size,
+                  std::mt19937_64& rng, const CancelToken* cancel,
+                  const char* where, int epoch, Step&& step) {
+  check_internal(batch_size > 0, "train_epoch: batch_size must be positive");
+  std::shuffle(order.begin(), order.end(), rng);
+  float loss = 0;
+  std::size_t batches = 0;
+  for (std::size_t start = 0; start < order.size(); start += batch_size) {
+    throw_if_cancelled(cancel, where);
+    const std::size_t n = std::min(batch_size, order.size() - start);
+    loss += step(std::span<const std::size_t>(order.data() + start, n));
+    ++batches;
+  }
+  loss /= static_cast<float>(std::max<std::size_t>(batches, 1));
+  check_loss_finite(loss, where, epoch);
+  return loss;
+}
 
 }  // namespace sugar::ml

@@ -25,6 +25,7 @@
 #include <random>
 #include <vector>
 
+#include "core/splitmix.h"
 #include "ml/matrix.h"
 
 namespace sugar::ml {
@@ -35,10 +36,7 @@ class BinnedColumnSource;
 /// forest or boosted ensemble owns an independent, index-derived RNG
 /// stream, so a parallel fit is exactly the sequential fit, reordered.
 inline std::uint64_t tree_seed(std::uint64_t seed, std::uint64_t tree) {
-  std::uint64_t z = seed + 0x9E3779B97F4A7C15ull * (tree + 1);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
+  return core::splitmix64(seed + 0x9E3779B97F4A7C15ull * tree);
 }
 
 struct TreeConfig {

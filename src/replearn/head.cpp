@@ -8,15 +8,22 @@
 #include <unordered_set>
 
 namespace sugar::replearn {
+namespace {
+
+/// Width of the head's one hidden layer (the paper's two-layer MLP head).
+constexpr std::size_t kHeadHidden = 128;
+/// Epochs without a validation gain before early stopping.
+constexpr int kPatience = 4;
+
+}  // namespace
 
 DownstreamModel::DownstreamModel(std::unique_ptr<Encoder> encoder, int num_classes,
                                  DownstreamConfig cfg)
-    : encoder_(std::move(encoder)), cfg_(cfg), num_classes_(num_classes) {
-  std::vector<std::size_t> dims{encoder_->embed_dim()};
-  dims.insert(dims.end(), cfg_.head_hidden.begin(), cfg_.head_hidden.end());
-  dims.push_back(static_cast<std::size_t>(num_classes));
-  head_ = ml::MlpNet(dims, cfg_.seed);
-}
+    : encoder_(std::move(encoder)),
+      head_({encoder_->embed_dim(), kHeadHidden, static_cast<std::size_t>(num_classes)},
+            cfg.seed),
+      cfg_(cfg),
+      num_classes_(num_classes) {}
 
 void DownstreamModel::fit(const ml::Matrix& x, const std::vector<int>& y,
                           const std::vector<int>& groups) {
@@ -70,14 +77,10 @@ void DownstreamModel::fit(const ml::Matrix& x, const std::vector<int>& y,
     if (val_idx.empty()) return 0.0;
     ml::Matrix emb = cfg_.frozen ? frozen_emb.take_rows(val_idx)
                                  : encoder_->embed(x_val, false);
-    const ml::Matrix& logits = head_.forward(emb, false);
+    const std::vector<int> pred = ml::argmax_rows(head_.forward(emb, false));
     std::size_t correct = 0;
-    for (std::size_t i = 0; i < logits.rows(); ++i) {
-      const float* r = logits.row(i);
-      int pred = static_cast<int>(std::max_element(r, r + logits.cols()) - r);
-      if (pred == y_val[i]) ++correct;
-    }
-    return static_cast<double>(correct) / static_cast<double>(logits.rows());
+    for (std::size_t i = 0; i < pred.size(); ++i) correct += pred[i] == y_val[i];
+    return static_cast<double>(correct) / static_cast<double>(pred.size());
   };
 
   double best_val = -1.0;
@@ -88,44 +91,34 @@ void DownstreamModel::fit(const ml::Matrix& x, const std::vector<int>& y,
   // Batch scratch hoisted out of the epoch loop. `xb` and `emb` must
   // outlive each backward pass: the nets cache their training inputs by
   // pointer, so feeding a temporary to embed(..., true) would dangle.
-  std::vector<std::size_t> idx;
   std::vector<int> yb;
   ml::Matrix xb, emb, grad;
+  auto step = [&](std::span<const std::size_t> idx) {
+    yb.resize(idx.size());
+    for (std::size_t i = 0; i < idx.size(); ++i) yb[i] = y[idx[i]];
+    if (cfg_.frozen) {
+      frozen_emb.take_rows_into(idx, emb);
+    } else {
+      x.take_rows_into(idx, xb);
+      emb = encoder_->embed(xb, true);
+    }
+    head_.zero_grad();
+    ml::Matrix& logits = head_.forward(emb, true);
+    const float loss = ml::softmax_cross_entropy(logits, yb, grad);
+    ml::Matrix& grad_emb = head_.backward(grad);
+    head_.adam_step(cfg_.lr_head);
+    if (!cfg_.frozen) {
+      encoder_->zero_grad();
+      encoder_->backward_into(grad_emb);
+      encoder_->adam_step(cfg_.lr_encoder);
+    }
+    return loss;
+  };
   for (int epoch = 0; epoch < cfg_.epochs; ++epoch) {
     SUGAR_TRACE_SPAN("replearn.fit.epoch");
     const std::size_t allocs_before = head_.arena().heap_allocations();
-    std::shuffle(train_idx.begin(), train_idx.end(), rng);
-    float epoch_loss = 0;
-    std::size_t batches = 0;
-    for (std::size_t start = 0; start < train_idx.size(); start += cfg_.batch_size) {
-      ml::throw_if_cancelled(cfg_.cancel, "DownstreamModel::fit");
-      std::size_t end = std::min(train_idx.size(), start + cfg_.batch_size);
-      idx.assign(train_idx.begin() + static_cast<std::ptrdiff_t>(start),
-                 train_idx.begin() + static_cast<std::ptrdiff_t>(end));
-      yb.resize(idx.size());
-      for (std::size_t i = 0; i < idx.size(); ++i) yb[i] = y[idx[i]];
-
-      if (cfg_.frozen) {
-        frozen_emb.take_rows_into(idx, emb);
-      } else {
-        x.take_rows_into(idx, xb);
-        emb = encoder_->embed(xb, true);
-      }
-      head_.zero_grad();
-      ml::Matrix& logits = head_.forward(emb, true);
-      epoch_loss += ml::softmax_cross_entropy(logits, yb, grad);
-      ++batches;
-      ml::Matrix& grad_emb = head_.backward(grad);
-      head_.adam_step(cfg_.lr_head);
-
-      if (!cfg_.frozen) {
-        encoder_->zero_grad();
-        encoder_->backward_into(grad_emb);
-        encoder_->adam_step(cfg_.lr_encoder);
-      }
-    }
-    ml::check_loss_finite(epoch_loss / static_cast<float>(std::max<std::size_t>(batches, 1)),
-                          "DownstreamModel::fit", epoch);
+    ml::train_epoch(train_idx, cfg_.batch_size, rng, cfg_.cancel,
+                    "DownstreamModel::fit", epoch, step);
     SUGAR_TRACE_COUNT("ml.epochs", 1);
     SUGAR_TRACE_COUNT("ml.arena_growths",
                       head_.arena().heap_allocations() - allocs_before);
@@ -137,7 +130,7 @@ void DownstreamModel::fit(const ml::Matrix& x, const std::vector<int>& y,
         stall = 0;
         best_head = head_;
         if (!cfg_.frozen) best_encoder = encoder_->clone();
-      } else if (++stall >= cfg_.patience) {
+      } else if (++stall >= kPatience) {
         break;
       }
     }
@@ -153,13 +146,7 @@ void DownstreamModel::fit(const ml::Matrix& x, const std::vector<int>& y,
 std::vector<int> DownstreamModel::predict(const ml::Matrix& x) {
   SUGAR_TRACE_SPAN("replearn.predict");
   ml::Matrix emb = encoder_->embed(x, false);
-  const ml::Matrix& logits = head_.forward(emb, false);
-  std::vector<int> out(x.rows(), 0);
-  for (std::size_t i = 0; i < x.rows(); ++i) {
-    const float* r = logits.row(i);
-    out[i] = static_cast<int>(std::max_element(r, r + logits.cols()) - r);
-  }
-  return out;
+  return ml::argmax_rows(head_.forward(emb, false));
 }
 
 ml::Matrix DownstreamModel::embeddings(const ml::Matrix& x) {

@@ -21,14 +21,13 @@ struct DownstreamConfig {
   /// unfrozen for ET-BERT); unfrozen uses a smaller LR on the encoder.
   float lr_head = 2e-3f;
   float lr_encoder = 1e-3f;
-  std::vector<std::size_t> head_hidden = {128};
   std::uint64_t seed = 41;
 
   /// Early stopping (the paper's protocol for TrafficFormer/netFound):
-  /// a validation share is held out of the training set, and the weights
-  /// of the best validation epoch are restored at the end.
+  /// a validation share is held out of the training set, training stops
+  /// after 4 epochs without a validation gain, and the weights of the best
+  /// validation epoch are restored at the end.
   double validation_fraction = 0.15;
-  int patience = 4;
   /// When true, validation holds out whole flows (the honest policy used
   /// with the per-flow split); when false, it holds out random samples
   /// (what per-packet-split pipelines effectively did).

@@ -2,7 +2,6 @@
 
 #include "core/trace.h"
 
-#include <algorithm>
 #include <numeric>
 #include <random>
 
@@ -34,47 +33,44 @@ std::size_t MaeEncoder::param_count() const {
   return enc_.param_count() + dec_.param_count();
 }
 
-void MaeEncoder::pretrain(const ml::Matrix& x, const PretrainOptions& opts) {
-  SUGAR_TRACE_SPAN("replearn.pretrain.mae");
+void pretrain_reconstruction(ml::MlpNet& enc, ml::MlpNet& dec, const ml::Matrix& x,
+                             const PretrainOptions& opts, float mask_fraction,
+                             const char* where) {
   std::mt19937_64 rng(opts.seed);
   std::uniform_real_distribution<float> unit(0.0f, 1.0f);
   std::vector<std::size_t> order(x.rows());
   std::iota(order.begin(), order.end(), 0);
 
   // Batch scratch hoisted out of the loops; the nets' activations live in
-  // their arenas, so steady-state batches allocate nothing.
-  std::vector<std::size_t> idx;
+  // their arenas, so steady-state batches allocate nothing. The mask draws
+  // follow each epoch's shuffle on the same stream.
   ml::Matrix target, masked, grad;
+  auto step = [&](std::span<const std::size_t> idx) {
+    x.take_rows_into(idx, target);
+    masked.copy_from(target);
+    for (auto& v : masked.data())
+      if (unit(rng) < mask_fraction) v = 0.0f;
+    enc.zero_grad();
+    dec.zero_grad();
+    ml::Matrix& emb = enc.forward(masked, /*training=*/true);
+    ml::Matrix& recon = dec.forward(emb, /*training=*/true);
+    const float loss = ml::mse_loss(recon, target, grad);
+    enc.backward(dec.backward(grad));
+    dec.adam_step(opts.learning_rate);
+    enc.adam_step(opts.learning_rate);
+    return loss;
+  };
   for (int epoch = 0; epoch < opts.epochs; ++epoch) {
     SUGAR_TRACE_SPAN("replearn.pretrain.epoch");
     SUGAR_TRACE_COUNT("ml.pretrain_epochs", 1);
-    std::shuffle(order.begin(), order.end(), rng);
-    float epoch_loss = 0;
-    std::size_t batches = 0;
-    for (std::size_t start = 0; start < order.size(); start += opts.batch_size) {
-      ml::throw_if_cancelled(opts.cancel, "MaeEncoder::pretrain");
-      std::size_t end = std::min(order.size(), start + opts.batch_size);
-      idx.assign(order.begin() + static_cast<std::ptrdiff_t>(start),
-                 order.begin() + static_cast<std::ptrdiff_t>(end));
-      x.take_rows_into(idx, target);
-      masked.copy_from(target);
-      for (auto& v : masked.data())
-        if (unit(rng) < opts.mask_fraction) v = 0.0f;
-
-      enc_.zero_grad();
-      dec_.zero_grad();
-      ml::Matrix& emb = enc_.forward(masked, /*training=*/true);
-      ml::Matrix& recon = dec_.forward(emb, /*training=*/true);
-      epoch_loss += ml::mse_loss(recon, target, grad);
-      ++batches;
-      ml::Matrix& grad_emb = dec_.backward(grad);
-      enc_.backward(grad_emb);
-      dec_.adam_step(opts.learning_rate);
-      enc_.adam_step(opts.learning_rate);
-    }
-    ml::check_loss_finite(epoch_loss / static_cast<float>(std::max<std::size_t>(batches, 1)),
-                          "MaeEncoder::pretrain", epoch);
+    ml::train_epoch(order, opts.batch_size, rng, opts.cancel, where, epoch, step);
   }
+}
+
+void MaeEncoder::pretrain(const ml::Matrix& x, const PretrainOptions& opts) {
+  SUGAR_TRACE_SPAN("replearn.pretrain.mae");
+  pretrain_reconstruction(enc_, dec_, x, opts, opts.mask_fraction,
+                          "MaeEncoder::pretrain");
 }
 
 ml::Matrix MaeEncoder::embed(const ml::Matrix& x, bool training) {

@@ -11,6 +11,14 @@
 
 namespace sugar::replearn {
 
+/// Masked reconstruction pre-training of an encoder/decoder pair: each
+/// input value is zeroed with probability `mask_fraction` and the pair
+/// learns, by MSE, to reproduce the unmasked batch. MAE pre-training and
+/// Pcap-Encoder's auto-encoding phase (at half the mask rate) both run it.
+void pretrain_reconstruction(ml::MlpNet& enc, ml::MlpNet& dec, const ml::Matrix& x,
+                             const PretrainOptions& opts, float mask_fraction,
+                             const char* where);
+
 struct MaeEncoderConfig {
   std::string name = "MAE";
   std::size_t input_dim = 200;

@@ -1,8 +1,8 @@
 #include "replearn/pcap_encoder.h"
 
 #include "core/trace.h"
+#include "replearn/mae_encoder.h"
 
-#include <algorithm>
 #include <numeric>
 #include <random>
 
@@ -31,44 +31,8 @@ std::size_t PcapEncoder::param_count() const {
 void PcapEncoder::pretrain(const ml::Matrix& x, const PretrainOptions& opts) {
   if (!cfg_.enable_autoencoder_phase) return;
   SUGAR_TRACE_SPAN("replearn.pretrain.pcap_ae");
-  std::mt19937_64 rng(opts.seed);
-  std::uniform_real_distribution<float> unit(0.0f, 1.0f);
-  std::vector<std::size_t> order(x.rows());
-  std::iota(order.begin(), order.end(), 0);
-
-  // Batch scratch hoisted out of the loops; the nets' activations live in
-  // their arenas, so steady-state batches allocate nothing.
-  std::vector<std::size_t> idx;
-  ml::Matrix target, noisy, grad;
-  for (int epoch = 0; epoch < opts.epochs; ++epoch) {
-    SUGAR_TRACE_SPAN("replearn.pretrain.epoch");
-    SUGAR_TRACE_COUNT("ml.pretrain_epochs", 1);
-    std::shuffle(order.begin(), order.end(), rng);
-    float epoch_loss = 0;
-    std::size_t batches = 0;
-    for (std::size_t start = 0; start < order.size(); start += opts.batch_size) {
-      ml::throw_if_cancelled(opts.cancel, "PcapEncoder::pretrain");
-      std::size_t end = std::min(order.size(), start + opts.batch_size);
-      idx.assign(order.begin() + static_cast<std::ptrdiff_t>(start),
-                 order.begin() + static_cast<std::ptrdiff_t>(end));
-      x.take_rows_into(idx, target);
-      noisy.copy_from(target);
-      for (auto& v : noisy.data())
-        if (unit(rng) < opts.mask_fraction * 0.5f) v = 0.0f;
-
-      enc_.zero_grad();
-      dec_.zero_grad();
-      ml::Matrix& emb = enc_.forward(noisy, true);
-      ml::Matrix& recon = dec_.forward(emb, true);
-      epoch_loss += ml::mse_loss(recon, target, grad);
-      ++batches;
-      enc_.backward(dec_.backward(grad));
-      dec_.adam_step(opts.learning_rate);
-      enc_.adam_step(opts.learning_rate);
-    }
-    ml::check_loss_finite(epoch_loss / static_cast<float>(std::max<std::size_t>(batches, 1)),
-                          "PcapEncoder::pretrain", epoch);
-  }
+  pretrain_reconstruction(enc_, dec_, x, opts, opts.mask_fraction * 0.5f,
+                          "PcapEncoder::pretrain");
 }
 
 void PcapEncoder::pretrain_supervised(const ml::Matrix& x, const ml::Matrix& targets,
@@ -82,34 +46,25 @@ void PcapEncoder::pretrain_supervised(const ml::Matrix& x, const ml::Matrix& tar
   // The Q&A phase runs longer than the AE phase: it is the component the
   // paper's ablation (Table 11) finds most crucial.
   int epochs = opts.epochs * 3;
-  std::vector<std::size_t> idx;
   ml::Matrix xb, tb, grad;
+  auto step = [&](std::span<const std::size_t> idx) {
+    x.take_rows_into(idx, xb);
+    targets.take_rows_into(idx, tb);
+    enc_.zero_grad();
+    qa_head_.zero_grad();
+    ml::Matrix& emb = enc_.forward(xb, true);
+    ml::Matrix& pred = qa_head_.forward(emb, true);
+    const float loss = ml::mse_loss(pred, tb, grad);
+    enc_.backward(qa_head_.backward(grad));
+    qa_head_.adam_step(opts.learning_rate);
+    enc_.adam_step(opts.learning_rate);
+    return loss;
+  };
   for (int epoch = 0; epoch < epochs; ++epoch) {
     SUGAR_TRACE_SPAN("replearn.pretrain.epoch");
     SUGAR_TRACE_COUNT("ml.pretrain_epochs", 1);
-    std::shuffle(order.begin(), order.end(), rng);
-    float epoch_loss = 0;
-    std::size_t batches = 0;
-    for (std::size_t start = 0; start < order.size(); start += opts.batch_size) {
-      ml::throw_if_cancelled(opts.cancel, "PcapEncoder::pretrain_supervised");
-      std::size_t end = std::min(order.size(), start + opts.batch_size);
-      idx.assign(order.begin() + static_cast<std::ptrdiff_t>(start),
-                 order.begin() + static_cast<std::ptrdiff_t>(end));
-      x.take_rows_into(idx, xb);
-      targets.take_rows_into(idx, tb);
-
-      enc_.zero_grad();
-      qa_head_.zero_grad();
-      ml::Matrix& emb = enc_.forward(xb, true);
-      ml::Matrix& pred = qa_head_.forward(emb, true);
-      epoch_loss += ml::mse_loss(pred, tb, grad);
-      ++batches;
-      enc_.backward(qa_head_.backward(grad));
-      qa_head_.adam_step(opts.learning_rate);
-      enc_.adam_step(opts.learning_rate);
-    }
-    ml::check_loss_finite(epoch_loss / static_cast<float>(std::max<std::size_t>(batches, 1)),
-                          "PcapEncoder::pretrain_supervised", epoch);
+    ml::train_epoch(order, opts.batch_size, rng, opts.cancel,
+                    "PcapEncoder::pretrain_supervised", epoch, step);
   }
 }
 

@@ -108,6 +108,27 @@ TEST(ChaosInjector, SitesHaveIndependentStreams) {
   EXPECT_EQ(seq_b, mix_b);
 }
 
+// Fire patterns of the first 64 draws at p = 0.5 (bit n = draw n fired),
+// recorded before the injector's mixer moved into core/splitmix.h: the
+// (seed, site, draw) -> decision map is part of every chaos replay.
+constexpr std::uint64_t kPinnedClassifierFaultFires = 0xd632750cdb1dadb0ull;
+constexpr std::uint64_t kPinnedFlowTableAllocFires = 0x0df00a12268d331bull;
+
+TEST(ChaosInjector, FirePatternPinned) {
+  ChaosConfig cfg;
+  cfg.enabled = true;
+  cfg.seed = 2024;
+  cfg.with(ChaosSite::kClassifierFault, 0.5).with(ChaosSite::kFlowTableAlloc, 0.5);
+  ChaosInjector inj(cfg);
+  std::uint64_t fault = 0, alloc = 0;
+  for (unsigned n = 0; n < 64; ++n) {
+    if (inj.should_fire(ChaosSite::kClassifierFault)) fault |= std::uint64_t{1} << n;
+    if (inj.should_fire(ChaosSite::kFlowTableAlloc)) alloc |= std::uint64_t{1} << n;
+  }
+  EXPECT_EQ(fault, kPinnedClassifierFaultFires);
+  EXPECT_EQ(alloc, kPinnedFlowTableAllocFires);
+}
+
 TEST(ChaosInjector, ProbabilityEdges) {
   ChaosConfig cfg;
   cfg.enabled = true;

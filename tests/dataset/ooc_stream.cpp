@@ -25,6 +25,7 @@
 
 #include "core/artifact.h"
 #include "core/pager.h"
+#include "core/splitmix.h"
 #include "core/threadpool.h"
 #include "dataset/store.h"
 #include "ml/binned.h"
@@ -50,22 +51,15 @@ class ScopedThreads {
   ~ScopedThreads() { core::set_global_threads(0); }
 };
 
-std::uint64_t mix(std::uint64_t z) {
-  z += 0x9E3779B97F4A7C15ull;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
 int label(std::uint64_t r) {
-  return static_cast<int>(mix(r * 2 + 1) % kClasses);
+  return static_cast<int>(core::splitmix64(r * 2 + 1) % kClasses);
 }
 
 /// Hash noise plus a class-dependent shift, so the forest has real splits
 /// to find (all-leaf trees would make the digest gate vacuous).
 float value(std::uint64_t r, std::size_t c) {
   const int y = label(r);
-  const std::uint64_t h = mix((r << 8) ^ (c * 0x9E37u + 3));
+  const std::uint64_t h = core::splitmix64((r << 8) ^ (c * 0x9E37u + 3));
   const float base =
       static_cast<float>(h & 0xFFFFFu) / static_cast<float>(1u << 20);
   return base + 0.35f * static_cast<float>(

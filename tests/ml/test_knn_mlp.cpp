@@ -84,18 +84,6 @@ TEST(Mlp, ClassifiesClusters) {
     EXPECT_NEAR(proba(i, 0) + proba(i, 1), 1.0f, 1e-4f);
 }
 
-TEST(Mlp, EarlyStopTerminates) {
-  auto [x, y] = two_clusters(50, 8);
-  MlpConfig cfg;
-  cfg.epochs = 500;
-  cfg.early_stop_delta = 1e-4f;
-  cfg.patience = 10;
-  MlpClassifier mlp(cfg);
-  mlp.fit(x, y, 2);  // must finish quickly despite 500-epoch budget
-  auto pred = mlp.predict(x);
-  EXPECT_GT(evaluate(y, pred, 2).accuracy, 0.9);
-}
-
 TEST(Scaler, NormalizesTrainStatistics) {
   Matrix x(4, 2);
   x(0, 0) = 1; x(1, 0) = 2; x(2, 0) = 3; x(3, 0) = 4;

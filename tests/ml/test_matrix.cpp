@@ -106,6 +106,17 @@ TEST(Matrix, SoftmaxRows) {
   EXPECT_NEAR(m(1, 0), 1.0f / 3, 1e-5f);
 }
 
+TEST(Matrix, ArgmaxRowsTiesGoToLowestColumn) {
+  Matrix m(3, 4);
+  const float rows[3][4] = {{0.1f, 0.7f, 0.2f, 0.7f},
+                            {-1.0f, -2.0f, -0.5f, -3.0f},
+                            {0.25f, 0.25f, 0.25f, 0.25f}};
+  for (std::size_t i = 0; i < 3; ++i)
+    for (std::size_t j = 0; j < 4; ++j) m(i, j) = rows[i][j];
+  EXPECT_EQ(argmax_rows(m), (std::vector<int>{1, 2, 0}));
+  EXPECT_TRUE(argmax_rows(Matrix(0, 4)).empty());
+}
+
 TEST(Matrix, SquaredDistance) {
   float a[] = {0, 0, 0};
   float b[] = {1, 2, 2};

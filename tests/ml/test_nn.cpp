@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <random>
+#include <string>
 
 #include "ml/nn.h"
 
@@ -189,32 +192,88 @@ TEST(MlpNet, ZeroHeapAllocationsAfterWarmup) {
 
   // Two batch shapes per epoch (full batch of 6, remainder of 4) so the
   // warm-up epoch exercises every reshape the steady state will see.
-  std::vector<std::size_t> idx;
+  std::vector<std::size_t> order(x.rows());
+  std::iota(order.begin(), order.end(), 0);
   std::vector<int> yb;
   Matrix xb;
   Matrix grad;
-  auto train_epoch = [&]() {
-    for (std::size_t start = 0; start < x.rows(); start += 6) {
-      std::size_t end = std::min<std::size_t>(x.rows(), start + 6);
-      idx.clear();
-      for (std::size_t i = start; i < end; ++i) idx.push_back(i);
-      yb.resize(idx.size());
-      for (std::size_t i = 0; i < idx.size(); ++i) yb[i] = y[idx[i]];
-      x.take_rows_into(idx, xb);
-      net.zero_grad();
-      Matrix& logits = net.forward(xb, true);
-      softmax_cross_entropy(logits, yb, grad);
-      net.backward(grad);
-      net.adam_step(0.01f);
-    }
+  int epoch = 0;
+  auto run_epoch = [&]() {
+    train_epoch(order, 6, rng, nullptr, "ZeroHeapAllocationsAfterWarmup", epoch++,
+                [&](std::span<const std::size_t> idx) {
+                  yb.resize(idx.size());
+                  for (std::size_t i = 0; i < idx.size(); ++i) yb[i] = y[idx[i]];
+                  x.take_rows_into(idx, xb);
+                  net.zero_grad();
+                  Matrix& logits = net.forward(xb, true);
+                  const float loss = softmax_cross_entropy(logits, yb, grad);
+                  net.backward(grad);
+                  net.adam_step(0.01f);
+                  return loss;
+                });
   };
 
-  train_epoch();  // warm-up: allocations happen here, once per shape
+  run_epoch();  // warm-up: allocations happen here, once per shape
   const std::size_t after_warmup = net.arena().heap_allocations();
   EXPECT_GT(after_warmup, 0u);
-  for (int epoch = 0; epoch < 3; ++epoch) train_epoch();
+  for (int i = 0; i < 3; ++i) run_epoch();
   EXPECT_EQ(net.arena().heap_allocations(), after_warmup)
       << "training epochs after warm-up must not grow any arena buffer";
+}
+
+TEST(TrainEpoch, HandsOutTheShuffledOrderInBatches) {
+  std::vector<std::size_t> order(10);
+  std::iota(order.begin(), order.end(), 0);
+  std::mt19937_64 rng(5);
+  // The expected batches: the order shuffled by the same stream.
+  std::vector<std::size_t> shuffled = order;
+  std::mt19937_64 ref_rng(5);
+  std::shuffle(shuffled.begin(), shuffled.end(), ref_rng);
+
+  std::vector<std::vector<std::size_t>> batches;
+  const float mean = train_epoch(order, 4, rng, nullptr, "test", 0,
+                                 [&](std::span<const std::size_t> idx) {
+                                   batches.emplace_back(idx.begin(), idx.end());
+                                   return static_cast<float>(batches.size());
+                                 });
+  ASSERT_EQ(batches.size(), 3u);
+  EXPECT_EQ(batches[0].size(), 4u);
+  EXPECT_EQ(batches[1].size(), 4u);
+  EXPECT_EQ(batches[2].size(), 2u);  // the partial last batch
+  std::vector<std::size_t> seen;
+  for (const auto& b : batches) seen.insert(seen.end(), b.begin(), b.end());
+  EXPECT_EQ(seen, shuffled);
+  EXPECT_EQ(order, shuffled);
+  EXPECT_EQ(rng, ref_rng) << "the shuffle is the epoch's only draw";
+  EXPECT_EQ(mean, (1.0f + 2.0f + 3.0f) / 3.0f);
+}
+
+TEST(TrainEpoch, CancelDivergenceAndEmptyEpochs) {
+  std::vector<std::size_t> order{0, 1, 2};
+  std::mt19937_64 rng(1);
+  int calls = 0;
+  auto count = [&](std::span<const std::size_t>) {
+    ++calls;
+    return 0.5f;
+  };
+  CancelToken token;
+  token.cancel();
+  EXPECT_THROW(train_epoch(order, 2, rng, &token, "test", 0, count), CancelledError);
+  EXPECT_EQ(calls, 0) << "cancel is polled before the first batch";
+
+  try {
+    train_epoch(order, 2, rng, nullptr, "Diverging::fit", 3,
+                [](std::span<const std::size_t>) { return std::nanf(""); });
+    ADD_FAILURE() << "a NaN loss must throw";
+  } catch (const DivergenceError& e) {
+    EXPECT_NE(std::string(e.what()).find("Diverging::fit"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("epoch 3"), std::string::npos);
+  }
+
+  std::vector<std::size_t> empty;
+  EXPECT_EQ(train_epoch(empty, 2, rng, nullptr, "test", 0, count), 0.0f);
+  EXPECT_EQ(calls, 0);
+  EXPECT_THROW(train_epoch(order, 0, rng, nullptr, "test", 0, count), InternalError);
 }
 
 TEST(MlpNet, ParamCount) {

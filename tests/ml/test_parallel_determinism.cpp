@@ -1,5 +1,5 @@
-// Determinism contract of the parallel ml kernels: GEMM, forest, k-NN and
-// the MLP training step must produce bit-identical results at
+// Determinism contract of the parallel ml kernels: GEMM, forest, k-NN, the
+// MLP training step and a whole MLP fit must produce bit-identical results at
 // SUGAR_THREADS = 1, 2 and 7 (an odd width catches remainder-partition
 // bugs), and each GEMM kernel must match its per-element reference exactly
 // (same operation order, so equality is bitwise, not approximate).
@@ -17,6 +17,7 @@
 #include "ml/forest.h"
 #include "ml/knn.h"
 #include "ml/matrix.h"
+#include "ml/mlp.h"
 #include "ml/nn.h"
 
 namespace sugar::ml {
@@ -199,6 +200,12 @@ std::uint64_t digest_of(const Matrix& m) {
       reinterpret_cast<const char*>(m.data().data()), m.size() * sizeof(float)));
 }
 
+/// FNV-1a over raw label bytes.
+std::uint64_t digest_of(const std::vector<int>& v) {
+  return core::fnv1a64(std::string_view(reinterpret_cast<const char*>(v.data()),
+                                        v.size() * sizeof(int)));
+}
+
 // Recorded before the GEMM kernels were register-tiled and before Adam ran
 // on the pool. The first layer is 131×97 = 12,707 weights: one whole
 // 8,192-element Adam block, then a block whose length is not a multiple of
@@ -221,6 +228,34 @@ TEST(ParallelDeterminism, MlpAdamDigestPinnedAcrossPoolWidths) {
       net.adam_step(0.01f);
     }
     EXPECT_EQ(digest_of(net.forward(x, false)), kPinnedMlpOutputs) << "threads " << w;
+  }
+}
+
+// Recorded before the minibatch fits shared one epoch loop. 150 rows
+// leave a 22-row last batch at the default batch size of 64, and the
+// classes overlap, so the probabilities carry every weight's bits.
+constexpr std::uint64_t kPinnedMlpFitProba = 0xcc35639ae2cee50cull;
+constexpr std::uint64_t kPinnedMlpFitPredictions = 0xefd537a7d34dac47ull;
+
+TEST(ParallelDeterminism, MlpFitDigestsPinnedAcrossPoolWidths) {
+  std::mt19937_64 rng(23);
+  std::normal_distribution<float> noise(0.0f, 1.0f);
+  Matrix x(150, 6);
+  std::vector<int> y(x.rows());
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    y[i] = static_cast<int>(i % 3);
+    for (std::size_t j = 0; j < x.cols(); ++j)
+      x(i, j) = noise(rng) + (j % 3 == static_cast<std::size_t>(y[i]) ? 1.0f : 0.0f);
+  }
+  for (std::size_t w : kWidths) {
+    ScopedThreads threads(w);
+    MlpConfig cfg;
+    cfg.epochs = 6;
+    cfg.hidden = {32};
+    MlpClassifier mlp(cfg);
+    mlp.fit(x, y, 3);
+    EXPECT_EQ(digest_of(mlp.predict_proba(x)), kPinnedMlpFitProba) << "threads " << w;
+    EXPECT_EQ(digest_of(mlp.predict(x)), kPinnedMlpFitPredictions) << "threads " << w;
   }
 }
 

@@ -2,7 +2,12 @@
 
 #include <numeric>
 #include <random>
+#include <string>
+#include <string_view>
 
+#include "core/artifact.h"
+#include "core/threadpool.h"
+#include "core/trace.h"
 #include "ml/metrics.h"
 #include "replearn/head.h"
 #include "replearn/mae_encoder.h"
@@ -95,6 +100,76 @@ TEST(DownstreamModel, FlowHoldoutValidationPicksGeneralizingEpoch) {
   dm.fit(x, y, groups);
   auto pred = dm.predict(x);
   EXPECT_GT(ml::evaluate(y, pred, 2).accuracy, 0.85);
+}
+
+/// Rebuilds the global pool at a given width for the test body, then
+/// restores the env-derived width.
+class ScopedThreads {
+ public:
+  explicit ScopedThreads(std::size_t n) { core::set_global_threads(n); }
+  ~ScopedThreads() { core::set_global_threads(0); }
+};
+
+/// Records trace counters for the test body, then turns tracing off.
+class ScopedSummaryTrace {
+ public:
+  ScopedSummaryTrace() {
+    core::trace::reset();
+    core::trace::set_mode(core::trace::Mode::kSummary);
+  }
+  ~ScopedSummaryTrace() {
+    core::trace::set_mode(core::trace::Mode::kOff);
+    core::trace::reset();
+  }
+};
+
+std::uint64_t digest_of(const std::vector<int>& v) {
+  return core::fnv1a64(std::string_view(reinterpret_cast<const char*>(v.data()),
+                                        v.size() * sizeof(int)));
+}
+
+// Recorded before the minibatch fits shared one epoch loop: the frozen
+// fit with flow holdout (the per-flow tables' path), on data where
+// validation accuracy stops improving well inside the epoch budget, so
+// early stopping fires and the best epoch's head is restored.
+constexpr std::uint64_t kPinnedFrozenTrainPredictions = 0x94966b0f801444b5ull;
+constexpr std::uint64_t kPinnedFrozenProbePredictions = 0xa2bc71cb128121c6ull;
+
+TEST(DownstreamModel, FrozenFitDigestsPinnedAcrossPoolWidths) {
+  // 48 flows of 8 samples, 4 classes. Each flow carries its own offset on
+  // the class dimensions, so held-out flows cap validation accuracy.
+  std::mt19937_64 rng(17);
+  std::normal_distribution<float> noise(0.0f, 0.5f);
+  std::uniform_real_distribution<float> unif(0, 1);
+  ml::Matrix x(384, 16);
+  std::vector<int> y, groups;
+  float flow_offset = 0.0f;
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    const int flow = static_cast<int>(i / 8);
+    const int cls = flow % 4;
+    if (i % 8 == 0) flow_offset = noise(rng);
+    for (std::size_t j = 0; j < 16; ++j)
+      x(i, j) = unif(rng) + (j % 4 == static_cast<std::size_t>(cls) ? 0.8f + flow_offset : 0.0f);
+    y.push_back(cls);
+    groups.push_back(flow);
+  }
+  ml::Matrix probe(64, 16);
+  for (auto& v : probe.data()) v = 1.5f * unif(rng);
+
+  for (std::size_t w : {std::size_t{1}, std::size_t{2}, std::size_t{7}}) {
+    ScopedThreads threads(w);
+    ScopedSummaryTrace trace;
+    DownstreamConfig cfg;
+    cfg.frozen = true;
+    cfg.epochs = 40;
+    DownstreamModel dm(small_encoder(), 4, cfg);
+    dm.fit(x, y, groups);
+    EXPECT_LT(core::trace::counter("ml.epochs").value(), 40u)
+        << "early stopping must fire, threads " << w;
+    EXPECT_EQ(digest_of(dm.predict(x)), kPinnedFrozenTrainPredictions) << "threads " << w;
+    EXPECT_EQ(digest_of(dm.predict(probe)), kPinnedFrozenProbePredictions)
+        << "threads " << w;
+  }
 }
 
 TEST(ModelZoo, AllModelsConstruct) {

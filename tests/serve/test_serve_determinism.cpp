@@ -13,8 +13,10 @@
 #include <string>
 #include <vector>
 
+#include "core/chaos.h"
 #include "core/threadpool.h"
 #include "net/fault.h"
+#include "serve/breaker.h"
 #include "serve/engine.h"
 #include "trafficgen/datasets.h"
 
@@ -79,9 +81,11 @@ using Schedule = std::function<std::size_t(std::size_t round)>;
 
 RunResult run_stream(const std::vector<net::Packet>& stream,
                      const ServeConfig& cfg, const Schedule& per_round,
-                     std::size_t width) {
+                     std::size_t width,
+                     std::shared_ptr<const FlowClassifier> classifier =
+                         parity_classifier()) {
   ScopedThreads threads(width);
-  ServeEngine engine(cfg, parity_classifier());
+  ServeEngine engine(cfg, std::move(classifier));
   std::size_t i = 0;
   for (std::size_t round = 0; i < stream.size(); ++round) {
     const std::size_t n = per_round(round);
@@ -170,6 +174,73 @@ TEST(ServeDeterminism, FaultedStreamsStayDeterministic) {
     const auto ref = run_stream(stream, calm_config(), kSteady48, 1);
     for (const std::size_t width : kWidths)
       expect_same(ref, run_stream(stream, calm_config(), kSteady48, width), width);
+  }
+}
+
+TEST(ServeDeterminism, ChaosRunsReplayAtAllWidths) {
+  // Rounds run on the pump thread, so every injection site draws in stream
+  // order: a seeded chaos run replays exactly, at any pool width. No
+  // latency budget and no watchdog, so no fault depends on the clock.
+  const auto stream = sample_stream(/*spurious=*/0.05);
+  core::ChaosConfig ccfg;
+  ccfg.enabled = true;
+  ccfg.seed = 606;
+  ccfg.with(core::ChaosSite::kClassifierFault, 0.4)
+      .with(core::ChaosSite::kFlowTableAlloc, 0.05);
+  const auto primary = parity_classifier();
+  const HeuristicClassifier fallback(primary->feature_dim(), 4,
+                                     [](const float*) { return 0; });
+  BreakerConfig bcfg;
+  bcfg.failure_threshold = 2;
+  bcfg.open_cooldown_calls = 4;
+  bcfg.half_open_successes = 2;
+
+  struct ChaosRun {
+    RunResult serve;
+    BreakerCounters breaker;
+    std::vector<std::string> transitions;
+    std::vector<std::uint64_t> site_draws;  // draws then fires, per site
+  };
+  auto run = [&](std::size_t width) {
+    core::ChaosInjector chaos(ccfg);
+    auto breaker =
+        std::make_shared<CircuitBreakerClassifier>(*primary, fallback, bcfg, &chaos);
+    ServeConfig cfg = calm_config();
+    cfg.chaos = &chaos;
+    ChaosRun out;
+    out.serve = run_stream(stream, cfg, kSteady64, width, breaker);
+    out.breaker = breaker->counters();
+    for (const BreakerTransition& t : breaker->transitions())
+      out.transitions.push_back(std::string(to_string(t.from)) + ">" +
+                                to_string(t.to) + "@" + std::to_string(t.at_call));
+    for (std::size_t s = 0; s < core::kChaosSiteCount; ++s) {
+      const auto site = static_cast<core::ChaosSite>(s);
+      out.site_draws.push_back(chaos.draws(site));
+      out.site_draws.push_back(chaos.fired(site));
+    }
+    return out;
+  };
+  auto breaker_values = [](const BreakerCounters& c) {
+    return std::vector<std::uint64_t>{c.primary_calls, c.fallback_calls,
+                                      c.faults_latency, c.faults_injected,
+                                      c.trips,         c.probes,
+                                      c.probe_failures, c.recoveries};
+  };
+
+  const ChaosRun ref = run(1);
+  ASSERT_FALSE(ref.serve.verdicts.empty());
+  EXPECT_GT(ref.breaker.faults_injected, 0u);
+  EXPECT_GT(ref.breaker.recoveries, 0u);
+  EXPECT_GT(ref.serve.counters.flows_rejected_full, 0u);
+  for (const std::size_t width : kWidths) {
+    for (int pass = 0; pass < 2; ++pass) {
+      const ChaosRun got = run(width);
+      expect_same(ref.serve, got.serve, width);
+      EXPECT_EQ(breaker_values(ref.breaker), breaker_values(got.breaker))
+          << "width " << width;
+      EXPECT_EQ(ref.transitions, got.transitions) << "width " << width;
+      EXPECT_EQ(ref.site_draws, got.site_draws) << "width " << width;
+    }
   }
 }
 
