@@ -24,7 +24,8 @@ inline std::string ac_f1(const ml::Metrics& m) {
 }
 
 /// Parses the strict bench CLI (--json / --resume / --cell-timeout-s /
-/// --max-retries); malformed or unknown flags print usage and exit 2.
+/// --max-retries / --trace); malformed or unknown flags print usage and
+/// exit 2.
 inline core::RunSupervisor make_supervisor(std::string_view bench_name, int argc,
                                            const char* const* argv) {
   std::string error;
@@ -38,10 +39,8 @@ inline core::RunSupervisor make_supervisor(std::string_view bench_name, int argc
   return core::RunSupervisor(std::move(*cfg));
 }
 
-/// A batch of independent cells for RunSupervisor::run_cells — with
-/// `--parallel-cells N` up to N of them execute concurrently, each keeping
-/// the full per-cell boundary (watchdog, retry, journal). The artifact
-/// cells[] order follows add() order regardless of completion order.
+/// Cells collected first and run later, one at a time in add() order;
+/// run() returns their outcomes in that order.
 struct CellBatch {
   std::vector<core::CellSpec> specs;
   std::vector<core::RunSupervisor::CellFn> fns;
@@ -52,7 +51,11 @@ struct CellBatch {
   }
 
   [[nodiscard]] std::vector<core::CellOutcome> run(core::RunSupervisor& sup) {
-    return sup.run_cells(specs, fns);
+    std::vector<core::CellOutcome> outcomes;
+    outcomes.reserve(specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i)
+      outcomes.push_back(sup.run_cell(specs[i], fns[i]));
+    return outcomes;
   }
 };
 

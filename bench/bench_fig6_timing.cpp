@@ -7,9 +7,8 @@
 // This bench also carries the substrate's sequential-vs-parallel probe: a
 // fixed forest fit timed at 1 thread and at the configured pool width, with
 // bit-identical-prediction verification and the speedup recorded in the
-// artifact. The per-model cells run as one batch through
-// RunSupervisor::run_cells, so `--parallel-cells N` executes up to N model
-// scenarios concurrently.
+// artifact. The per-model cells run one at a time, so each cell's timing
+// has the whole machine to itself.
 #include <random>
 
 #include "bench_common.h"
@@ -21,8 +20,8 @@ using namespace sugar;
 namespace {
 
 /// Substrate probe cell: same forest fit at 1 thread vs the configured
-/// pool. Runs before (and outside) the parallel batch because it resizes
-/// the global pool, which must only happen at a quiescent point.
+/// pool. Runs before the model cells because it resizes the global pool,
+/// which must only happen at a quiescent point.
 core::CellSummary substrate_probe() {
   ml::Matrix x(360, 18);
   std::mt19937_64 rng(97);
@@ -86,8 +85,7 @@ int main(int argc, char** argv) {
   const double rf_test =
       rf.ok() && rf.summary.test_seconds > 0 ? rf.summary.test_seconds : 1.0;
 
-  // One batch of independent (model × frozen/unfrozen) cells; with
-  // --parallel-cells N the supervisor runs up to N of them concurrently.
+  // One batch of independent (model × frozen/unfrozen) cells.
   const auto kinds = replearn::all_model_kinds();
   bench::CellBatch batch;
   for (auto kind : kinds) {

@@ -381,7 +381,6 @@ core::CellSummary run_chaos_cell(const std::vector<net::Packet>& stream,
                                  std::uint64_t seed, ChaosMode mode,
                                  std::size_t total_packets) {
   core::ChaosConfig ccfg;
-  ccfg.enabled = true;
   ccfg.seed = seed;
   ccfg.stall_usec = 200;
   ccfg.classifier_delay_usec = 200;

@@ -32,9 +32,9 @@ int run_scale_mode(core::RunSupervisor& sup, std::uint64_t scale) {
   core::CellSpec spec{
       "table8", "RF out-of-core", std::to_string(scale) + " packets",
       core::generic_cell_key({"ooc_scale", std::to_string(scale),
-                              std::to_string(opts.seed),
-                              std::to_string(opts.group_rows),
-                              std::to_string(opts.forest_trees)})};
+                              std::to_string(core::kOocSeed),
+                              std::to_string(core::kOocGroupRows),
+                              std::to_string(core::kOocForestTrees)})};
   auto outcome = sup.run_cell(spec, [&](core::CellContext&) {
     const core::OocResult res = core::run_ooc_scale(opts);
     core::CellSummary s;

@@ -43,10 +43,10 @@ bool load(const char* path, std::string& out) {
 // width, and the whole observability section). schema_version is
 // volatile too because SUGAR_TRACE flips it between 2 and 4.
 constexpr const char* kVolatileKeys[] = {
-    "schema_version", "trace",          "wall_seconds",
-    "train_seconds",  "test_seconds",   "seq_seconds",
-    "par_seconds",    "speedup",        "threads",
-    "parallel_cells", "cpu_seconds",
+    "schema_version", "trace",        "wall_seconds",
+    "train_seconds",  "test_seconds", "seq_seconds",
+    "par_seconds",    "speedup",      "threads",
+    "cpu_seconds",
 };
 
 bool is_volatile_key(const std::string& key) {
@@ -476,16 +476,12 @@ bool check(const char* path) {
   if (!cells || !cells->is_array()) return fail(path, "missing cells array");
 
   if (v2) {
-    // Schema 2: the run's parallel-substrate configuration must be
-    // attributable — compute-pool width and cell-level concurrency.
+    // Schema 2: the run's compute-pool width must be attributable.
     const Json* config = doc->find("config");
     if (!config || !config->is_object()) return fail(path, "missing config object");
     const Json* threads = config->find("threads");
     if (!threads || threads->number_or(0) < 1)
       return fail(path, "config.threads missing or < 1");
-    const Json* par = config->find("parallel_cells");
-    if (!par || par->number_or(0) < 1)
-      return fail(path, "config.parallel_cells missing or < 1");
   }
 
   if (v4) {

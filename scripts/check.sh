@@ -118,8 +118,8 @@ trace() {
   run ctest --test-dir build-check --output-on-failure -L trace
   run ctest --test-dir build-check --output-on-failure -j "$JOBS" \
       -R 'TraceTest\.|TraceIntegrationTest\.'
-  # Concurrent span emission under TSan: emitters racing snapshotters and
-  # the supervisor's parallel cell crews.
+  # Concurrent span emission under TSan: emitters, some dispatching to the
+  # pool, racing snapshotters.
   configure_build build-tsan -DSUGAR_SANITIZE=thread
   run ctest --test-dir build-tsan --output-on-failure -R tsan_stress_trace
   # Profiling harness: one traced Fig 6 run, its artifact and chrome dump

@@ -1,10 +1,8 @@
 #include "core/chaos.h"
 
 #include <chrono>
-#include <cstdlib>
 #include <thread>
 
-#include "core/envparse.h"
 #include "core/splitmix.h"
 
 namespace sugar::core {
@@ -31,32 +29,11 @@ const char* to_string(ChaosSite site) {
   return "?";
 }
 
-ChaosConfig ChaosConfig::from_env() {
-  ChaosConfig cfg;
-  const char* s = std::getenv("SUGAR_CHAOS");
-  if (!s) return cfg;
-  std::uint64_t seed = 0;
-  if (!parse_env_number("SUGAR_CHAOS", s, seed) || seed == 0) return cfg;
-  cfg.enabled = true;
-  cfg.seed = seed;
-  // Ambient smoke probabilities: frequent enough that a short run exercises
-  // every site, rare enough that the engine keeps making progress.
-  cfg.with(ChaosSite::kShardStall, 0.01)
-      .with(ChaosSite::kClassifierDelay, 0.02)
-      .with(ChaosSite::kClassifierFault, 0.02)
-      .with(ChaosSite::kFlowTableAlloc, 0.02)
-      .with(ChaosSite::kIoWriteFail, 0.10)
-      .with(ChaosSite::kIoShortWrite, 0.10)
-      .with(ChaosSite::kIoRenameFail, 0.05);
-  cfg.stall_usec = 2'000;  // keep ambient stalls short of any watchdog
-  return cfg;
-}
-
 ChaosInjector::ChaosInjector(ChaosConfig cfg) : cfg_(cfg) {}
 
 bool ChaosInjector::should_fire(ChaosSite site) {
   const auto s = static_cast<std::size_t>(site);
-  if (!cfg_.enabled || cfg_.probability[s] <= 0.0) return false;
+  if (cfg_.probability[s] <= 0.0) return false;
   const std::uint64_t n = draws_[s].fetch_add(1, std::memory_order_relaxed);
   // Site salt: spread sites far apart in the seed space so adjacent seeds
   // never alias two sites' streams.
@@ -85,7 +62,6 @@ bool ChaosInjector::maybe_stall(ChaosSite site, const std::atomic<bool>* cancel)
 
 Json ChaosInjector::to_json() const {
   Json j = Json::object();
-  j.set("enabled", Json(cfg_.enabled));
   j.set("seed", Json(static_cast<std::size_t>(cfg_.seed)));
   Json sites = Json::array();
   for (std::size_t s = 0; s < kChaosSiteCount; ++s) {

@@ -41,10 +41,9 @@ constexpr std::size_t kChaosSiteCount = static_cast<std::size_t>(ChaosSite::kCou
 const char* to_string(ChaosSite site);
 
 struct ChaosConfig {
-  bool enabled = false;
   std::uint64_t seed = 0;
   /// Per-site fire probability in [0, 1]; default 0 everywhere, so a
-  /// default-constructed config injects nothing even when enabled.
+  /// default-constructed config injects nothing.
   std::array<double, kChaosSiteCount> probability{};
   /// Sleep applied when kShardStall fires.
   std::uint64_t stall_usec = 20'000;
@@ -55,11 +54,6 @@ struct ChaosConfig {
     probability[static_cast<std::size_t>(site)] = p;
     return *this;
   }
-
-  /// SUGAR_CHAOS=<seed> (strict from_chars; absent, malformed or 0 leaves
-  /// chaos off). A valid non-zero seed enables every site at a moderate
-  /// ambient probability — the chaos-smoke configuration.
-  static ChaosConfig from_env();
 };
 
 class ChaosInjector {
@@ -67,10 +61,9 @@ class ChaosInjector {
   explicit ChaosInjector(ChaosConfig cfg);
 
   [[nodiscard]] const ChaosConfig& config() const { return cfg_; }
-  [[nodiscard]] bool enabled() const { return cfg_.enabled; }
 
   /// Draws the site's next decision (advances its draw counter). Always
-  /// false when disabled or the site probability is 0.
+  /// false, without a draw, when the site probability is 0.
   bool should_fire(ChaosSite site);
 
   /// should_fire + the site's configured sleep (kShardStall /

@@ -87,11 +87,10 @@ class BenchmarkEnv {
                      const trafficgen::TraceVariant& variant);
 
   EnvConfig cfg_;
-  /// Guards every lazily-built cache so concurrent supervisor cells
-  /// (--parallel-cells) can share one env. Recursive because pretrained()
-  /// reaches backbone() and task_dataset() reaches ensure_source(). The
-  /// first accessor pays generation/pre-training under the lock; later
-  /// concurrent readers get the cached object.
+  /// Guards every lazily-built cache, so threads can share one env.
+  /// Recursive because pretrained() reaches backbone() and task_dataset()
+  /// reaches ensure_source(). The first accessor pays generation/pre-training under
+  /// the lock; later readers get the cached object.
   mutable std::recursive_mutex mu_;
   std::map<dataset::SourceDataset, trafficgen::GeneratedTrace> traces_;
   std::map<dataset::SourceDataset, dataset::CleaningReport> cleaning_;

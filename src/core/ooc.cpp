@@ -28,6 +28,13 @@ using dataset::StoreError;
 using dataset::StoreReader;
 using dataset::StoreWriter;
 
+// The rest of the pipeline's fixed settings (ooc.h has the three that name
+// a run).
+constexpr int kBins = 64;                    // quantization bins per feature
+constexpr int kMaxDepth = 12;                // forest tree depth
+constexpr int kFeaturesPerSplit = 6;         // candidate features per split
+constexpr std::uint64_t kTrainPercent = 80;  // flow-hash split: train share
+
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
@@ -73,11 +80,11 @@ OocResult run_ooc_scale(const OocOptions& opts) {
                    {"ts", ColumnType::U64, {}},
                    {"cls", ColumnType::I32, {}},
                    {"flow", ColumnType::I32, {}}},
-                  {.group_rows = opts.group_rows});
+                  {.group_rows = kOocGroupRows});
     constexpr std::int32_t kFlowStride = 1 << 20;
     for (std::int32_t chunk = 0; w.rows() < opts.target_packets; ++chunk) {
       trafficgen::GenOptions gen;
-      gen.seed = splitmix64(opts.seed * 0x10001ull + static_cast<std::uint64_t>(chunk));
+      gen.seed = splitmix64(kOocSeed * 0x10001ull + static_cast<std::uint64_t>(chunk));
       gen.flows_per_class = 8;
       gen.spurious_fraction = 0.05;
       trafficgen::GeneratedTrace trace = trafficgen::generate_iscx_vpn(gen);
@@ -107,7 +114,7 @@ OocResult run_ooc_scale(const OocOptions& opts) {
   std::uint64_t rows_kept = 0;
   {
     StoreWriter w(keep_path, {{"keep", ColumnType::U8, {}}},
-                  {.group_rows = opts.group_rows});
+                  {.group_rows = kOocGroupRows});
     RowBlockCursor cur(*packets, {0, 2});  // bytes, cls
     std::vector<ColumnBlock> blocks;
     net::Packet pkt;
@@ -140,13 +147,11 @@ OocResult run_ooc_scale(const OocOptions& opts) {
   {
     auto keep = open_or_die(keep_path, "open keep");
     StoreWriter w(split_path, {{"split", ColumnType::U8, {}}},
-                  {.group_rows = opts.group_rows});
+                  {.group_rows = kOocGroupRows});
     RowBlockCursor pcur(*packets, {3});  // flow
     dataset::ColumnCursor kcur(*keep, 0);
     std::vector<ColumnBlock> blocks;
     ColumnBlock kb;
-    const auto threshold =
-        static_cast<std::uint64_t>(opts.train_fraction * 100.0);
     while (pcur.next(blocks, &serr)) {
       if (!kcur.next(kb, &serr)) break;
       const std::int32_t* flow = blocks[0].as<std::int32_t>();
@@ -154,8 +159,8 @@ OocResult run_ooc_scale(const OocOptions& opts) {
         std::uint8_t split = 2;  // dropped
         if (kb.data[i] != 0) {
           const std::uint64_t h =
-              splitmix64(static_cast<std::uint64_t>(flow[i]) ^ (opts.seed << 32));
-          split = (h % 100) < threshold ? 0 : 1;
+              splitmix64(static_cast<std::uint64_t>(flow[i]) ^ (kOocSeed << 32));
+          split = (h % 100) < kTrainPercent ? 0 : 1;
         }
         w.add_u8(0, split);
         if (!w.end_row(&serr)) die(serr, "split");
@@ -177,8 +182,8 @@ OocResult run_ooc_scale(const OocOptions& opts) {
     std::vector<ColumnSpec> fschema;
     for (const auto& name : fnames) fschema.push_back({name, ColumnType::F32, {}});
     fschema.push_back({"y", ColumnType::I32, {}});
-    StoreWriter wtrain(train_path, fschema, {.group_rows = opts.group_rows});
-    StoreWriter wtest(test_path, fschema, {.group_rows = opts.group_rows});
+    StoreWriter wtrain(train_path, fschema, {.group_rows = kOocGroupRows});
+    StoreWriter wtest(test_path, fschema, {.group_rows = kOocGroupRows});
 
     auto split = open_or_die(split_path, "open split");
     RowBlockCursor pcur(*packets, {0, 1, 2});  // bytes, ts, cls
@@ -227,7 +232,7 @@ OocResult run_ooc_scale(const OocOptions& opts) {
   {
     std::vector<ml::ColumnSketch> sketches;
     sketches.reserve(nfeat);
-    for (std::size_t f = 0; f < nfeat; ++f) sketches.emplace_back(opts.bins);
+    for (std::size_t f = 0; f < nfeat; ++f) sketches.emplace_back(kBins);
     std::vector<std::size_t> fcols(nfeat);
     for (std::size_t f = 0; f < nfeat; ++f) fcols[f] = f;
     RowBlockCursor cur(*train, fcols);
@@ -246,7 +251,7 @@ OocResult run_ooc_scale(const OocOptions& opts) {
     for (std::size_t f = 0; f < nfeat; ++f)
       cschema.push_back({fnames[f], ColumnType::U8, cuts[f]});
     StoreWriter w(codes_path, cschema,
-                  {.group_rows = opts.group_rows, .bins = opts.bins});
+                  {.group_rows = kOocGroupRows, .bins = kBins});
     RowBlockCursor cur2(*train, fcols);
     while (cur2.next(blocks, &serr)) {
       for (std::uint32_t i = 0; i < blocks[0].nrows; ++i) {
@@ -282,11 +287,11 @@ OocResult run_ooc_scale(const OocOptions& opts) {
   for (std::size_t f = 0; f < nfeat; ++f) code_cols[f] = f;
   dataset::PagedCodeSource src(*codes, code_cols);
   ml::ForestConfig fcfg;
-  fcfg.num_trees = opts.forest_trees;
-  fcfg.tree.max_depth = opts.max_depth;
-  fcfg.tree.features_per_split = opts.features_per_split;
-  fcfg.tree.histogram_bins = opts.bins;
-  fcfg.seed = opts.seed;
+  fcfg.num_trees = kOocForestTrees;
+  fcfg.tree.max_depth = kMaxDepth;
+  fcfg.tree.features_per_split = kFeaturesPerSplit;
+  fcfg.tree.histogram_bins = kBins;
+  fcfg.seed = kOocSeed;
   ml::RandomForest forest(fcfg);
   forest.fit_binned(src, y_train, num_classes);
   const double fit_s = seconds_since(t0);
@@ -361,12 +366,10 @@ OocResult run_ooc_scale(const OocOptions& opts) {
       .set("peak_rss_bytes", Json(static_cast<double>(peak_rss_bytes())))
       .set("timings", timings);
 
-  if (!opts.keep_files) {
-    Io& io = real_io();
-    for (const auto& p : {packets_path, keep_path, split_path, train_path,
-                          test_path, codes_path})
-      io.remove_file(p);
-  }
+  Io& io = real_io();
+  for (const auto& p : {packets_path, keep_path, split_path, train_path,
+                        test_path, codes_path})
+    io.remove_file(p);
   return res;
 }
 

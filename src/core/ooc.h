@@ -22,8 +22,7 @@
 //
 // Determinism: every stage is sequential in row order or delegates to the
 // one-feature-per-worker parallel contracts, so the result digest is a
-// pure function of (scale, seed) at any SUGAR_THREADS, page-cache budget
-// or group size.
+// pure function of the scale at any SUGAR_THREADS or page-cache budget.
 #pragma once
 
 #include <cstdint>
@@ -33,21 +32,19 @@
 
 namespace sugar::core {
 
+/// The pipeline's seed, rows per store page group and forest size. With
+/// the scale they name a run, so bench_table8_shallow keys its journal
+/// cell on them.
+inline constexpr std::uint64_t kOocSeed = 5;
+inline constexpr std::size_t kOocGroupRows = 65536;
+inline constexpr int kOocForestTrees = 8;
+
 struct OocOptions {
-  /// Directory for the intermediate store files (created by the caller).
+  /// Directory for the intermediate store files (created by the caller;
+  /// the run removes the stores it wrote there).
   std::string dir;
   /// Stop generating once the packet store holds at least this many rows.
   std::uint64_t target_packets = 200000;
-  std::uint64_t seed = 5;
-  /// Rows per store page group — the page-size knob.
-  std::size_t group_rows = 65536;
-  int bins = 64;
-  int forest_trees = 8;
-  int max_depth = 12;
-  int features_per_split = 6;
-  double train_fraction = 0.8;
-  /// Leave the store files on disk after the run (debugging).
-  bool keep_files = false;
 };
 
 struct OocResult {

@@ -7,7 +7,6 @@
 #include <unordered_map>
 
 #include "core/envparse.h"
-#include "core/trace.h"
 
 namespace sugar::core {
 
@@ -98,7 +97,6 @@ void PageCache::evict_to_budget(Shard& s) {
     s.lru_pos.erase(*it);
     it = s.lru.erase(it);
     evictions_.fetch_add(1, std::memory_order_relaxed);
-    SUGAR_TRACE_COUNT("pager.evict", 1);
   }
 }
 
@@ -120,7 +118,6 @@ bool PageCache::load_into(PageKey key, const Loader& loader, std::string* error,
     if (pos != s.lru_pos.end())
       s.lru.splice(s.lru.begin(), s.lru, pos->second);
     hits_.fetch_add(1, std::memory_order_relaxed);
-    SUGAR_TRACE_COUNT("pager.hit", 1);
     if (out_pin) *out_pin = Pin(std::move(entry));
     return true;
   }
@@ -130,7 +127,6 @@ bool PageCache::load_into(PageKey key, const Loader& loader, std::string* error,
   entry->key = key;
   s.map.emplace(key, entry);
   misses_.fetch_add(1, std::memory_order_relaxed);
-  SUGAR_TRACE_COUNT("pager.miss", 1);
   lock.unlock();
 
   std::string err;
@@ -187,7 +183,6 @@ void PageCache::prefetch(PageKey key, Loader loader) {
     pf_queue_.emplace_back(key, std::move(loader));
     prefetch_issued_.fetch_add(1, std::memory_order_relaxed);
     inflight_.fetch_add(1, std::memory_order_relaxed);
-    SUGAR_TRACE_COUNT("pager.prefetch_issued", 1);
     if (!pf_started_) {
       pf_started_ = true;
       pf_thread_ = std::thread([this] { prefetch_loop(); });

@@ -10,8 +10,8 @@
 // enqueues (key, loader); the thread loads the page into the cache
 // unpinned so the next sequential get() hits. The thread is started
 // lazily on the first hint and joins in the destructor. Hit/miss/evict/
-// prefetch counters are kept as internal atomics (always on, cheap) and
-// mirrored into core::trace counters when tracing is enabled.
+// prefetch counters are internal atomics (always on, cheap), read through
+// stats(); they are the counts' only source.
 //
 // Determinism: the cache only affects WHERE bytes are read from (disk vs
 // memory), never their values — loaders must be pure functions of the key.

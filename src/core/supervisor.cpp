@@ -1,7 +1,6 @@
 #include "core/supervisor.h"
 
 #include <algorithm>
-#include <atomic>
 #include <charconv>
 #include <cmath>
 #include <condition_variable>
@@ -141,7 +140,6 @@ std::string bench_usage(std::string_view bench_name) {
   u += "  --resume <journal>       resume from a JSONL journal, skipping ok cells\n";
   u += "  --cell-timeout-s <n>     wall-clock watchdog deadline per cell (n > 0)\n";
   u += "  --max-retries <n>        divergence retries per cell (n >= 0)\n";
-  u += "  --parallel-cells <n>     run up to n independent cells concurrently (n >= 1)\n";
   u += "  --trace <path>           force SUGAR_TRACE=spans and write a chrome://tracing\n";
   u += "                           trace_event JSON to <path> on finalize\n";
   return u;
@@ -191,16 +189,6 @@ std::optional<SupervisorConfig> parse_bench_cli(std::string_view bench_name,
         return std::nullopt;
       }
       cfg.max_retries = n;
-    } else if (arg == "--parallel-cells") {
-      auto v = value();
-      if (!v) return std::nullopt;
-      int n = 0;
-      if (!parse_number(*v, n) || n < 1) {
-        error = "malformed --parallel-cells '" + std::string(*v) +
-                "' (want a positive integer)";
-        return std::nullopt;
-      }
-      cfg.max_parallel_cells = n;
     } else if (arg == "--trace") {
       auto v = value();
       if (!v) return std::nullopt;
@@ -317,61 +305,6 @@ CellOutcome RunSupervisor::run_cell(const CellSpec& spec, const CellFn& fn) {
   const std::string key =
       spec.key.empty() ? generic_cell_key({spec.table, spec.row, spec.col})
                        : spec.key;
-  double wall = 0;
-  CellOutcome outcome = process_cell(spec, key, fn, wall);
-  std::lock_guard<std::mutex> lock(mu_);
-  record(spec, key, outcome, wall);
-  return outcome;
-}
-
-std::vector<CellOutcome> RunSupervisor::run_cells(
-    const std::vector<CellSpec>& specs, const std::vector<CellFn>& fns) {
-  ml::check_internal(specs.size() == fns.size(),
-                     "run_cells: specs/fns size mismatch");
-  const std::size_t n = specs.size();
-  std::vector<std::string> keys(n);
-  for (std::size_t i = 0; i < n; ++i)
-    keys[i] = specs[i].key.empty()
-                  ? generic_cell_key({specs[i].table, specs[i].row, specs[i].col})
-                  : specs[i].key;
-
-  std::vector<CellOutcome> outcomes(n);
-  std::vector<double> walls(n, 0.0);
-  const std::size_t crew_size =
-      std::min<std::size_t>(std::max(cfg_.max_parallel_cells, 1), n);
-  if (crew_size <= 1) {
-    for (std::size_t i = 0; i < n; ++i)
-      outcomes[i] = process_cell(specs[i], keys[i], fns[i], walls[i]);
-  } else {
-    // Dedicated threads (not the compute pool): cells block on training
-    // loops that themselves dispatch parallel_for to the global pool, and
-    // pool workers must never be occupied by blocking cell bodies.
-    std::atomic<std::size_t> next{0};
-    std::vector<std::thread> crew;
-    crew.reserve(crew_size);
-    for (std::size_t t = 0; t < crew_size; ++t)
-      crew.emplace_back([&, t] {
-        trace::set_thread_label("cell-crew-" + std::to_string(t));
-        for (;;) {
-          std::size_t i = next.fetch_add(1);
-          if (i >= n) return;
-          outcomes[i] = process_cell(specs[i], keys[i], fns[i], walls[i]);
-        }
-      });
-    for (auto& t : crew) t.join();
-  }
-
-  // Commit artifact records in submission order regardless of completion
-  // order, so cells[] — and therefore the whole artifact — is deterministic.
-  std::lock_guard<std::mutex> lock(mu_);
-  for (std::size_t i = 0; i < n; ++i)
-    record(specs[i], keys[i], outcomes[i], walls[i]);
-  return outcomes;
-}
-
-CellOutcome RunSupervisor::process_cell(const CellSpec& spec,
-                                        const std::string& key, const CellFn& fn,
-                                        double& wall) {
   // Checkpoint/resume: a cell already completed ok in the journal is not
   // recomputed; its recorded summary (and original wall-clock) feeds the
   // table as-is.
@@ -388,10 +321,10 @@ CellOutcome RunSupervisor::process_cell(const CellSpec& spec,
         if (const Json* summary = it->second.find("summary"))
           outcome.summary = summary_from_json(*summary);
         const Json* recorded_wall = it->second.find("wall_seconds");
-        wall = recorded_wall ? recorded_wall->number_or(0) : 0;
         ++health_.cells;
         ++health_.ok;
         ++health_.from_journal;
+        record(spec, key, outcome, recorded_wall ? recorded_wall->number_or(0) : 0);
         lock.unlock();
         SUGAR_TRACE_COUNT("supervisor.cells_from_journal", 1);
         if (!cfg_.quiet)
@@ -405,8 +338,7 @@ CellOutcome RunSupervisor::process_cell(const CellSpec& spec,
   CellOutcome outcome;
   auto t0 = Clock::now();
   // Cell lifecycle observability: one span over all attempts of this cell
-  // plus counter deltas across them (global counters — overlapping under
-  // --parallel-cells; see CellOutcome::trace_counters).
+  // plus counter deltas across them (see CellOutcome::trace_counters).
   const bool tracing = trace::enabled();
   std::vector<trace::CounterValue> counters_before;
   if (tracing) counters_before = trace::counters_snapshot();
@@ -414,10 +346,6 @@ CellOutcome RunSupervisor::process_cell(const CellSpec& spec,
   SUGAR_TRACE_SPAN("supervisor.cell");
   for (int attempt = 0; attempt <= cfg_.max_retries; ++attempt) {
     if (attempt > 0) SUGAR_TRACE_COUNT("supervisor.retry_attempts", 1);
-    if (attempt > 0 && cfg_.backoff_base_s > 0) {
-      double delay = cfg_.backoff_base_s * std::pow(2.0, attempt - 1);
-      std::this_thread::sleep_for(std::chrono::duration<double>(delay));
-    }
     ml::CancelToken token;
     CellContext ctx;
     ctx.tweak.attempt = attempt;
@@ -441,7 +369,7 @@ CellOutcome RunSupervisor::process_cell(const CellSpec& spec,
     // errors are deterministic, and a timed-out cell would time out again.
     if (r.error != RunErrorKind::kDivergence) break;
   }
-  wall = seconds_since(t0);
+  const double wall = seconds_since(t0);
   if (outcome.ok())
     SUGAR_TRACE_COUNT("supervisor.cells_ok", 1);
   else
@@ -476,6 +404,7 @@ CellOutcome RunSupervisor::process_cell(const CellSpec& spec,
     if (outcome.attempts > 1) ++health_.retried;
     journal_[key] = entry;
     append_journal(entry);
+    record(spec, key, outcome, wall);
   }
 
   if (!cfg_.quiet) {
@@ -561,10 +490,8 @@ bool RunSupervisor::finalize() {
   config.set("cell_timeout_s", Json(cfg_.cell_timeout_s));
   config.set("max_retries", Json(cfg_.max_retries));
   config.set("resume", Json(cfg_.resume));
-  // Perf-trajectory attribution: the compute-pool width and cell-level
-  // concurrency this run actually used.
+  // Perf-trajectory attribution: the compute-pool width this run used.
   config.set("threads", Json(global_thread_count()));
-  config.set("parallel_cells", Json(cfg_.max_parallel_cells));
   doc.set("config", config);
 
   Json health = Json::object();

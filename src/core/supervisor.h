@@ -9,18 +9,17 @@
 //   * a wall-clock watchdog (worker thread + deadline + cooperative
 //     ml::CancelToken polled inside the epoch loops),
 //   * divergence-aware retry — NaN/Inf loss aborts the cell early and
-//     re-runs it with a perturbed seed and halved learning rate under
-//     bounded exponential backoff,
+//     re-runs it at once with a perturbed seed and halved learning rate
+//     (the fit is local and deterministic, so waiting recovers nothing),
 //   * graceful degradation — failed cells render as FAILED(<reason>) while
 //     the rest of the table and an end-of-run health summary still emit,
 //   * checkpoint/resume — a JSONL journal keyed by a fingerprint of
 //     (task, model, ScenarioOptions) lets an interrupted bench skip
 //     completed cells on rerun; journal and BENCH_<table>.json artifact
-//     writes are temp-file-then-rename so a crash never truncates them,
-//   * opt-in concurrency — run_cells() executes independent cells on up to
-//     max_parallel_cells threads (--parallel-cells) while journal, health
-//     and artifact state stay mutex-guarded and the artifact cells[] array
-//     is committed in deterministic submission order.
+//     writes are temp-file-then-rename so a crash never truncates them.
+//
+// Cells run one at a time, so each cell's wall clock and trace counter
+// deltas are its own.
 #pragma once
 
 #include <chrono>
@@ -86,9 +85,8 @@ struct CellOutcome {
   int attempts = 0;
   CellSummary summary;  // valid when not kFailed
   /// Counter deltas observed across this cell's attempts
-  /// ([{name, delta}...]); only populated when tracing is enabled. With
-  /// concurrent cells the deltas overlap (counters are process-global), so
-  /// they attribute cost, not exact per-cell accounting.
+  /// ([{name, delta}...]); only populated when tracing is enabled. Cells
+  /// run one at a time, so the deltas are exactly this cell's.
   Json trace_counters = Json::array();
 
   [[nodiscard]] bool ok() const { return status != CellStatus::kFailed; }
@@ -120,8 +118,6 @@ struct SupervisorConfig {
   double cell_timeout_s = 0;
   /// Divergence retries per cell (attempts = max_retries + 1).
   int max_retries = 2;
-  /// Exponential backoff base between divergence retries.
-  double backoff_base_s = 0.05;
   /// Result artifact path; empty → "BENCH_<bench_name>.json".
   std::string json_path;
   /// Resume journal path; empty → "<json_path>.journal.jsonl".
@@ -130,13 +126,6 @@ struct SupervisorConfig {
   bool resume = false;
   /// Suppress per-cell stderr progress lines (tests).
   bool quiet = false;
-  /// Opt-in concurrency for run_cells(): up to this many independent cells
-  /// execute at once (each with its own watchdog, CancelToken and retry
-  /// loop; journal appends and health counters are mutex-guarded). 1 keeps
-  /// the fully sequential behaviour. The artifact cells[] array is always
-  /// committed in submission order, so results are byte-identical to a
-  /// sequential run of the same cells.
-  int max_parallel_cells = 1;
   /// When non-empty (--trace <path>): force trace mode to `spans` and have
   /// finalize() write a chrome://tracing-loadable trace_event JSON here in
   /// addition to the BENCH artifact.
@@ -144,10 +133,9 @@ struct SupervisorConfig {
 };
 
 /// Parses the strict bench CLI: --json <path>, --resume <journal>,
-/// --cell-timeout-s <n>, --max-retries <n>, --parallel-cells <n>,
-/// --trace <path>. Numeric values use whole-string
-/// from_chars discipline (same as core/env); any malformed or unknown flag
-/// yields nullopt with a diagnostic in `error`.
+/// --cell-timeout-s <n>, --max-retries <n>, --trace <path>. Numeric values
+/// use whole-string from_chars discipline (same as core/env); any malformed
+/// or unknown flag yields nullopt with a diagnostic in `error`.
 ///
 /// With a non-null `extra_args`, unknown flags are collected there verbatim
 /// (in order, values included) instead of being an error, so a bench can
@@ -165,18 +153,9 @@ class RunSupervisor {
   explicit RunSupervisor(SupervisorConfig cfg);
 
   /// Runs one cell through the guarded boundary (journal lookup, watchdog,
-  /// retry, journal append). Never throws on cell failure — the outcome
-  /// carries the taxonomy instead.
+  /// retry, journal append, artifact record). Never throws on cell failure
+  /// — the outcome carries the taxonomy instead.
   CellOutcome run_cell(const CellSpec& spec, const CellFn& fn);
-
-  /// Runs a batch of independent cells, up to max_parallel_cells at a time.
-  /// Each cell keeps the full per-cell boundary (watchdog, retry, journal
-  /// append as it completes); artifact records are committed in submission
-  /// order after the batch, so cells[] is deterministic regardless of
-  /// completion order. With max_parallel_cells == 1 this is exactly a loop
-  /// of run_cell.
-  std::vector<CellOutcome> run_cells(const std::vector<CellSpec>& specs,
-                                     const std::vector<CellFn>& fns);
 
   /// "AC / F1" (as percentages) for ok cells, "FAILED(<reason>)" otherwise.
   static std::string format_cell(const CellOutcome& outcome);
@@ -210,17 +189,15 @@ class RunSupervisor {
   AttemptResult run_attempt(const CellFn& fn, CellContext& ctx,
                             ml::CancelToken& token) const;
   static AttemptResult run_guarded(const CellFn& fn, CellContext& ctx);
-  /// Everything run_cell does except committing the artifact record:
-  /// journal lookup, attempts, journal append, health. Thread-safe — shared
-  /// state is touched under mu_ — so run_cells can call it concurrently.
-  CellOutcome process_cell(const CellSpec& spec, const std::string& key,
-                           const CellFn& fn, double& wall);
   void record(const CellSpec& spec, const std::string& key,
               const CellOutcome& outcome, double wall_seconds);
   void append_journal(const Json& entry);
 
   SupervisorConfig cfg_;
-  std::mutex mu_;  // guards journal_, journal_lines_, records_, health_
+  // Guards journal_, journal_lines_, records_ and health_. Benches call
+  // run_cell from one thread; the lock keeps it safe for any caller that
+  // does not.
+  std::mutex mu_;
   std::map<std::string, Json> journal_;  // key → latest journal entry
   std::vector<std::string> journal_lines_;
   std::vector<Json> records_;

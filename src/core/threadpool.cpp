@@ -104,8 +104,8 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
     run_serial();
     return;
   }
-  // Another thread already has the pool (concurrent supervisor cells):
-  // run this call's blocks inline — identical results, no queueing.
+  // Another thread already has the pool (two caller threads dispatching at
+  // once): run this call's blocks inline — identical results, no queueing.
   std::unique_lock<std::mutex> submit(submit_mu_, std::try_to_lock);
   if (!submit.owns_lock()) {
     run_serial();

@@ -1,7 +1,7 @@
 // Shared parallel-execution substrate: a deterministic, work-stealing-free
 // thread pool with parallel_for / parallel_reduce helpers, used by the ml
-// hot paths (blocked GEMM, per-tree forest fitting, k-NN query rows) and by
-// the run supervisor's concurrent bench cells.
+// hot paths (blocked GEMM, per-tree forest fitting, per-class GBDT rounds,
+// histogram features, k-NN query rows). Any thread may call it.
 //
 // Determinism contract: the iteration range is partitioned into fixed-size
 // blocks derived ONLY from (range, grain) — never from the thread count —

@@ -124,7 +124,7 @@ struct PhaseStat {
 struct SpanEvent {
   std::string name;
   std::uint64_t thread = 0;    ///< stable per-thread ordinal (0 = first seen)
-  std::string thread_label;    ///< "" or e.g. "pool-worker-3", "cell-crew-0"
+  std::string thread_label;    ///< "" or e.g. "pool-worker-3"
   std::uint64_t begin_ns = 0;  ///< relative to the registry epoch
   std::uint64_t dur_ns = 0;
   std::uint64_t cpu_ns = 0;

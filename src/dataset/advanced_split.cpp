@@ -54,7 +54,7 @@ SplitIndices advanced_split(const PacketDataset& ds,
       for (const auto& [ip, _] : by_client) clients.push_back(ip);
       std::shuffle(clients.begin(), clients.end(), rng);
       std::size_t n_train = static_cast<std::size_t>(
-          opts.train_fraction * static_cast<double>(clients.size()));
+          kTrainFraction * static_cast<double>(clients.size()));
       for (std::size_t c = 0; c < clients.size(); ++c)
         for (std::size_t f : by_client[clients[c]]) assign_flow(f, c < n_train);
       break;
@@ -70,7 +70,7 @@ SplitIndices advanced_split(const PacketDataset& ds,
       }
       std::sort(order.begin(), order.end());
       std::size_t n_train = static_cast<std::size_t>(
-          opts.train_fraction * static_cast<double>(order.size()));
+          kTrainFraction * static_cast<double>(order.size()));
       for (std::size_t k = 0; k < order.size(); ++k)
         assign_flow(order[k].second, k < n_train);
       break;
@@ -89,7 +89,7 @@ SplitIndices advanced_split(const PacketDataset& ds,
       std::iota(session_ids.begin(), session_ids.end(), 0);
       std::shuffle(session_ids.begin(), session_ids.end(), rng);
       std::size_t n_train_sessions = std::max<std::size_t>(
-          1, static_cast<std::size_t>(opts.train_fraction *
+          1, static_cast<std::size_t>(kTrainFraction *
                                       static_cast<double>(sessions)));
       std::vector<bool> session_in_train(static_cast<std::size_t>(sessions), false);
       for (std::size_t s = 0; s < n_train_sessions; ++s)

@@ -20,7 +20,6 @@ std::string to_string(AdvancedSplitPolicy p);
 
 struct AdvancedSplitOptions {
   AdvancedSplitPolicy policy = AdvancedSplitPolicy::PerClient;
-  double train_fraction = 0.875;
   std::uint64_t seed = 7;
   /// PerSession: number of contiguous time windows the capture is cut into.
   int sessions = 8;

@@ -18,8 +18,17 @@ std::string LeakageReport::to_string() const {
   return os.str();
 }
 
-LeakageReport audit_split(const PacketDataset& ds, const SplitIndices& split,
-                          const AuditOptions& opts) {
+namespace {
+
+/// SeqNo/AckNo proximity window: all packets of one flow live within a few
+/// rounds' worth of bytes of each other.
+constexpr std::uint32_t kSeqWindow = 1u << 20;
+/// Cap on probed test packets, keeps the audit O(n·k).
+constexpr std::size_t kMaxTestProbe = 20000;
+
+}  // namespace
+
+LeakageReport audit_split(const PacketDataset& ds, const SplitIndices& split) {
   SUGAR_TRACE_SPAN("dataset.audit_split");
   LeakageReport report;
 
@@ -53,22 +62,22 @@ LeakageReport audit_split(const PacketDataset& ds, const SplitIndices& split,
   for (std::size_t i : split.train) {
     const auto& p = ds.parsed[i];
     if (!p.tcp || p.tcp->seq == 0 || p.tcp->ack == 0) continue;
-    train_seq_buckets[p.tcp->seq / opts.seq_window].emplace_back(p.tcp->seq,
-                                                                 p.tcp->ack);
+    train_seq_buckets[p.tcp->seq / kSeqWindow].emplace_back(p.tcp->seq,
+                                                            p.tcp->ack);
   }
 
   auto close = [&](std::uint32_t a, std::uint32_t b) {
     std::uint32_t d = a > b ? a - b : b - a;
-    return d < opts.seq_window;
+    return d < kSeqWindow;
   };
 
   std::size_t probed = 0;
   for (std::size_t i : split.test) {
-    if (probed >= opts.max_test_probe) break;
+    if (probed >= kMaxTestProbe) break;
     const auto& p = ds.parsed[i];
     if (!p.tcp || p.tcp->seq == 0 || p.tcp->ack == 0) continue;
     ++probed;
-    std::uint32_t b = p.tcp->seq / opts.seq_window;
+    std::uint32_t b = p.tcp->seq / kSeqWindow;
     bool hit = false;
     for (std::uint32_t nb : {b == 0 ? b : b - 1, b, b + 1}) {
       auto it = train_seq_buckets.find(nb);

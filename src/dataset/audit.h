@@ -21,8 +21,9 @@ struct LeakageReport {
   /// Test packets whose flow also appears in train.
   std::size_t leaked_test_packets = 0;
   std::size_t total_test_packets = 0;
-  /// Test TCP packets whose (SeqNo, AckNo) lies within `window` of a train
-  /// packet of the same class — the implicit-id shortcut surface.
+  /// Probed test TCP packets whose SeqNo and AckNo both lie within 2^20 of
+  /// some train packet's — the implicit-id shortcut surface. At most the
+  /// first 20,000 eligible test packets are probed.
   std::size_t implicit_id_matches = 0;
 
   [[nodiscard]] bool clean() const {
@@ -31,15 +32,6 @@ struct LeakageReport {
   [[nodiscard]] std::string to_string() const;
 };
 
-struct AuditOptions {
-  /// SeqNo/AckNo proximity window: all packets of one flow live within a
-  /// few rounds' worth of bytes of each other.
-  std::uint32_t seq_window = 1u << 20;
-  /// Subsample cap on pair comparisons, keeps the audit O(n·k).
-  std::size_t max_test_probe = 20000;
-};
-
-LeakageReport audit_split(const PacketDataset& ds, const SplitIndices& split,
-                          const AuditOptions& opts = {});
+LeakageReport audit_split(const PacketDataset& ds, const SplitIndices& split);
 
 }  // namespace sugar::dataset

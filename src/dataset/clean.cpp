@@ -2,7 +2,6 @@
 
 #include "core/trace.h"
 
-#include <map>
 #include <sstream>
 #include <unordered_map>
 
@@ -116,33 +115,17 @@ CleaningReport clean_trace(trafficgen::GeneratedTrace& trace,
     }
   }
 
-  // --- Class-support caps (ET-BERT-style; discouraged).
-  if (opts.max_packets_per_class > 0 || opts.min_flows_per_class > 0) {
+  // --- Class-support cap (ET-BERT-style; discouraged).
+  if (opts.max_packets_per_class > 0) {
     std::unordered_map<int, std::size_t> class_count;
-    std::map<std::pair<int, int>, bool> class_flows;  // (class, flow)
     for (std::size_t i = 0; i < trace.packets.size(); ++i) {
       if (!keep[i] || trace.labels[i].cls < 0) continue;
-      class_flows[{trace.labels[i].cls, trace.flow_of[i]}] = true;
-    }
-    std::unordered_map<int, std::size_t> flows_per_class;
-    for (const auto& [key, _] : class_flows) ++flows_per_class[key.first];
-
-    for (std::size_t i = 0; i < trace.packets.size(); ++i) {
-      if (!keep[i] || trace.labels[i].cls < 0) continue;
-      int cls = trace.labels[i].cls;
-      if (opts.min_flows_per_class > 0 &&
-          flows_per_class[cls] < opts.min_flows_per_class) {
+      std::size_t& count = class_count[trace.labels[i].cls];
+      if (count < opts.max_packets_per_class) {
+        ++count;
+      } else {
         keep[i] = false;
         ++report.removed_class_support;
-        continue;
-      }
-      if (opts.max_packets_per_class > 0) {
-        if (class_count[cls] >= opts.max_packets_per_class) {
-          keep[i] = false;
-          ++report.removed_class_support;
-          continue;
-        }
-        ++class_count[cls];
       }
     }
   }

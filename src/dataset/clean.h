@@ -50,9 +50,8 @@ struct CleaningOptions {
   /// (0 = off). Kept for ablation; the paper recommends NOT using it.
   std::size_t min_flow_packets = 0;
 
-  /// ET-BERT-style class-support caps (0 = off). Kept for ablation.
+  /// ET-BERT-style class-support cap (0 = off). Kept for ablation.
   std::size_t max_packets_per_class = 0;
-  std::size_t min_flows_per_class = 0;
 };
 
 /// Applies the filters in place on a generated trace (packets, labels and

@@ -25,14 +25,15 @@ SplitIndices split_dataset(const PacketDataset& ds, const SplitOptions& opts) {
     for (auto& [cls, idx] : by_class) {
       std::shuffle(idx.begin(), idx.end(), rng);
       std::size_t n_train =
-          static_cast<std::size_t>(opts.train_fraction * static_cast<double>(idx.size()));
+          static_cast<std::size_t>(kTrainFraction * static_cast<double>(idx.size()));
       for (std::size_t i = 0; i < idx.size(); ++i)
         (i < n_train ? out.train : out.test).push_back(idx[i]);
     }
   } else {
-    // Per-flow: assign whole flows. When balance_long_flows is set, flows
-    // are dealt largest-first in a round-robin-ish greedy that keeps the
-    // packet mass of each side near the target fraction.
+    // Per-flow: assign whole flows, dealt largest-first in a greedy that
+    // keeps the packet mass of each side near the target fraction, so long
+    // flows spread evenly across partitions (paper §5: "we make sure that
+    // long flows are evenly distributed").
     auto flows = ds.flows();
     auto flow_labels = ds.flow_labels();
     std::unordered_map<int, std::vector<std::size_t>> flows_by_class;
@@ -41,31 +42,22 @@ SplitIndices split_dataset(const PacketDataset& ds, const SplitOptions& opts) {
 
     for (auto& [cls, fidx] : flows_by_class) {
       std::shuffle(fidx.begin(), fidx.end(), rng);
-      if (opts.balance_long_flows) {
-        std::stable_sort(fidx.begin(), fidx.end(),
-                         [&](std::size_t a, std::size_t b) {
-                           return flows[a].size() > flows[b].size();
-                         });
-        std::size_t total = 0;
-        for (std::size_t f : fidx) total += flows[f].size();
-        double target_train = opts.train_fraction * static_cast<double>(total);
-        std::size_t in_train = 0, assigned = 0;
-        for (std::size_t f : fidx) {
-          // Greedy: put the flow where the deficit is largest.
-          double want_train = target_train - static_cast<double>(in_train);
-          double want_test = (static_cast<double>(total) - target_train) -
-                             static_cast<double>(assigned - in_train);
-          bool to_train = want_train >= want_test;
-          for (std::size_t i : flows[f]) (to_train ? out.train : out.test).push_back(i);
-          if (to_train) in_train += flows[f].size();
-          assigned += flows[f].size();
-        }
-      } else {
-        std::size_t n_train = static_cast<std::size_t>(
-            opts.train_fraction * static_cast<double>(fidx.size()));
-        for (std::size_t i = 0; i < fidx.size(); ++i)
-          for (std::size_t p : flows[fidx[i]])
-            (i < n_train ? out.train : out.test).push_back(p);
+      std::stable_sort(fidx.begin(), fidx.end(), [&](std::size_t a, std::size_t b) {
+        return flows[a].size() > flows[b].size();
+      });
+      std::size_t total = 0;
+      for (std::size_t f : fidx) total += flows[f].size();
+      double target_train = kTrainFraction * static_cast<double>(total);
+      std::size_t in_train = 0, assigned = 0;
+      for (std::size_t f : fidx) {
+        // Greedy: put the flow where the deficit is largest.
+        double want_train = target_train - static_cast<double>(in_train);
+        double want_test = (static_cast<double>(total) - target_train) -
+                           static_cast<double>(assigned - in_train);
+        bool to_train = want_train >= want_test;
+        for (std::size_t i : flows[f]) (to_train ? out.train : out.test).push_back(i);
+        if (to_train) in_train += flows[f].size();
+        assigned += flows[f].size();
       }
     }
   }

@@ -24,14 +24,14 @@ struct SplitIndices {
   std::vector<std::size_t> test;
 };
 
+/// Share of the data put in train: the paper's 7:1. Per-packet splits cut
+/// each class's packets at it, per-flow splits aim each class's packet mass
+/// at it, and the advanced splits cut clients, flows or sessions at it.
+inline constexpr double kTrainFraction = 0.875;
+
 struct SplitOptions {
   SplitPolicy policy = SplitPolicy::PerFlow;
-  /// Fraction of packets (per-packet) or flows (per-flow) put in train.
-  double train_fraction = 0.875;  // the paper's 7:1
   std::uint64_t seed = 7;
-  /// Per-flow split: spread long flows evenly across partitions (paper §5:
-  /// "we make sure that long flows are evenly distributed").
-  bool balance_long_flows = true;
 };
 
 /// Splits a dataset into train/test packet-index sets.

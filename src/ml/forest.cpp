@@ -34,16 +34,15 @@ void RandomForest::grow(const BinnedColumnSource& codes, const Matrix* raw,
     tree_cfg.features_per_split = std::max(
         1, static_cast<int>(std::sqrt(static_cast<double>(codes.cols()))));
 
+  // Each tree's bootstrap bag draws n rows with replacement.
   const std::size_t n = codes.rows();
-  const std::size_t bag =
-      static_cast<std::size_t>(cfg_.bag_fraction * static_cast<double>(n));
   const char* where = raw ? "RandomForest::fit" : "RandomForest::fit_binned";
 
   auto fit_tree = [&](std::size_t t) {
     throw_if_cancelled(cfg_.cancel, where);
     std::mt19937_64 rng(tree_seed(cfg_.seed, t));
     std::uniform_int_distribution<std::size_t> pick(0, n == 0 ? 0 : n - 1);
-    std::vector<std::uint32_t> rows(bag);
+    std::vector<std::uint32_t> rows(n);
     for (auto& r : rows) r = static_cast<std::uint32_t>(pick(rng));
     std::sort(rows.begin(), rows.end());
     trees_[t].fit_classifier(codes, raw, y, num_classes, tree_cfg, rng, &rows);

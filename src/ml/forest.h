@@ -18,8 +18,6 @@ namespace sugar::ml {
 struct ForestConfig {
   int num_trees = 40;
   TreeConfig tree;
-  /// Bootstrap sample fraction per tree.
-  double bag_fraction = 1.0;
   std::uint64_t seed = 17;
   /// Polled once per tree (on whichever pool thread fits it); fit()
   /// rethrows the resulting CancelledError on the calling thread.

@@ -13,11 +13,6 @@ class StandardScaler {
  public:
   void fit(const Matrix& x);
   void transform(Matrix& x) const;
-  [[nodiscard]] Matrix fit_transform(Matrix x) {
-    fit(x);
-    transform(x);
-    return x;
-  }
 
   [[nodiscard]] const std::vector<float>& mean() const { return mean_; }
   [[nodiscard]] const std::vector<float>& stddev() const { return std_; }

@@ -13,6 +13,10 @@
 namespace sugar::ml {
 namespace {
 
+/// Smallest gain a split must reach (the float 1e-7f, promoted to double
+/// in the comparison).
+constexpr float kMinGain = 1e-7f;
+
 double gini_from_counts(const std::vector<double>& counts, double total) {
   if (total <= 0) return 0;
   // Strided-8 sum-of-squares (core/simd.h spec): same result on every
@@ -291,7 +295,7 @@ void DecisionTree::build(BuildContext& ctx) {
                     .left_count = static_cast<std::size_t>(nl)};
         }
       }
-      if (best.gain < cfg.min_gain) best.feature = -1;
+      if (best.gain < kMinGain) best.feature = -1;
       return best;
     }
 
@@ -386,7 +390,7 @@ void DecisionTree::build(BuildContext& ctx) {
       for (std::size_t s = 0; s < feats.size(); ++s)
         sweep(sampled_hist.data() + sampled_off[s], codes.cuts(feats[s]), feats[s]);
     }
-    if (best.gain < cfg.min_gain) best.feature = -1;
+    if (best.gain < kMinGain) best.feature = -1;
     return best;
   };
 

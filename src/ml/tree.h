@@ -52,8 +52,6 @@ struct TreeConfig {
   int histogram_bins = 32;
   /// L2 regularization on leaf values (regression mode).
   float lambda = 1.0f;
-  /// Minimum gain to accept a split.
-  float min_gain = 1e-7f;
   /// Classifier fits given the raw floats: nodes with at most this many
   /// samples use exact (sorted-sweep) split search instead of the shared
   /// histogram grid, for fine-grained thresholds (IP octets, sequence

@@ -307,10 +307,10 @@ std::vector<Packet> FaultInjector::mutate_sequence(const std::vector<Packet>& pk
       // is position-independent, then emit originals interleaved with any
       // duplicates that have come due.
       std::bernoulli_distribution dup(std::clamp(opt.duplicate_fraction, 0.0, 1.0));
-      const std::size_t lag_max = std::max<std::size_t>(1, opt.duplicate_lag_max);
+      constexpr std::size_t kLagMax = 8;  // a dup lands within this many slots
       std::multimap<std::size_t, std::size_t> due;  // landing slot -> source
       for (std::size_t i = 0; i < pkts.size(); ++i)
-        if (dup(rng_)) due.emplace(i + 1 + index_below(lag_max), i);
+        if (dup(rng_)) due.emplace(i + 1 + index_below(kLagMax), i);
       out.reserve(pkts.size() + due.size());
       for (std::size_t i = 0; i < pkts.size(); ++i) {
         out.push_back(pkts[i]);
@@ -340,14 +340,14 @@ std::vector<Packet> FaultInjector::mutate_sequence(const std::vector<Packet>& pk
         flow_of[i] = it->second;
         ++flow_len[static_cast<std::size_t>(it->second)];
       }
+      constexpr std::size_t kMinKept = 1;  // packets a cut flow keeps, at least
       std::bernoulli_distribution cut(
           std::clamp(opt.truncate_flow_fraction, 0.0, 1.0));
       std::vector<std::size_t> keep_prefix(flow_len.size());
       for (std::size_t f = 0; f < flow_len.size(); ++f) {
         keep_prefix[f] = flow_len[f];
-        if (flow_len[f] > opt.truncate_min_kept && cut(rng_))
-          keep_prefix[f] =
-              opt.truncate_min_kept + index_below(flow_len[f] - opt.truncate_min_kept);
+        if (flow_len[f] > kMinKept && cut(rng_))
+          keep_prefix[f] = kMinKept + index_below(flow_len[f] - kMinKept);
       }
       std::vector<std::size_t> seen(flow_len.size(), 0);
       out.reserve(pkts.size());

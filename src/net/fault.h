@@ -60,12 +60,12 @@ enum class SequenceFault : std::uint8_t {
 };
 
 /// Knobs for mutate_sequence(). Defaults model a moderately hostile tap.
+/// A duplicate lands one to eight slots after its original, and a
+/// truncated flow keeps at least its first packet.
 struct SequenceFaultOptions {
   std::size_t reorder_window = 8;       // shuffle span in packets
   double duplicate_fraction = 0.05;     // probability a packet is re-delivered
-  std::size_t duplicate_lag_max = 8;    // dup lands within this many slots
   double truncate_flow_fraction = 0.3;  // fraction of flows cut short
-  std::size_t truncate_min_kept = 1;    // packets a truncated flow keeps
 };
 
 std::string to_string(FrameFault f);

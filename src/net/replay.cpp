@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
-
-#include "net/pcap.h"
 
 namespace sugar::net {
 
@@ -17,23 +14,6 @@ ReplaySource::ReplaySource(std::vector<Packet> packets, ReplayOptions opts)
       hi = std::max(hi, p.ts_usec);
     }
     span_usec_ = hi - lo;
-  }
-}
-
-std::optional<ReplaySource> ReplaySource::from_pcap(const std::string& path,
-                                                    ReplayOptions opts,
-                                                    std::string* error) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    if (error) *error = "cannot open " + path;
-    return std::nullopt;
-  }
-  try {
-    PcapReader reader(in, ReadPolicy::SkipAndResync);
-    return ReplaySource(reader.read_all(), opts);
-  } catch (const std::exception& e) {
-    if (error) *error = e.what();
-    return std::nullopt;
   }
 }
 

@@ -1,14 +1,12 @@
 // Streaming replay source: turns an in-memory packet list (trafficgen
-// output) or a serialized pcap capture into an arrival stream the serve
-// engine can ingest. The source can loop the trace to synthesize unbounded
+// output, or a capture read with net::PcapReader) into an arrival stream
+// the serve engine can ingest. The source can loop the trace to synthesize unbounded
 // load and can re-space arrivals onto a fixed offered-load schedule
 // (packets/second) while preserving delivery order — the knob bench_serve
 // sweeps to find the engine's saturation point.
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "net/packet.h"
@@ -33,12 +31,6 @@ struct ReplayOptions {
 class ReplaySource {
  public:
   explicit ReplaySource(std::vector<Packet> packets, ReplayOptions opts = {});
-
-  /// Reads a pcap blob (any policy-tolerated capture) into a ReplaySource.
-  /// nullopt with `error` set when the capture cannot be opened/parsed.
-  static std::optional<ReplaySource> from_pcap(const std::string& path,
-                                               ReplayOptions opts,
-                                               std::string* error = nullptr);
 
   /// Next packet in delivery order, with its scheduled arrival timestamp
   /// applied. False when the configured loops are exhausted.

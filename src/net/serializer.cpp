@@ -49,7 +49,7 @@ void write_tcp(ByteWriter& w, const TcpHeader& tcp,
   w.u8(static_cast<std::uint8_t>(data_offset << 4));
   w.u8(tcp.flags_byte());
   w.u16be(tcp.window);
-  w.u16be(tcp.checksum);  // patched after checksum computation
+  w.u16be(0);  // checksum, patched once the segment is complete
   w.u16be(tcp.urgent_pointer);
   w.bytes(options_bytes);
 }
@@ -76,7 +76,7 @@ std::vector<std::uint8_t> build_frame(const FrameSpec& spec) {
     l4.u16be(u.src_port);
     l4.u16be(u.dst_port);
     l4.u16be(u.length);
-    l4.u16be(u.checksum);
+    l4.u16be(0);  // checksum
     l4.bytes(spec.payload);
   } else if (spec.icmp) {
     ip_proto = spec.ipv6 ? static_cast<std::uint8_t>(IpProto::Icmpv6)
@@ -84,7 +84,7 @@ std::vector<std::uint8_t> build_frame(const FrameSpec& spec) {
     l4_checksum_off = 2;
     l4.u8(spec.icmp->type);
     l4.u8(spec.icmp->code);
-    l4.u16be(spec.icmp->checksum);
+    l4.u16be(0);  // checksum
     l4.u32be(spec.icmp->rest);
     l4.bytes(spec.payload);
   } else {
@@ -92,8 +92,7 @@ std::vector<std::uint8_t> build_frame(const FrameSpec& spec) {
   }
 
   // --- L4 checksum over pseudo header + segment.
-  if (!spec.keep_l4_checksum && (spec.tcp || spec.udp || spec.icmp)) {
-    l4.patch_u16be(l4_checksum_off, 0);
+  if (spec.tcp || spec.udp || spec.icmp) {
     std::uint16_t csum = 0;
     if (spec.ipv4) {
       if (spec.icmp) {
@@ -151,13 +150,11 @@ std::vector<std::uint8_t> build_frame(const FrameSpec& spec) {
     frame.u16be(frag);
     frame.u8(ip.ttl);
     frame.u8(ip.protocol);
-    frame.u16be(spec.keep_ip_checksum ? ip.header_checksum : 0);
+    frame.u16be(0);
     frame.u32be(ip.src.value);
     frame.u32be(ip.dst.value);
-    if (!spec.keep_ip_checksum) {
-      std::uint16_t csum = checksum(std::span{frame.data()}.subspan(ip_off, 20));
-      frame.patch_u16be(ip_off + 10, csum);
-    }
+    frame.patch_u16be(ip_off + 10,
+                      checksum(std::span{frame.data()}.subspan(ip_off, 20)));
   } else if (spec.ipv6) {
     Ipv6Header ip = *spec.ipv6;
     if (ip.next_header == 0) ip.next_header = ip_proto;

@@ -10,9 +10,8 @@
 namespace sugar::net {
 
 /// Specification for one frame. Fill the layers you want; build_frame()
-/// computes total_length / payload_length / checksums unless the
-/// `keep_*` flags request otherwise (used to synthesize corrupt packets for
-/// the checksum-verification pretext task).
+/// computes total_length / payload_length and every checksum, so the
+/// header_checksum / checksum fields of the spec are never written.
 struct FrameSpec {
   EthernetHeader eth;
   std::optional<ArpHeader> arp;
@@ -22,11 +21,6 @@ struct FrameSpec {
   std::optional<UdpHeader> udp;
   std::optional<IcmpHeader> icmp;
   std::vector<std::uint8_t> payload;
-
-  /// When true, the provided header_checksum / checksum fields are written
-  /// verbatim instead of being recomputed.
-  bool keep_ip_checksum = false;
-  bool keep_l4_checksum = false;
 };
 
 /// Serializes the spec into raw frame bytes. EtherType and IP protocol

@@ -16,8 +16,6 @@ struct PretrainOptions {
   int epochs = 4;
   std::size_t batch_size = 64;
   float learning_rate = 1e-3f;
-  /// Fraction of inputs masked in MAE-style pre-training.
-  float mask_fraction = 0.3f;
   std::uint64_t seed = 97;
   /// Polled at batch granularity inside pre-training loops; pretrain()
   /// throws ml::CancelledError when set (watchdog deadline).

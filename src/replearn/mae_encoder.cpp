@@ -69,7 +69,7 @@ void pretrain_reconstruction(ml::MlpNet& enc, ml::MlpNet& dec, const ml::Matrix&
 
 void MaeEncoder::pretrain(const ml::Matrix& x, const PretrainOptions& opts) {
   SUGAR_TRACE_SPAN("replearn.pretrain.mae");
-  pretrain_reconstruction(enc_, dec_, x, opts, opts.mask_fraction,
+  pretrain_reconstruction(enc_, dec_, x, opts, kMaeMaskFraction,
                           "MaeEncoder::pretrain");
 }
 

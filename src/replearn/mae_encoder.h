@@ -11,6 +11,10 @@
 
 namespace sugar::replearn {
 
+/// Fraction of inputs MAE pre-training masks; Pcap-Encoder's auto-encoding
+/// phase masks half as many.
+inline constexpr float kMaeMaskFraction = 0.3f;
+
 /// Masked reconstruction pre-training of an encoder/decoder pair: each
 /// input value is zeroed with probability `mask_fraction` and the pair
 /// learns, by MSE, to reproduce the unmasked batch. MAE pre-training and

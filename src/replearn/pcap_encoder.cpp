@@ -31,7 +31,7 @@ std::size_t PcapEncoder::param_count() const {
 void PcapEncoder::pretrain(const ml::Matrix& x, const PretrainOptions& opts) {
   if (!cfg_.enable_autoencoder_phase) return;
   SUGAR_TRACE_SPAN("replearn.pretrain.pcap_ae");
-  pretrain_reconstruction(enc_, dec_, x, opts, opts.mask_fraction * 0.5f,
+  pretrain_reconstruction(enc_, dec_, x, opts, kMaeMaskFraction * 0.5f,
                           "PcapEncoder::pretrain");
 }
 

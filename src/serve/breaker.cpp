@@ -16,8 +16,6 @@ const char* to_string(BreakerState state) {
   return "?";
 }
 
-BreakerConfig BreakerConfig::from_env() { return from_env(BreakerConfig{}); }
-
 BreakerConfig BreakerConfig::from_env(BreakerConfig base) {
   if (const char* s = std::getenv("SUGAR_LATENCY_BUDGET_US")) {
     std::uint64_t v = 0;
@@ -70,7 +68,7 @@ bool CircuitBreakerClassifier::transition(BreakerState from, BreakerState to,
   std::lock_guard<std::mutex> lock(mu_);
   if (state() != from) return false;  // another thread moved the edge first
   state_.store(static_cast<std::uint8_t>(to), std::memory_order_release);
-  if (log_.size() < cfg_.max_transitions)
+  if (log_.size() < kMaxLoggedTransitions)
     log_.push_back(BreakerTransition{from, to, at_call});
   switch (to) {
     case BreakerState::kOpen:

@@ -15,10 +15,10 @@
 // a time (CAS guard) and routes the rest to the fallback, so a recovering
 // primary is never stampeded.
 //
-// All counters are monotone atomics and every state transition lands in a
-// bounded log plus a trace counter, so bench_serve's chaos matrix can emit
-// the full closed→open→half-open→closed timeline and json_check can
-// assert its legality. With no chaos injector and no latency budget the
+// All counters are monotone atomics and the first kMaxLoggedTransitions
+// state transitions land in a log, so bench_serve's chaos matrix can emit
+// the closed→open→half-open→closed timeline and json_check can assert its
+// legality. With no chaos injector and no latency budget the
 // breaker never sees a fault and is a transparent pass-through — it adds
 // nothing to the bit-identity contract's surface.
 #pragma once
@@ -47,15 +47,16 @@ struct BreakerConfig {
   std::uint32_t open_cooldown_calls = 64;
   /// Consecutive successful probes that close the breaker again.
   std::uint32_t half_open_successes = 2;
-  /// Transition log bound; older transitions are dropped from the log
-  /// (never from the counters).
-  std::size_t max_transitions = 64;
 
   /// Applies SUGAR_LATENCY_BUDGET_US (strict from_chars; malformed values
-  /// are warned about and ignored) on top of `base` (defaults when omitted).
+  /// are warned about and ignored) on top of `base`.
   static BreakerConfig from_env(BreakerConfig base);
-  static BreakerConfig from_env();
 };
+
+/// Transition log bound. The log keeps the FIRST this-many transitions and
+/// drops later ones (the counters still count them), so a logged walk
+/// always starts from closed, where json_check's legality check starts.
+inline constexpr std::size_t kMaxLoggedTransitions = 64;
 
 /// Monotone breaker counters (a point-in-time copy of the atomics).
 struct BreakerCounters {

@@ -151,7 +151,7 @@ void ServeEngine::classify_into(std::size_t shard, const FlowView& v,
                                 VerdictReason reason, RoundDelta& delta) {
   if (v.classified) return;  // labelled at first-N already
   if (v.feature_packets <
-      (reason == VerdictReason::kFirstN ? 1u : cfg_.min_classify_packets)) {
+      (reason == VerdictReason::kFirstN ? 1u : kMinClassifyPackets)) {
     ++delta.counters.evicted_unclassified;
     return;
   }
@@ -247,14 +247,14 @@ void ServeEngine::process_shard(std::size_t shard, std::uint64_t round_now,
       cfg_.table_lo * static_cast<double>(table_.shard_capacity()));
   if (!aborted && stage >= ShedStage::kEarlyClassify) {
     delta_.counters.evicted_early += table_.evict_ready(
-        shard, target, cfg_.min_classify_packets, cfg_.early_evict_scan,
+        shard, target, kMinClassifyPackets, kEvictScan,
         [&](const FlowView& v) {
           classify_into(shard, v, VerdictReason::kEvictEarly, delta_);
         });
   }
   if (!aborted && stage >= ShedStage::kSampleEvict) {
     std::size_t forced = 0;
-    while (table_.live(shard) > target && forced < cfg_.early_evict_scan) {
+    while (table_.live(shard) > target && forced < kEvictScan) {
       if (!table_.evict_tail(shard, [&](const FlowView& v) {
             classify_into(shard, v, VerdictReason::kEvictSampled, delta_);
           }))

@@ -17,8 +17,9 @@
 //   stage 2  early-classify: each shard's fold sweeps the LRU tail, evicting
 //            (classifying) flows that already carry enough packets,
 //            pulling occupancy back under the high watermark
-//   stage 3  sample-evict: a new flow arriving at a full shard replaces
-//            the LRU tail (classified if eligible, dropped otherwise)
+//   stage 3  sample-evict: new flows stay shed, and after the stage-2
+//            sweep each shard evicts LRU-tail flows toward the low
+//            watermark (classified if eligible, dropped otherwise)
 //
 // Every transition and every shed decision is counted in ServeStats — the
 // engine degrades observably, never silently. Its memory is bounded by the
@@ -112,8 +113,6 @@ struct ServeConfig {
   std::size_t queue_capacity = 8192;
   /// Max packets drained per pump() round.
   std::size_t batch_size = 1024;
-  /// Flows evicted with fewer feature packets than this go unclassified.
-  std::size_t min_classify_packets = 2;
   /// Flows idle longer than this (stream virtual time) are evicted.
   std::uint64_t idle_timeout_usec = 2'000'000;
   // Shed ladder watermarks (fractions; *_lo gives hysteresis on exit).
@@ -121,8 +120,6 @@ struct ServeConfig {
   double queue_lo = 0.50;
   double table_hi = 0.90;
   double table_lo = 0.75;
-  /// LRU entries scanned per shard per round by the stage-2 sweep.
-  std::size_t early_evict_scan = 64;
   /// Watchdog deadline for one round; 0 disables the watchdog thread.
   double watchdog_timeout_s = 0;
   /// Record per-flow verdicts for retrieval via take_verdicts(). Off by
@@ -213,6 +210,14 @@ class ServeEngine {
   }
 
  private:
+  /// Flows evicted with fewer feature packets than this go unclassified
+  /// (a flow reaching first-N while resident needs only one). The snapshot
+  /// config section records it, so a snapshot names the value it ran with.
+  static constexpr std::size_t kMinClassifyPackets = 2;
+  /// LRU entries the stage-2 sweep scans, and flows the stage-3 sweep
+  /// evicts, per shard per round.
+  static constexpr std::size_t kEvictScan = 64;
+
   struct QueueEntry {
     net::Packet pkt;
     std::uint64_t enq_ns = 0;

@@ -188,7 +188,7 @@ SnapshotOutcome ServeEngine::save_snapshot(const std::string& path,
     put_u64(sec, table_.config().classify_at);
     put_u64(sec, cfg_.queue_capacity);
     put_u64(sec, cfg_.batch_size);
-    put_u64(sec, cfg_.min_classify_packets);
+    put_u64(sec, kMinClassifyPackets);
     put_u64(sec, cfg_.idle_timeout_usec);
     put_u64(sec, ServeCounters{}.to_values().size());
     put_u8(sec, cfg_.record_verdicts ? 1 : 0);
@@ -423,7 +423,7 @@ SnapshotOutcome ServeEngine::restore_snapshot(const std::string& path,
               dim == feature_dim_ &&
               classify_at == table_.config().classify_at &&
               queue_cap == cfg_.queue_capacity && batch == cfg_.batch_size &&
-              min_classify == cfg_.min_classify_packets &&
+              min_classify == kMinClassifyPackets &&
               idle == cfg_.idle_timeout_usec &&
               arity == ServeCounters{}.to_values().size() &&
               (record != 0) == cfg_.record_verdicts;

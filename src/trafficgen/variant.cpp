@@ -13,6 +13,13 @@ std::string fmt_double(double v) {
   return buf;
 }
 
+// Per-epoch drift steps; epoch N applies each N times.
+constexpr double kTtlStep = -6.0;      // additive on server_ttl
+constexpr double kWindowScale = 1.18;  // multiplicative on server_window
+constexpr double kMssStep = -24.0;     // additive on mss
+constexpr double kGapScale = 1.35;     // multiplicative on gap_ms (IAT)
+constexpr double kRespMuStep = 0.12;   // additive on resp_mu (lognormal)
+
 template <typename T>
 T clamp_round(double v, T lo, T hi) {
   double r = std::llround(std::clamp(v, static_cast<double>(lo), static_cast<double>(hi)));
@@ -30,25 +37,25 @@ std::string TraceVariant::tag() const {
   if (is_default()) return "default";
   std::string out = "fam" + std::to_string(family) + ".e" + std::to_string(drift_epoch);
   if (drift_epoch > 0) {
-    out += ".d" + fmt_double(drift.ttl_step) + "_" + fmt_double(drift.window_scale) +
-           "_" + fmt_double(drift.mss_step) + "_" + fmt_double(drift.gap_scale) + "_" +
-           fmt_double(drift.resp_mu_step);
+    out += ".d" + fmt_double(kTtlStep) + "_" + fmt_double(kWindowScale) + "_" +
+           fmt_double(kMssStep) + "_" + fmt_double(kGapScale) + "_" +
+           fmt_double(kRespMuStep);
   }
   out += ".q" + fmt_double(quic_fraction) + ".h" + fmt_double(doh_fraction) + ".g" +
          fmt_double(imbalance_gamma);
   return out;
 }
 
-AppProfile drift_profile(const AppProfile& base, const DriftSpec& drift, int epoch) {
+AppProfile drift_profile(const AppProfile& base, int epoch) {
   if (epoch <= 0) return base;
   AppProfile p = base;
   double e = epoch;
-  p.server_ttl = clamp_round<std::uint8_t>(base.server_ttl + drift.ttl_step * e, 8, 255);
+  p.server_ttl = clamp_round<std::uint8_t>(base.server_ttl + kTtlStep * e, 8, 255);
   p.server_window = clamp_round<std::uint16_t>(
-      base.server_window * std::pow(drift.window_scale, e), 1024, 65535);
-  p.mss = clamp_round<std::uint16_t>(base.mss + drift.mss_step * e, 536, 1460);
-  p.gap_ms = base.gap_ms * std::pow(drift.gap_scale, e);
-  p.resp_mu = base.resp_mu + drift.resp_mu_step * e;
+      base.server_window * std::pow(kWindowScale, e), 1024, 65535);
+  p.mss = clamp_round<std::uint16_t>(base.mss + kMssStep * e, 536, 1460);
+  p.gap_ms = base.gap_ms * std::pow(kGapScale, e);
+  p.resp_mu = base.resp_mu + kRespMuStep * e;
   return p;
 }
 
@@ -118,7 +125,7 @@ std::vector<AppProfile> apply_variant(std::vector<AppProfile> profiles,
   if (v.family == 0 && v.drift_epoch <= 0) return profiles;
   for (auto& p : profiles) {
     if (v.family != 0) p = family_profile(p, v.family);
-    if (v.drift_epoch > 0) p = drift_profile(p, v.drift, v.drift_epoch);
+    if (v.drift_epoch > 0) p = drift_profile(p, v.drift_epoch);
   }
   return profiles;
 }

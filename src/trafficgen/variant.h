@@ -15,17 +15,6 @@
 
 namespace sugar::trafficgen {
 
-/// Per-epoch shifts applied to the class profiles' header statistics. The
-/// steps compound: epoch N applies each shift N times, so the TTL/window/
-/// MSS/IAT distributions move monotonically over simulated time.
-struct DriftSpec {
-  double ttl_step = -6.0;      // additive on server_ttl per epoch
-  double window_scale = 1.18;  // multiplicative on server_window per epoch
-  double mss_step = -24.0;     // additive on mss per epoch
-  double gap_scale = 1.35;     // multiplicative on gap_ms (IAT) per epoch
-  double resp_mu_step = 0.12;  // additive on resp_mu (lognormal) per epoch
-};
-
 /// A parameterized variant of one of the synthetic datasets. Family 0 is
 /// the native testbed; family 1 re-hosts the same applications on a second
 /// capture network (different server subnets, a PPPoE-sized MTU, a swapped
@@ -33,7 +22,6 @@ struct DriftSpec {
 /// time"; epoch N shifts every profile's header statistics N steps.
 struct TraceVariant {
   int drift_epoch = 0;
-  DriftSpec drift;
   int family = 0;               // 0 = native testbed, 1 = re-hosted capture
   double quic_fraction = 0.0;   // share of flows carried over QUIC-like UDP/443
   double doh_fraction = 0.0;    // share of flows reshaped as DoH resolver sessions
@@ -52,7 +40,11 @@ inline bool operator==(const TraceVariant& a, const TraceVariant& b) {
 }
 
 /// Profile after `epoch` compounded drift steps (identity at epoch <= 0).
-AppProfile drift_profile(const AppProfile& base, const DriftSpec& drift, int epoch);
+/// Each epoch lowers the server TTL by 6 and the MSS by 24, scales the
+/// server window by 1.18 and inter-arrival gaps by 1.35, and adds 0.12 to
+/// the response-size lognormal mu, so the distributions move monotonically
+/// over simulated time.
+AppProfile drift_profile(const AppProfile& base, int epoch);
 
 /// Profile re-hosted on the given family's capture network (identity at
 /// family 0). Deterministic pure function of the base profile.

@@ -1,5 +1,5 @@
 // Chaos-engineering surface: deterministic injector streams, the ChaosIo
-// disk-fault shim, strict env parsing for the chaos knobs, the circuit
+// disk-fault shim, strict env parsing of the latency budget, the circuit
 // breaker's full state machine driven by a latency-scriptable classifier,
 // and the watchdog escalation ladder (flag → quarantine → round abort →
 // recovery). Built as its own binary (sugar_chaos_tests) under the `chaos`
@@ -73,7 +73,6 @@ std::shared_ptr<const serve::FlowClassifier> cheap_classifier() {
 
 TEST(ChaosInjector, SameSeedSameDecisions) {
   ChaosConfig cfg;
-  cfg.enabled = true;
   cfg.seed = 1234;
   cfg.with(ChaosSite::kClassifierFault, 0.3).with(ChaosSite::kIoWriteFail, 0.7);
   ChaosInjector a(cfg), b(cfg);
@@ -91,7 +90,6 @@ TEST(ChaosInjector, SameSeedSameDecisions) {
 
 TEST(ChaosInjector, SitesHaveIndependentStreams) {
   ChaosConfig cfg;
-  cfg.enabled = true;
   cfg.seed = 77;
   cfg.with(ChaosSite::kShardStall, 0.5).with(ChaosSite::kFlowTableAlloc, 0.5);
   // Sequential per-site draws vs interleaved draws must decide identically:
@@ -116,7 +114,6 @@ constexpr std::uint64_t kPinnedFlowTableAllocFires = 0x0df00a12268d331bull;
 
 TEST(ChaosInjector, FirePatternPinned) {
   ChaosConfig cfg;
-  cfg.enabled = true;
   cfg.seed = 2024;
   cfg.with(ChaosSite::kClassifierFault, 0.5).with(ChaosSite::kFlowTableAlloc, 0.5);
   ChaosInjector inj(cfg);
@@ -131,7 +128,6 @@ TEST(ChaosInjector, FirePatternPinned) {
 
 TEST(ChaosInjector, ProbabilityEdges) {
   ChaosConfig cfg;
-  cfg.enabled = true;
   cfg.seed = 9;
   cfg.with(ChaosSite::kIoRenameFail, 1.0);  // kShardStall stays at 0
   ChaosInjector inj(cfg);
@@ -139,11 +135,14 @@ TEST(ChaosInjector, ProbabilityEdges) {
     EXPECT_TRUE(inj.should_fire(ChaosSite::kIoRenameFail));
     EXPECT_FALSE(inj.should_fire(ChaosSite::kShardStall));
   }
+  // A zero probability is how a site is switched off: it never fires and
+  // never draws.
   ChaosConfig off = cfg;
-  off.enabled = false;
+  off.with(ChaosSite::kIoRenameFail, 0.0);
   ChaosInjector disabled(off);
   for (int i = 0; i < 100; ++i)
     EXPECT_FALSE(disabled.should_fire(ChaosSite::kIoRenameFail));
+  EXPECT_EQ(disabled.draws(ChaosSite::kIoRenameFail), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -151,7 +150,6 @@ TEST(ChaosInjector, ProbabilityEdges) {
 
 TEST(ChaosIo, WriteFailLeavesNoFile) {
   ChaosConfig cfg;
-  cfg.enabled = true;
   cfg.seed = 5;
   cfg.with(ChaosSite::kIoWriteFail, 1.0);
   ChaosInjector inj(cfg);
@@ -166,7 +164,6 @@ TEST(ChaosIo, WriteFailLeavesNoFile) {
 
 TEST(ChaosIo, ShortWritePersistsStrictPrefix) {
   ChaosConfig cfg;
-  cfg.enabled = true;
   cfg.seed = 5;
   cfg.with(ChaosSite::kIoShortWrite, 1.0);
   ChaosInjector inj(cfg);
@@ -183,7 +180,6 @@ TEST(ChaosIo, ShortWritePersistsStrictPrefix) {
 
 TEST(ChaosIo, RenameFailButReadsPassThrough) {
   ChaosConfig cfg;
-  cfg.enabled = true;
   cfg.seed = 5;
   cfg.with(ChaosSite::kIoRenameFail, 1.0);
   ChaosInjector inj(cfg);
@@ -201,34 +197,12 @@ TEST(ChaosIo, RenameFailButReadsPassThrough) {
 }
 
 // ---------------------------------------------------------------------------
-// Strict env parsing for the chaos knobs.
-
-TEST(ChaosEnv, ValidSeedEnablesChaos) {
-  ScopedEnv env("SUGAR_CHAOS", "12345");
-  const ChaosConfig cfg = ChaosConfig::from_env();
-  EXPECT_TRUE(cfg.enabled);
-  EXPECT_EQ(cfg.seed, 12345u);
-  // The smoke configuration must actually inject somewhere.
-  double total = 0;
-  for (double p : cfg.probability) total += p;
-  EXPECT_GT(total, 0.0);
-}
-
-TEST(ChaosEnv, MalformedSeedRejected) {
-  for (const char* bad : {"12abc", "abc", "", " 7", "7 ", "-3", "1e4"}) {
-    ScopedEnv env("SUGAR_CHAOS", bad);
-    EXPECT_FALSE(ChaosConfig::from_env().enabled) << "'" << bad << "'";
-  }
-  ScopedEnv env("SUGAR_CHAOS", "0");  // explicit zero means off
-  EXPECT_FALSE(ChaosConfig::from_env().enabled);
-  ScopedEnv none("SUGAR_CHAOS", nullptr);
-  EXPECT_FALSE(ChaosConfig::from_env().enabled);
-}
+// Strict env parsing for the breaker's latency budget.
 
 TEST(ChaosEnv, LatencyBudgetOverride) {
   {
     ScopedEnv env("SUGAR_LATENCY_BUDGET_US", "250");
-    EXPECT_EQ(serve::BreakerConfig::from_env().latency_budget_us, 250u);
+    EXPECT_EQ(serve::BreakerConfig::from_env({}).latency_budget_us, 250u);
   }
   for (const char* bad : {"250us", "", "x", "-1", "2.5"}) {
     ScopedEnv env("SUGAR_LATENCY_BUDGET_US", bad);
@@ -330,7 +304,56 @@ TEST(Breaker, FullTripCooldownProbeRecoverCycle) {
   for (std::size_t i = 0; i < log.size(); ++i) {
     EXPECT_EQ(log[i].from, want[i].first) << "edge " << i;
     EXPECT_EQ(log[i].to, want[i].second) << "edge " << i;
-    if (i > 0) EXPECT_LE(log[i - 1].at_call, log[i].at_call);
+    if (i > 0) {
+      EXPECT_LE(log[i - 1].at_call, log[i].at_call);
+    }
+  }
+}
+
+// The transition log holds the first 64 edges of the walk: json_check's
+// legal-walk check starts from closed. The counters keep counting past it.
+TEST(Breaker, TransitionLogKeepsFirst64WhileCountersCountAll) {
+  std::atomic<bool> slow{false};
+  SlowableClassifier primary(&slow);
+  serve::HeuristicClassifier fallback(4, 2, [](const float*) { return 0; });
+  ChaosConfig ccfg;
+  ccfg.seed = 64;
+  ccfg.with(ChaosSite::kClassifierFault, 0.5);
+  serve::BreakerConfig bcfg;
+  bcfg.failure_threshold = 1;
+  bcfg.open_cooldown_calls = 1;
+  bcfg.half_open_successes = 1;
+  const float f[4] = {0, 0, 0, 0};
+
+  ChaosInjector chaos(ccfg);
+  serve::CircuitBreakerClassifier breaker(primary, fallback, bcfg, &chaos);
+  for (int i = 0; i < 2000; ++i) (void)breaker.classify(f);
+  const auto log = breaker.transitions();
+  const serve::BreakerCounters c = breaker.counters();
+  ASSERT_EQ(log.size(), 64u);
+  EXPECT_GT(c.trips + c.recoveries, log.size()) << "the walk outgrew the log";
+  EXPECT_EQ(log.front().from, serve::BreakerState::kClosed);
+  std::uint64_t logged_trips = 0;
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    if (log[i].to == serve::BreakerState::kOpen) ++logged_trips;
+    if (i > 0) {
+      EXPECT_EQ(log[i].from, log[i - 1].to) << "edge " << i;
+      EXPECT_LT(log[i - 1].at_call, log[i].at_call) << "edge " << i;
+    }
+  }
+  EXPECT_LT(logged_trips, c.trips);
+
+  // The same seeded walk, stopped at the 64th edge's call, logs exactly
+  // those 64 edges: the log is the walk's prefix, not its tail.
+  ChaosInjector chaos2(ccfg);
+  serve::CircuitBreakerClassifier prefix(primary, fallback, bcfg, &chaos2);
+  for (std::uint64_t i = 0; i < log.back().at_call; ++i) (void)prefix.classify(f);
+  const auto want = prefix.transitions();
+  ASSERT_EQ(want.size(), log.size());
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    EXPECT_EQ(log[i].from, want[i].from) << "edge " << i;
+    EXPECT_EQ(log[i].to, want[i].to) << "edge " << i;
+    EXPECT_EQ(log[i].at_call, want[i].at_call) << "edge " << i;
   }
 }
 
@@ -339,7 +362,6 @@ TEST(Breaker, InjectedFaultRoutesToFallbackImmediately) {
   SlowableClassifier primary(&slow);
   serve::HeuristicClassifier fallback(4, 2, [](const float*) { return 0; });
   ChaosConfig cfg;
-  cfg.enabled = true;
   cfg.seed = 3;
   cfg.with(ChaosSite::kClassifierFault, 1.0);
   ChaosInjector chaos(cfg);
@@ -361,7 +383,6 @@ TEST(Breaker, InjectedFaultRoutesToFallbackImmediately) {
 TEST(EngineChaos, AllocFaultsBecomeCountedRejections) {
   const auto stream = sample_stream();
   ChaosConfig ccfg;
-  ccfg.enabled = true;
   ccfg.seed = 11;
   ccfg.with(ChaosSite::kFlowTableAlloc, 1.0);
   ChaosInjector chaos(ccfg);
@@ -432,7 +453,6 @@ TEST(EngineChaos, WatchdogEscalatesAndRecovers) {
 TEST(ChaosTsan, StormSmoke) {
   const auto stream = sample_stream();
   ChaosConfig ccfg;
-  ccfg.enabled = true;
   ccfg.seed = 31337;
   ccfg.stall_usec = 100;
   ccfg.classifier_delay_usec = 100;

@@ -122,7 +122,6 @@ TEST_F(ArtifactFiles, AtomicWriteThroughInjectedIoFaults) {
   // Disk full at the temp-write step: the committed target is untouched.
   {
     ChaosConfig cfg;
-    cfg.enabled = true;
     cfg.seed = 1;
     cfg.with(ChaosSite::kIoWriteFail, 1.0);
     ChaosInjector chaos(cfg);
@@ -137,7 +136,6 @@ TEST_F(ArtifactFiles, AtomicWriteThroughInjectedIoFaults) {
   // whole point of temp-then-rename.
   {
     ChaosConfig cfg;
-    cfg.enabled = true;
     cfg.seed = 1;
     cfg.with(ChaosSite::kIoRenameFail, 1.0);
     ChaosInjector chaos(cfg);
@@ -149,8 +147,7 @@ TEST_F(ArtifactFiles, AtomicWriteThroughInjectedIoFaults) {
 
   // A clean injected run behaves exactly like the real filesystem.
   {
-    ChaosConfig cfg;  // enabled but all probabilities zero
-    cfg.enabled = true;
+    ChaosConfig cfg;  // all probabilities zero
     cfg.seed = 1;
     ChaosInjector chaos(cfg);
     ChaosIo io(chaos);

@@ -95,7 +95,6 @@ class TraceIntegrationTest : public ::testing::Test {
     cfg.bench_name = name;
     cfg.json_path = (dir_ / ("BENCH_" + name + ".json")).string();
     cfg.quiet = true;
-    cfg.backoff_base_s = 0;
     return cfg;
   }
 
@@ -137,26 +136,25 @@ TEST_F(TraceIntegrationTest, TracePathForcesSpansAndWritesSchema4PlusChrome) {
   EXPECT_EQ(trace::mode(), trace::Mode::kSpans)
       << "a trace_path must force spans mode";
 
-  std::vector<CellSpec> specs;
-  std::vector<RunSupervisor::CellFn> fns;
-  for (int i = 0; i < 3; ++i) {
-    specs.push_back({"traced", "r" + std::to_string(i), "c",
-                     generic_cell_key({"traced", std::to_string(i)})});
-    fns.push_back([](CellContext&) {
-      SUGAR_TRACE_SPAN("test.cell_body");
-      SUGAR_TRACE_COUNT("test.cell_work", 11);
-      return ok_summary();
-    });
-  }
-  auto outcomes = sup.run_cells(specs, fns);
+  std::vector<CellOutcome> outcomes;
+  for (int i = 0; i < 3; ++i)
+    outcomes.push_back(sup.run_cell(
+        {"traced", "r" + std::to_string(i), "c",
+         generic_cell_key({"traced", std::to_string(i)})},
+        [](CellContext&) {
+          SUGAR_TRACE_SPAN("test.cell_body");
+          SUGAR_TRACE_COUNT("test.cell_work", 11);
+          return ok_summary();
+        }));
   for (const auto& o : outcomes) {
     EXPECT_TRUE(o.ok());
-    // Per-cell counter deltas were captured (at least test.cell_work moved).
+    // Per-cell counter deltas were captured, and with one cell at a time
+    // they are exactly this cell's own work.
     bool saw_work = false;
     for (const Json& d : o.trace_counters.items())
       if (d.find("name")->string_or("") == "test.cell_work") {
         saw_work = true;
-        EXPECT_GE(d.find("delta")->number_or(0), 11);
+        EXPECT_EQ(d.find("delta")->number_or(0), 11);
       }
     EXPECT_TRUE(saw_work);
   }

@@ -1,22 +1,18 @@
 // Contention stress for the parallel substrate, intended for a TSan build
 // (-DSUGAR_SANITIZE=thread; `ctest -L tsan`) but also correct — and run —
 // under plain builds. Exercises the race-prone seams: many plain threads
-// dispatching to one global pool, concurrent forest and GBDT fits sharing
-// the pool, and a supervisor batch where concurrent cells themselves use
-// the pool.
+// dispatching to one global pool (the pool's contended-dispatch path),
+// concurrent forest and GBDT fits sharing the pool, and concurrent trace
+// emission against snapshot readers.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <random>
 #include <string>
 #include <thread>
-#include <unistd.h>
 #include <vector>
 
-#include "core/supervisor.h"
 #include "core/threadpool.h"
 #include "core/trace.h"
 #include "ml/forest.h"
@@ -111,53 +107,6 @@ TEST(TsanStress, ConcurrentGbdtFitsBitIdentical) {
   }
 }
 
-TEST(TsanStress, SupervisorParallelCellsUsingPool) {
-  set_global_threads(4);
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("sugar_tsan_stress_" + std::to_string(::getpid()));
-  std::filesystem::create_directories(dir);
-
-  SupervisorConfig cfg;
-  cfg.bench_name = "tsan_stress";
-  cfg.quiet = true;
-  cfg.backoff_base_s = 0;
-  cfg.cell_timeout_s = 120;
-  cfg.max_parallel_cells = 8;
-  cfg.json_path = (dir / "BENCH_tsan_stress.json").string();
-  RunSupervisor sup(std::move(cfg));
-
-  const ml::Matrix a = random_matrix(48, 64, 1);
-  const ml::Matrix b = random_matrix(64, 32, 2);
-  const ml::Matrix expect = ml::matmul(a, b);
-
-  std::vector<CellSpec> specs;
-  std::vector<RunSupervisor::CellFn> fns;
-  for (int i = 0; i < 16; ++i) {
-    specs.push_back({"tsan_stress", "cell" + std::to_string(i), "matmul",
-                     generic_cell_key({"tsan", std::to_string(i)})});
-    fns.push_back([&a, &b, &expect](CellContext&) {
-      // Each concurrent cell dispatches to the shared pool; the pool's
-      // re-entrancy guard degrades contended calls to inline serial runs,
-      // which must still be bit-identical.
-      ml::Matrix c = ml::matmul(a, b);
-      CellSummary s;
-      s.accuracy = c.data() == expect.data() ? 1.0 : 0.0;
-      return s;
-    });
-  }
-  auto outcomes = sup.run_cells(specs, fns);
-  set_global_threads(0);
-
-  ASSERT_EQ(outcomes.size(), 16u);
-  for (const auto& o : outcomes) {
-    EXPECT_TRUE(o.ok());
-    EXPECT_EQ(o.summary.accuracy, 1.0);
-  }
-  EXPECT_TRUE(sup.finalize());
-  EXPECT_TRUE(std::filesystem::exists(dir / "BENCH_tsan_stress.json"));
-  std::filesystem::remove_all(dir);
-}
-
 // ---------------------------------------------------------------------------
 // TraceConcurrent*: the observability substrate under contention. Span and
 // counter emission from many threads while snapshot readers run
@@ -213,54 +162,6 @@ TEST(TraceConcurrent, EmittersAndSnapshottersRace) {
   EXPECT_EQ(trace::open_span_count(), 0u);
   EXPECT_EQ(trace::counter("stress.rounds").value(), 6u * 200u);
   EXPECT_EQ(trace::counter("stress.blocks").value(), 6u * 200u * 64u);
-  trace::set_mode(trace::Mode::kOff);
-  trace::reset();
-}
-
-TEST(TraceConcurrent, SupervisorParallelCellsEmitSpans) {
-  trace::set_mode(trace::Mode::kSpans);
-  trace::reset();
-  set_global_threads(4);
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("sugar_tsan_trace_" + std::to_string(::getpid()));
-  std::filesystem::create_directories(dir);
-
-  SupervisorConfig cfg;
-  cfg.bench_name = "tsan_trace";
-  cfg.quiet = true;
-  cfg.backoff_base_s = 0;
-  cfg.cell_timeout_s = 120;
-  cfg.max_parallel_cells = 6;
-  cfg.json_path = (dir / "BENCH_tsan_trace.json").string();
-  cfg.trace_path = (dir / "trace.json").string();
-  RunSupervisor sup(std::move(cfg));
-
-  const ml::Matrix a = random_matrix(48, 64, 3);
-  const ml::Matrix b = random_matrix(64, 32, 4);
-
-  std::vector<CellSpec> specs;
-  std::vector<RunSupervisor::CellFn> fns;
-  for (int i = 0; i < 12; ++i) {
-    specs.push_back({"tsan_trace", "cell" + std::to_string(i), "matmul",
-                     generic_cell_key({"tsan_trace", std::to_string(i)})});
-    fns.push_back([&a, &b](CellContext&) {
-      // Concurrent cells: the per-cell counter-delta snapshots in
-      // process_cell race against every other cell's emission.
-      SUGAR_TRACE_SPAN("stress.cell");
-      ml::Matrix c = ml::matmul(a, b);  // bumps ml.gemm_flops
-      CellSummary s;
-      s.accuracy = c.size() > 0 ? 1.0 : 0.0;
-      return s;
-    });
-  }
-  auto outcomes = sup.run_cells(specs, fns);
-  set_global_threads(0);
-
-  for (const auto& o : outcomes) EXPECT_TRUE(o.ok());
-  EXPECT_EQ(trace::counter("supervisor.cells_ok").value(), 12u);
-  EXPECT_TRUE(sup.finalize());
-  EXPECT_TRUE(std::filesystem::exists(dir / "trace.json"));
-  std::filesystem::remove_all(dir);
   trace::set_mode(trace::Mode::kOff);
   trace::reset();
 }

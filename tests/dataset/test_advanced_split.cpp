@@ -4,6 +4,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "core/artifact.h"
 #include "dataset/advanced_split.h"
 
 namespace sugar::dataset {
@@ -117,6 +118,27 @@ TEST(AdvancedSplit, DeterministicForSeed) {
   auto b = advanced_split(ds, opts);
   EXPECT_EQ(a.train, b.train);
   EXPECT_EQ(a.test, b.test);
+}
+
+// Index digests (train indices, then test indices) of every policy under
+// default options.
+TEST(AdvancedSplit, IndexDigestsPinnedPerPolicy) {
+  const auto ds = make_ds();
+  const std::pair<AdvancedSplitPolicy, std::uint64_t> pins[] = {
+      {AdvancedSplitPolicy::PerClient, 0x834a1a3361e4f911ull},
+      {AdvancedSplitPolicy::PerTime, 0x288be3cd9c62c6adull},
+      {AdvancedSplitPolicy::PerSession, 0xbf15aa38c5434d65ull},
+  };
+  for (const auto& [policy, digest] : pins) {
+    AdvancedSplitOptions opts;
+    opts.policy = policy;
+    const SplitIndices split = advanced_split(ds, opts);
+    std::string bytes;
+    for (const auto* side : {&split.train, &split.test})
+      bytes.append(reinterpret_cast<const char*>(side->data()),
+                   side->size() * sizeof(std::size_t));
+    EXPECT_EQ(core::fnv1a64(bytes), digest) << to_string(policy);
+  }
 }
 
 }  // namespace

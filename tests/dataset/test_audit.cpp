@@ -65,5 +65,29 @@ TEST(Audit, EmptySplitIsTriviallyClean) {
   EXPECT_EQ(report.total_flows, 0u);
 }
 
+// The full report on the leaky per-packet split, and on the same split with
+// its test side listed 256 times over, which runs the implicit-id probe into
+// its 20,000-probe cap.
+TEST(Audit, PerPacketReportPinned) {
+  const auto ds = make_ds();
+  SplitOptions opts;
+  opts.policy = SplitPolicy::PerPacket;
+  const auto split = split_dataset(ds, opts);
+  const auto fields = [](const LeakageReport& r) {
+    return std::vector<std::size_t>{r.straddling_flows, r.total_flows,
+                                    r.leaked_test_packets, r.total_test_packets,
+                                    r.implicit_id_matches};
+  };
+  const LeakageReport once = audit_split(ds, split);
+  EXPECT_EQ(fields(once), (std::vector<std::size_t>{42, 48, 417, 417, 88}));
+
+  SplitIndices repeated{.train = split.train, .test = {}};
+  for (int k = 0; k < 256; ++k)
+    repeated.test.insert(repeated.test.end(), split.test.begin(), split.test.end());
+  const LeakageReport capped = audit_split(ds, repeated);
+  EXPECT_EQ(fields(capped),
+            (std::vector<std::size_t>{42, 48, 106752, 106752, 20000}));
+}
+
 }  // namespace
 }  // namespace sugar::dataset

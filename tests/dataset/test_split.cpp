@@ -4,6 +4,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "core/artifact.h"
 #include "dataset/split.h"
 
 namespace sugar::dataset {
@@ -62,11 +63,10 @@ TEST_P(SplitProperties, TrainFractionRespected) {
     SplitOptions opts;
     opts.policy = policy;
     opts.seed = GetParam();
-    opts.train_fraction = 0.875;
     auto split = split_dataset(ds, opts);
     double frac = static_cast<double>(split.train.size()) /
                   static_cast<double>(ds.size());
-    EXPECT_NEAR(frac, 0.875, 0.08) << to_string(policy);
+    EXPECT_NEAR(frac, kTrainFraction, 0.08) << to_string(policy);
   }
 }
 
@@ -144,6 +144,26 @@ TEST(Split, DeterministicForSeed) {
   auto b = split_dataset(ds, opts);
   EXPECT_EQ(a.train, b.train);
   EXPECT_EQ(a.test, b.test);
+}
+
+/// fnv1a64 over the train indices, then the test indices.
+std::uint64_t split_digest(const SplitIndices& split) {
+  std::string bytes;
+  for (const auto* side : {&split.train, &split.test})
+    bytes.append(reinterpret_cast<const char*>(side->data()),
+                 side->size() * sizeof(std::size_t));
+  return core::fnv1a64(bytes);
+}
+
+// Index digests of both policies under default options: the per-packet
+// 7:1 cut of each class and the per-flow largest-first greedy.
+TEST(Split, IndexDigestsPinned) {
+  const auto ds = make_ds();
+  SplitOptions opts;
+  opts.policy = SplitPolicy::PerPacket;
+  EXPECT_EQ(split_digest(split_dataset(ds, opts)), 0xc2843077ae522795ull) << "per-packet";
+  opts.policy = SplitPolicy::PerFlow;
+  EXPECT_EQ(split_digest(split_dataset(ds, opts)), 0xf198772a7ba7ca3dull) << "per-flow";
 }
 
 }  // namespace

@@ -214,7 +214,6 @@ TEST_F(StoreTest, OpenMissingFileIsIoError) {
 
 TEST_F(StoreTest, ChaosIoFailuresPoisonTheWriterAndCommitNothing) {
   core::ChaosConfig cfg;
-  cfg.enabled = true;
   cfg.seed = 11;
   cfg.with(core::ChaosSite::kIoWriteFail, 1.0);  // every append refused
   core::ChaosInjector chaos(cfg);

@@ -88,9 +88,12 @@ TEST(BinnedMatrix, CodesMatchStrictPartitionConvention) {
       ASSERT_EQ(b, quantize_bin(cuts, v));
       // Bin b holds [cuts[b-1], cuts[b]): splitting after bin b with
       // threshold cuts[b] must send exactly codes <= b to the left.
-      if (b > 0) ASSERT_GE(v, cuts[static_cast<std::size_t>(b - 1)]);
-      if (b < static_cast<int>(cuts.size()))
+      if (b > 0) {
+        ASSERT_GE(v, cuts[static_cast<std::size_t>(b - 1)]);
+      }
+      if (b < static_cast<int>(cuts.size())) {
         ASSERT_LT(v, cuts[static_cast<std::size_t>(b)]);
+      }
     }
   }
 }
@@ -105,10 +108,11 @@ TEST(BinnedMatrix, FewDistinctValuesGetDistinctCodes) {
   const std::uint8_t* code = bm.codes(0);
   for (std::size_t r = 0; r < x.rows(); ++r) {
     for (std::size_t s = 0; s < x.rows(); ++s) {
-      if (x(r, 0) == x(s, 0))
+      if (x(r, 0) == x(s, 0)) {
         ASSERT_EQ(code[r], code[s]);
-      else if (x(r, 0) < x(s, 0))
+      } else if (x(r, 0) < x(s, 0)) {
         ASSERT_LT(code[r], code[s]);
+      }
     }
     if (r >= 8) break;  // all residues seen twice; the rest repeats
   }

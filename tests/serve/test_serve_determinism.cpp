@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "core/artifact.h"
 #include "core/chaos.h"
 #include "core/threadpool.h"
 #include "net/fault.h"
@@ -140,8 +141,7 @@ TEST(ServeDeterminism, CalmStreamSameVerdictsAtAllWidths) {
     expect_same(ref, run_stream(stream, calm_config(), kSteady64, width), width);
 }
 
-TEST(ServeDeterminism, OverloadShedLadderSameCountsAtAllWidths) {
-  const auto stream = sample_stream(/*spurious=*/0.05);
+ServeConfig overload_config() {
   ServeConfig cfg = calm_config();
   cfg.table.shards = 2;
   cfg.table.max_flows = 16;     // tiny table: ladder stages 2/3 engage
@@ -150,18 +150,50 @@ TEST(ServeDeterminism, OverloadShedLadderSameCountsAtAllWidths) {
   cfg.idle_timeout_usec = 3'600'000'000ull;  // keep the table full
   cfg.table_hi = 0.5;  // the tiny stream only carries ~20 distinct flows;
   cfg.table_lo = 0.25; // low watermarks make stages 2/3 reachable
-  // Warm-up rounds below the queue watermark fill the tiny table (stage 2
-  // early-classify engages on occupancy); then a sustained 5x burst
-  // overflows the queue (offer() rejections, stages 1/3).
-  const Schedule schedule = [](std::size_t round) {
-    return std::size_t{round < 8 ? 24u : 160u};
-  };
-  const auto ref = run_stream(stream, cfg, schedule, 1);
+  return cfg;
+}
+
+// Warm-up rounds below the queue watermark fill the tiny table (stage 2
+// early-classify engages on occupancy); then a sustained 5x burst
+// overflows the queue (offer() rejections, stage 1, and stage 3 while the
+// table is still above its high watermark: with 5% spurious packets the
+// stage-2 sweep drains it first, with 30% it cannot).
+const Schedule kWarmThenBurst = [](std::size_t round) {
+  return std::size_t{round < 8 ? 24u : 160u};
+};
+
+TEST(ServeDeterminism, OverloadShedLadderSameCountsAtAllWidths) {
+  const auto stream = sample_stream(/*spurious=*/0.05);
+  const ServeConfig cfg = overload_config();
+  const auto ref = run_stream(stream, cfg, kWarmThenBurst, 1);
   EXPECT_GT(ref.counters.shed_stage_enters, 0u);
   EXPECT_GT(ref.counters.packets_rejected, 0u);
   EXPECT_GT(ref.counters.evicted_early + ref.counters.evicted_sampled, 0u);
   for (const std::size_t width : kWidths)
-    expect_same(ref, run_stream(stream, cfg, schedule, width), width);
+    expect_same(ref, run_stream(stream, cfg, kWarmThenBurst, width), width);
+}
+
+// The overload run's verdict digest and every ServeCounters value. Its
+// ladder reaches stage 2 (early-classify sweeps) and stage 3 (sample-evict
+// replacements), and short flows evicted there go unclassified.
+TEST(ServeDeterminism, ShedLadderVerdictsAndCountersPinned) {
+  // Spurious single-packet flows fill the table with flows stage 2 cannot
+  // classify, so stage 3 has to evict them.
+  const auto stream = sample_stream(/*spurious=*/0.3);
+  for (const std::size_t width : kWidths) {
+    const auto run = run_stream(stream, overload_config(), kWarmThenBurst, width);
+    EXPECT_GT(run.counters.evicted_early, 0u) << "width " << width;
+    EXPECT_GT(run.counters.evicted_sampled, 0u) << "width " << width;
+    EXPECT_GT(run.counters.evicted_unclassified, 0u) << "width " << width;
+    std::string all;
+    for (const auto& v : run.verdicts) all += v + '\n';
+    EXPECT_EQ(core::fnv1a64(all), 0xcef345ce6a0aa6dbull) << "width " << width;
+    EXPECT_EQ(run.counters.to_values(),
+              (std::vector<std::uint64_t>{4994, 3776, 1218, 0, 66, 1061, 23, 2, 0,
+                                          3, 6, 14, 2, 1, 20, 0, 3, 1, 41, 0,
+                                          0, 0, 0, 0, 0}))
+        << "width " << width;
+  }
 }
 
 TEST(ServeDeterminism, FaultedStreamsStayDeterministic) {
@@ -183,7 +215,6 @@ TEST(ServeDeterminism, ChaosRunsReplayAtAllWidths) {
   // latency budget and no watchdog, so no fault depends on the clock.
   const auto stream = sample_stream(/*spurious=*/0.05);
   core::ChaosConfig ccfg;
-  ccfg.enabled = true;
   ccfg.seed = 606;
   ccfg.with(core::ChaosSite::kClassifierFault, 0.4)
       .with(core::ChaosSite::kFlowTableAlloc, 0.05);

@@ -131,8 +131,8 @@ TEST(Drift, DifferentSeedsAndEpochsDiffer) {
 }
 
 TEST(Drift, HeaderStatsShiftMonotonically) {
-  // The default DriftSpec decays TTL, grows the TCP window and stretches
-  // inter-arrival gaps per epoch; observed per-trace means must follow.
+  // Each drift epoch decays TTL, grows the TCP window and stretches
+  // inter-arrival gaps; observed per-trace means must follow.
   GenOptions o = small_opts(7);
   o.flows_per_class = 3;
   std::vector<HeaderStats> stats;

@@ -196,6 +196,7 @@ TEST(TcpSession, RstAbort) {
   s.abort(true);
   auto pkts = s.take();
   auto p = *net::parse_packet(pkts.back()).parsed;
+  ASSERT_TRUE(p.tcp);
   EXPECT_TRUE(p.tcp->rst);
 }
 

@@ -76,8 +76,9 @@ TEST_P(TraceInvariants, LengthFieldsCoherent) {
     const auto& p = *outcome.parsed;
     EXPECT_EQ(p.ipv4->total_length + p.l3_offset, trace.packets[i].data.size())
         << "packet " << i;
-    if (p.udp)
+    if (p.udp) {
       EXPECT_EQ(p.udp->length, 8 + p.payload_len) << "packet " << i;
+    }
   }
 }
 
