@@ -39,26 +39,6 @@ inline core::RunSupervisor make_supervisor(std::string_view bench_name, int argc
   return core::RunSupervisor(std::move(*cfg));
 }
 
-/// Cells collected first and run later, one at a time in add() order;
-/// run() returns their outcomes in that order.
-struct CellBatch {
-  std::vector<core::CellSpec> specs;
-  std::vector<core::RunSupervisor::CellFn> fns;
-
-  void add(core::CellSpec spec, core::RunSupervisor::CellFn fn) {
-    specs.push_back(std::move(spec));
-    fns.push_back(std::move(fn));
-  }
-
-  [[nodiscard]] std::vector<core::CellOutcome> run(core::RunSupervisor& sup) {
-    std::vector<core::CellOutcome> outcomes;
-    outcomes.reserve(specs.size());
-    for (std::size_t i = 0; i < specs.size(); ++i)
-      outcomes.push_back(sup.run_cell(specs[i], fns[i]));
-    return outcomes;
-  }
-};
-
 /// One packet-scenario cell through the supervisor boundary.
 inline core::CellOutcome run_packet_cell(core::RunSupervisor& sup,
                                          core::BenchmarkEnv& env, std::string table,

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "core/envparse.h"
 
 using namespace sugar;
 
@@ -43,13 +44,12 @@ bool parse_drift_flags(const std::vector<std::string>& args, DriftCliOptions& ou
         error = "missing value for " + arg;
         return false;
       }
-      char* end = nullptr;
-      long v = std::strtol(args[++i].c_str(), &end, 10);
-      if (end == nullptr || *end != '\0' || args[i].empty() || v < 1 || v > 8) {
+      int v = 0;
+      if (!core::parse_number(args[++i], v) || v < 1 || v > 8) {
         error = "malformed or out-of-range value for " + arg + " '" + args[i] + "'";
         return false;
       }
-      out.drift_epochs = static_cast<int>(v);
+      out.drift_epochs = v;
     } else {
       error = "unknown flag " + arg;
       return false;
@@ -94,35 +94,33 @@ std::string shallow_variant_key(dataset::TaskId task, core::ShallowKind kind,
        opts.test_variant.tag()});
 }
 
-void add_model_cell(bench::CellBatch& batch, core::BenchmarkEnv& env,
-                    dataset::TaskId task, const ModelSpec& model,
-                    std::string table, std::string col,
-                    const core::ScenarioOptions& opts) {
+core::CellOutcome run_model_cell(core::RunSupervisor& sup, core::BenchmarkEnv& env,
+                                 dataset::TaskId task, const ModelSpec& model,
+                                 std::string table, std::string col,
+                                 const core::ScenarioOptions& opts) {
   core::CellSpec spec{std::move(table), model.name, std::move(col), {}};
   if (model.shallow) {
     spec.key = shallow_variant_key(task, core::ShallowKind::RandomForest,
                                    model.include_ip, opts);
-    batch.add(std::move(spec),
-              [&env, task, include_ip = model.include_ip, opts](core::CellContext& ctx) {
-                core::ScenarioOptions o = opts;
-                ctx.apply(o);
-                auto s = core::summarize(core::run_shallow_scenario(
-                    env, task, core::ShallowKind::RandomForest, include_ip, o));
-                s.extra.set("drift", drift_extra(opts));
-                return s;
-              });
-  } else {
-    spec.key = core::scenario_cell_key(
-        task, "drift:" + replearn::to_string(replearn::ModelKind::NetMamba), opts);
-    batch.add(std::move(spec), [&env, task, opts](core::CellContext& ctx) {
+    return sup.run_cell(spec, [&](core::CellContext& ctx) {
       core::ScenarioOptions o = opts;
       ctx.apply(o);
-      auto s = core::summarize(core::run_packet_scenario(
-          env, task, replearn::ModelKind::NetMamba, o));
+      auto s = core::summarize(core::run_shallow_scenario(
+          env, task, core::ShallowKind::RandomForest, model.include_ip, o));
       s.extra.set("drift", drift_extra(opts));
       return s;
     });
   }
+  spec.key = core::scenario_cell_key(
+      task, "drift:" + replearn::to_string(replearn::ModelKind::NetMamba), opts);
+  return sup.run_cell(spec, [&](core::CellContext& ctx) {
+    core::ScenarioOptions o = opts;
+    ctx.apply(o);
+    auto s = core::summarize(core::run_packet_scenario(
+        env, task, replearn::ModelKind::NetMamba, o));
+    s.extra.set("drift", drift_extra(opts));
+    return s;
+  });
 }
 
 }  // namespace
@@ -144,7 +142,7 @@ int main(int argc, char** argv) {
   const auto task = dataset::TaskId::VpnApp;
 
   // --- Drift ladder: train on epoch 0, test on epochs 0..N. -------------
-  bench::CellBatch batch;
+  std::vector<core::CellOutcome> outcomes;
   std::vector<std::string> epoch_cols;
   for (int e = 0; e <= cli.drift_epochs; ++e) {
     epoch_cols.push_back("epoch" + std::to_string(e));
@@ -152,7 +150,8 @@ int main(int argc, char** argv) {
     opts.split = dataset::SplitPolicy::PerFlow;
     opts.test_variant.drift_epoch = e;
     for (const auto& model : kModels)
-      add_model_cell(batch, env, task, model, "drift", epoch_cols.back(), opts);
+      outcomes.push_back(
+          run_model_cell(sup, env, task, model, "drift", epoch_cols.back(), opts));
   }
 
   // --- Cross-family transfer: A->A control, A->B transfer, B->B control.
@@ -166,10 +165,10 @@ int main(int argc, char** argv) {
     opts.train_variant.family = train_fam;
     opts.test_variant.family = test_fam;
     for (const auto& model : kModels)
-      add_model_cell(batch, env, task, model, "transfer", transfer_cols.back(), opts);
+      outcomes.push_back(run_model_cell(sup, env, task, model, "transfer",
+                                        transfer_cols.back(), opts));
   }
 
-  auto outcomes = batch.run(sup);
   const std::size_t n_models = kModels.size();
   const std::size_t n_epochs = epoch_cols.size();
   auto drift_outcome = [&](std::size_t epoch, std::size_t model) -> const core::CellOutcome& {

@@ -85,35 +85,31 @@ int main(int argc, char** argv) {
   const double rf_test =
       rf.ok() && rf.summary.test_seconds > 0 ? rf.summary.test_seconds : 1.0;
 
-  // One batch of independent (model × frozen/unfrozen) cells.
+  // The (model × frozen/unfrozen) cells, one at a time.
   const auto kinds = replearn::all_model_kinds();
-  bench::CellBatch batch;
+  std::vector<core::CellOutcome> outcomes;
   for (auto kind : kinds) {
     for (bool frozen : {true, false}) {
       core::ScenarioOptions dopts;
       dopts.split = dataset::SplitPolicy::PerFlow;
       dopts.frozen = frozen;
-      batch.add({"fig6", replearn::to_string(kind),
-                 frozen ? "frozen" : "unfrozen",
-                 core::scenario_cell_key(
-                     task, "timing:" + replearn::to_string(kind), dopts)},
-                [&env, task, kind, dopts](core::CellContext& ctx) {
-                  core::ScenarioOptions o = dopts;
-                  ctx.apply(o);
-                  auto s = core::summarize(
-                      core::run_packet_scenario(env, task, kind, o));
-                  // The bundle is pre-trained (and cached) by now; record
-                  // its size.
-                  s.extra.set("params", core::Json(env.pretrained(
-                                                          kind,
-                                                          replearn::TaskMode::Packet,
-                                                          ctx.cancel)
-                                                       .encoder->param_count()));
-                  return s;
-                });
+      outcomes.push_back(sup.run_cell(
+          {"fig6", replearn::to_string(kind), frozen ? "frozen" : "unfrozen",
+           core::scenario_cell_key(task, "timing:" + replearn::to_string(kind),
+                                   dopts)},
+          [&env, task, kind, dopts](core::CellContext& ctx) {
+            core::ScenarioOptions o = dopts;
+            ctx.apply(o);
+            auto s = core::summarize(core::run_packet_scenario(env, task, kind, o));
+            // The bundle is pre-trained (and cached) by now; record its size.
+            s.extra.set("params",
+                        core::Json(env.pretrained(kind, replearn::TaskMode::Packet,
+                                                  ctx.cancel)
+                                       .encoder->param_count()));
+            return s;
+          }));
     }
   }
-  auto outcomes = batch.run(sup);
 
   core::MarkdownTable table{{"Model", "Train x (frozen)", "Train x (unfrozen)",
                              "Inference x", "Params"}};

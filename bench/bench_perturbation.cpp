@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "core/envparse.h"
 
 using namespace sugar;
 
@@ -34,18 +35,17 @@ bool parse_perturb_flags(const std::vector<std::string>& args,
                          PerturbCliOptions& out, std::string& error) {
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& arg = args[i];
-    auto value = [&](int& dst, long hi) {
+    auto value = [&](int& dst, int hi) {
       if (i + 1 >= args.size()) {
         error = "missing value for " + arg;
         return false;
       }
-      char* end = nullptr;
-      long v = std::strtol(args[++i].c_str(), &end, 10);
-      if (end == nullptr || *end != '\0' || args[i].empty() || v < 1 || v > hi) {
+      int v = 0;
+      if (!core::parse_number(args[++i], v) || v < 1 || v > hi) {
         error = "malformed or out-of-range value for " + arg + " '" + args[i] + "'";
         return false;
       }
-      dst = static_cast<int>(v);
+      dst = v;
       return true;
     };
     if (arg == "--ttl-jitter") {

@@ -37,6 +37,7 @@
 #include "bench_common.h"
 #include "core/artifact.h"
 #include "core/chaos.h"
+#include "core/envparse.h"
 #include "core/io.h"
 #include "ml/metrics.h"
 #include "net/fault.h"
@@ -65,43 +66,36 @@ bool parse_serve_flags(const std::vector<std::string>& args, ServeCliOptions& ou
                        std::string& error) {
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& arg = args[i];
-    auto value = [&](double& dst) {
+    // Counts parse straight into their integer type, so "2.5", "1e30" and
+    // "inf" are malformed rather than cast.
+    auto value = [&](auto& dst) {
       if (i + 1 >= args.size()) {
         error = "missing value for " + arg;
         return false;
       }
-      char* end = nullptr;
-      dst = std::strtod(args[++i].c_str(), &end);
-      if (end == nullptr || *end != '\0' || args[i].empty()) {
+      if (!core::parse_number(args[++i], dst)) {
         error = "malformed value for " + arg + " '" + args[i] + "'";
         return false;
       }
       return true;
     };
-    double v = 0;
     auto range = [&](bool ok) {
       if (!ok && error.empty())
         error = "out-of-range value for " + arg + " '" + args[i] + "'";
       return ok;
     };
     if (arg == "--offered-load") {
-      if (!value(v) || !range(v >= 0)) return false;
-      out.offered_pps = v;
+      if (!value(out.offered_pps) || !range(out.offered_pps >= 0)) return false;
     } else if (arg == "--duration-s") {
-      if (!value(v) || !range(v > 0)) return false;
-      out.duration_s = v;
+      if (!value(out.duration_s) || !range(out.duration_s > 0)) return false;
     } else if (arg == "--max-flows") {
-      if (!value(v) || !range(v >= 1)) return false;
-      out.max_flows = static_cast<std::size_t>(v);
+      if (!value(out.max_flows) || !range(out.max_flows >= 1)) return false;
     } else if (arg == "--shards") {
-      if (!value(v) || !range(v >= 1)) return false;
-      out.shards = static_cast<std::size_t>(v);
+      if (!value(out.shards) || !range(out.shards >= 1)) return false;
     } else if (arg == "--queue-capacity") {
-      if (!value(v) || !range(v >= 1)) return false;
-      out.queue_capacity = static_cast<std::size_t>(v);
+      if (!value(out.queue_capacity) || !range(out.queue_capacity >= 1)) return false;
     } else if (arg == "--batch-size") {
-      if (!value(v) || !range(v >= 1)) return false;
-      out.batch_size = static_cast<std::size_t>(v);
+      if (!value(out.batch_size) || !range(out.batch_size >= 1)) return false;
     } else {
       error = "unknown flag '" + arg + "'";
       return false;
@@ -548,24 +542,29 @@ int main(int argc, char** argv) {
   const auto total_packets = static_cast<std::size_t>(
       std::max(1.0, cli.duration_s * 16.0) * static_cast<double>(cli.batch_size));
 
-  auto add_stream_cell = [&](bench::CellBatch& batch, std::string row,
-                             std::string col, std::vector<net::Packet> stream,
-                             double ratio) {
-    core::CellSpec spec{"serve", row, col,
-                        core::generic_cell_key({"serve", row, col})};
-    batch.add(std::move(spec), [&cli, &truth, clf, total_packets, ratio,
-                                stream = std::move(stream)](core::CellContext&) {
-      return run_stream_cell(stream, cli, ratio, total_packets, clf, truth);
-    });
+  // Every cell runs as it is reached; its spec is kept for the table below.
+  std::vector<core::CellSpec> specs;
+  std::vector<core::CellOutcome> outcomes;
+  auto run_serve_cell = [&](core::CellSpec spec,
+                            const core::RunSupervisor::CellFn& fn) {
+    outcomes.push_back(sup.run_cell(spec, fn));
+    specs.push_back(std::move(spec));
+  };
+  auto run_stream = [&](std::string row, std::string col,
+                        const std::vector<net::Packet>& stream, double ratio) {
+    run_serve_cell({"serve", row, col, core::generic_cell_key({"serve", row, col})},
+                   [&](core::CellContext&) {
+                     return run_stream_cell(stream, cli, ratio, total_packets,
+                                            clf, truth);
+                   });
   };
 
   // Load ladder: offered:capacity at 0.5x (calm), 1.0x (saturation
   // boundary) and 2.0x (sustained overload — the shed ladder must engage).
-  bench::CellBatch load_cells;
   for (double ratio : {0.5, 1.0, 2.0}) {
     char col[16];
     std::snprintf(col, sizeof col, "%.1fx", ratio);
-    add_stream_cell(load_cells, "load", col, trace.packets, ratio);
+    run_stream("load", col, trace.packets, ratio);
   }
 
   // Fault matrix: every delivery fault under calm and overload pressure.
@@ -579,8 +578,7 @@ int main(int argc, char** argv) {
     for (double ratio : {0.5, 2.0}) {
       char col[16];
       std::snprintf(col, sizeof col, "%.1fx", ratio);
-      add_stream_cell(load_cells, "fault " + net::to_string(fault), col,
-                      mutated, ratio);
+      run_stream("fault " + net::to_string(fault), col, mutated, ratio);
     }
   }
 
@@ -592,12 +590,9 @@ int main(int argc, char** argv) {
         "serve", "crash", "k=" + std::to_string(kill_tick),
         core::generic_cell_key(
             {"serve", "crash", "k" + std::to_string(kill_tick)})};
-    load_cells.add(std::move(spec),
-                   [&cli, clf, kill_tick, total_packets,
-                    stream = trace.packets](core::CellContext&) {
-                     return run_crash_cell(stream, cli, clf, kill_tick,
-                                           total_packets);
-                   });
+    run_serve_cell(std::move(spec), [&](core::CellContext&) {
+      return run_crash_cell(trace.packets, cli, clf, kill_tick, total_packets);
+    });
   }
 
   // Chaos matrix: deterministic fault injection per subsystem. The breaker
@@ -620,20 +615,16 @@ int main(int argc, char** argv) {
                         core::generic_cell_key({"serve", "chaos", name})};
     const std::uint64_t seed =
         env_cfg.seed * 1000003 + static_cast<std::uint64_t>(mode) + 1;
-    load_cells.add(std::move(spec),
-                   [&cli, clf, fallback, seed, mode, total_packets,
-                    stream = trace.packets](core::CellContext&) {
-                     return run_chaos_cell(stream, cli, clf, fallback, seed,
-                                           mode, total_packets);
-                   });
+    run_serve_cell(std::move(spec), [&](core::CellContext&) {
+      return run_chaos_cell(trace.packets, cli, clf, fallback, seed, mode,
+                            total_packets);
+    });
   }
-
-  auto outcomes = load_cells.run(sup);
 
   std::printf("\n| cell | load | verdict acc | p99 us | shed/evict |\n");
   std::printf("|---|---|---|---|---|\n");
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    const auto& spec = load_cells.specs[i];
+    const auto& spec = specs[i];
     const auto& o = outcomes[i];
     std::string detail = "FAILED";
     if (o.ok()) {

@@ -9,10 +9,10 @@
 // typically 10-100x the SUGAR_PAGE_CACHE_MB budget — with rows/s, cache
 // hit rate and peak RSS recorded in the cell's extra payload and the
 // scale pinned into the journal key.
-#include <cstdlib>
 #include <filesystem>
 
 #include "bench_common.h"
+#include "core/envparse.h"
 #include "core/ooc.h"
 
 using namespace sugar;
@@ -85,13 +85,9 @@ int main(int argc, char** argv) {
   if (sup_cfg) {
     for (std::size_t i = 0; i < extra.size() && sup_cfg; ++i) {
       if (extra[i] == "--scale" && i + 1 < extra.size()) {
-        char* end = nullptr;
-        const double v = std::strtod(extra[++i].c_str(), &end);
-        if (end == nullptr || *end != '\0' || extra[i].empty() || v < 1) {
+        if (!core::parse_number(extra[++i], scale) || scale < 1) {
           error = "malformed value for --scale '" + extra[i] + "'";
           sup_cfg.reset();
-        } else {
-          scale = static_cast<std::uint64_t>(v);
         }
       } else {
         error = "unknown flag '" + extra[i] + "'";

@@ -87,11 +87,13 @@ sanitize() {
   # (their scalar-reference and cross-width comparisons execute every SIMD
   # code path under the sanitizer), the training digest pins (with the
   # gates' MLP fit they run every network fit's shared epoch loop), the
-  # trace-mode identity and the streaming gate. ctest ANDs -L with -R,
-  # hence two calls.
+  # trace-mode identity, the streaming gate, and the hostile-byte tests:
+  # the shared byte codec, CRC32, pcap and its stream-fault corpora, the
+  # SUGC corruption corpus, the snapshot corruption corpus (chaos_tests)
+  # and the parser fuzz smoke. ctest ANDs -L with -R, hence two calls.
   run ctest --test-dir build-ubsan --output-on-failure -j "$JOBS" -L ubsan
   run ctest --test-dir build-ubsan --output-on-failure -j "$JOBS" \
-      -R 'ParallelDeterminism\.|Pretrain\.TrainingDigests|DownstreamModel\.FrozenFitDigests|Simd(Reductions|Elementwise|Determinism)\.|SquaredDistance\.|ReluInplace\.|SoftmaxRows\.|ModesNeverChangeResults|^ooc_stream$'
+      -R 'ParallelDeterminism\.|Pretrain\.TrainingDigests|DownstreamModel\.FrozenFitDigests|Simd(Reductions|Elementwise|Determinism)\.|SquaredDistance\.|ReluInplace\.|SoftmaxRows\.|ModesNeverChangeResults|^ooc_stream$|ByteReader\.|ByteWriter\.|Crc32\.|Pcap\.|FaultInjection\.(Stream|QuicDohStream)|StoreTest\.|^chaos_tests$|^fuzz_parser_smoke$'
 
   configure_build build-tsan -DSUGAR_SANITIZE=thread
   # The stress binaries plus the pool-width gates (kernels and the training

@@ -1,7 +1,7 @@
-// IEEE 802.3 (zlib-compatible) CRC32, hoisted to the bottom-most layer so
-// both the serve snapshot format and the SUGC on-disk page format can seal
-// their sections without dragging in the packet-parsing library.
-// net::crc32 remains as a thin alias for existing callers.
+// IEEE 802.3 (zlib-compatible) CRC32, in the bottom-most layer so both the
+// serve snapshot format and the SUGC on-disk store can seal their sections,
+// pages and footer without dragging in the packet-parsing library. It is
+// the repo's only CRC32.
 //
 // Header-only: the 256-entry table is constexpr and the loop is small
 // enough that every user inlines it.

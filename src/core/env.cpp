@@ -77,67 +77,37 @@ trafficgen::GeneratedTrace generate_source(const EnvConfig& cfg,
 
 }  // namespace
 
-void BenchmarkEnv::ensure_source(dataset::SourceDataset src) {
+BenchmarkEnv::SourceKey BenchmarkEnv::ensure_source(
+    dataset::SourceDataset src, const trafficgen::TraceVariant& variant) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  if (traces_.count(src)) return;
+  SourceKey key{src, variant.tag()};
+  if (traces_.count(key)) return key;
   SUGAR_TRACE_SPAN("env.generate_dataset");
-  auto trace = generate_source(cfg_, src, trafficgen::TraceVariant{});
+  // Every variant tagged "default" generates the identity trace.
+  auto trace = generate_source(
+      cfg_, src, variant.is_default() ? trafficgen::TraceVariant{} : variant);
   dataset::CleaningOptions copts;  // recommended pipeline: extraneous only
-  cleaning_[src] = dataset::clean_trace(trace, copts);
-  traces_[src] = std::move(trace);
-}
-
-void BenchmarkEnv::ensure_source(dataset::SourceDataset src,
-                                 const trafficgen::TraceVariant& variant) {
-  if (variant.is_default()) return ensure_source(src);
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  auto key = std::make_pair(src, variant.tag());
-  if (variant_traces_.count(key)) return;
-  SUGAR_TRACE_SPAN("env.generate_dataset");
-  auto trace = generate_source(cfg_, src, variant);
-  dataset::CleaningOptions copts;  // same pipeline as the base datasets
-  variant_cleaning_[key] = dataset::clean_trace(trace, copts);
-  variant_traces_[key] = std::move(trace);
-}
-
-const dataset::PacketDataset& BenchmarkEnv::task_dataset(dataset::TaskId task) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  auto it = tasks_.find(task);
-  if (it != tasks_.end()) return it->second;
-  auto src = dataset::source_of(task);
-  ensure_source(src);
-  auto [jt, _] = tasks_.emplace(task, dataset::make_task_dataset(traces_[src], task));
-  return jt->second;
+  cleaning_[key] = dataset::clean_trace(trace, copts);
+  traces_[key] = std::move(trace);
+  return key;
 }
 
 const dataset::PacketDataset& BenchmarkEnv::task_dataset(
     dataset::TaskId task, const trafficgen::TraceVariant& variant) {
-  if (variant.is_default()) return task_dataset(task);
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  auto key = std::make_pair(task, variant.tag());
-  auto it = variant_tasks_.find(key);
-  if (it != variant_tasks_.end()) return it->second;
-  auto src = dataset::source_of(task);
-  ensure_source(src, variant);
-  auto [jt, _] = variant_tasks_.emplace(
-      key, dataset::make_task_dataset(
-               variant_traces_[std::make_pair(src, variant.tag())], task));
+  TaskKey key{task, variant.tag()};
+  auto it = tasks_.find(key);
+  if (it != tasks_.end()) return it->second;
+  const SourceKey src = ensure_source(dataset::source_of(task), variant);
+  auto [jt, _] =
+      tasks_.emplace(std::move(key), dataset::make_task_dataset(traces_[src], task));
   return jt->second;
 }
 
 const dataset::CleaningReport& BenchmarkEnv::cleaning_report(
-    dataset::SourceDataset src) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  ensure_source(src);
-  return cleaning_[src];
-}
-
-const dataset::CleaningReport& BenchmarkEnv::cleaning_report(
     dataset::SourceDataset src, const trafficgen::TraceVariant& variant) {
-  if (variant.is_default()) return cleaning_report(src);
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  ensure_source(src, variant);
-  return variant_cleaning_[std::make_pair(src, variant.tag())];
+  return cleaning_[ensure_source(src, variant)];
 }
 
 const dataset::PacketDataset& BenchmarkEnv::backbone() {

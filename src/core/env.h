@@ -3,20 +3,25 @@
 // and pre-training once. Scale is controlled by environment variables
 // (SUGAR_SCALE multiplies flow counts; SUGAR_EPOCHS overrides downstream
 // epochs) so the same binaries run as a quick smoke or a full evaluation.
-// Accessors are thread-safe so concurrent supervisor cells can share one
-// env; each lazily-built cache is populated exactly once under a lock.
+// Supervisor cells run one at a time (each on its watchdog thread), so they
+// never touch the env at once; the accessors still lock one mutex, so an
+// env stays safe to share between threads, and each lazily-built cache is
+// populated exactly once.
 #pragma once
 
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <string>
+#include <utility>
 
 #include "dataset/clean.h"
 #include "dataset/task.h"
 #include "ml/guard.h"
 #include "replearn/model_zoo.h"
 #include "replearn/pretrain.h"
+#include "trafficgen/variant.h"
 
 namespace sugar::core {
 
@@ -52,23 +57,16 @@ class BenchmarkEnv {
 
   [[nodiscard]] const EnvConfig& config() const { return cfg_; }
 
-  /// Cleaned task dataset (cached per task).
-  const dataset::PacketDataset& task_dataset(dataset::TaskId task);
+  /// Cleaned task dataset, cached per (task, variant.tag()). A non-default
+  /// variant (scenario-diversity cells) regenerates the source trace with
+  /// its drift/family/reshaping knobs applied and cleans it with the same
+  /// pipeline.
+  const dataset::PacketDataset& task_dataset(
+      dataset::TaskId task, const trafficgen::TraceVariant& variant = {});
 
-  /// Variant-parameterized view of a task (scenario-diversity cells): the
-  /// source trace is regenerated with the drift/family/reshaping knobs
-  /// applied, cleaned with the same pipeline, and cached per
-  /// (task, variant.tag()). The default variant aliases the base cache.
-  const dataset::PacketDataset& task_dataset(dataset::TaskId task,
-                                             const trafficgen::TraceVariant& variant);
-
-  /// Cleaning census per source dataset (available after the first access,
-  /// or via force_clean()).
-  const dataset::CleaningReport& cleaning_report(dataset::SourceDataset src);
-
-  /// Cleaning census of a variant-parameterized source.
-  const dataset::CleaningReport& cleaning_report(dataset::SourceDataset src,
-                                                 const trafficgen::TraceVariant& variant);
+  /// Cleaning census of a source dataset, cached per (source, variant.tag()).
+  const dataset::CleaningReport& cleaning_report(
+      dataset::SourceDataset src, const trafficgen::TraceVariant& variant = {});
 
   /// Unlabelled backbone pre-training dataset (cached).
   const dataset::PacketDataset& backbone();
@@ -82,9 +80,13 @@ class BenchmarkEnv {
                                    const ml::CancelToken* cancel = nullptr);
 
  private:
-  void ensure_source(dataset::SourceDataset src);
-  void ensure_source(dataset::SourceDataset src,
-                     const trafficgen::TraceVariant& variant);
+  using SourceKey = std::pair<dataset::SourceDataset, std::string>;
+  using TaskKey = std::pair<dataset::TaskId, std::string>;
+
+  /// Generates and cleans the source trace once per (src, variant.tag());
+  /// returns that cache key.
+  SourceKey ensure_source(dataset::SourceDataset src,
+                          const trafficgen::TraceVariant& variant);
 
   EnvConfig cfg_;
   /// Guards every lazily-built cache, so threads can share one env.
@@ -92,16 +94,10 @@ class BenchmarkEnv {
   /// reaches ensure_source(). The first accessor pays generation/pre-training under
   /// the lock; later readers get the cached object.
   mutable std::recursive_mutex mu_;
-  std::map<dataset::SourceDataset, trafficgen::GeneratedTrace> traces_;
-  std::map<dataset::SourceDataset, dataset::CleaningReport> cleaning_;
-  std::map<dataset::TaskId, dataset::PacketDataset> tasks_;
-  /// Non-default variants, keyed by the variant's canonical tag.
-  std::map<std::pair<dataset::SourceDataset, std::string>, trafficgen::GeneratedTrace>
-      variant_traces_;
-  std::map<std::pair<dataset::SourceDataset, std::string>, dataset::CleaningReport>
-      variant_cleaning_;
-  std::map<std::pair<dataset::TaskId, std::string>, dataset::PacketDataset>
-      variant_tasks_;
+  /// Keyed by (source or task, the variant's canonical tag).
+  std::map<SourceKey, trafficgen::GeneratedTrace> traces_;
+  std::map<SourceKey, dataset::CleaningReport> cleaning_;
+  std::map<TaskKey, dataset::PacketDataset> tasks_;
   std::optional<dataset::PacketDataset> backbone_;
   std::map<std::pair<replearn::ModelKind, replearn::TaskMode>, replearn::ModelBundle>
       pretrained_;

@@ -1,13 +1,13 @@
 #include "core/supervisor.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <mutex>
 #include <thread>
 
+#include "core/envparse.h"
 #include "core/threadpool.h"
 #include "core/trace.h"
 #include "core/trace_json.h"
@@ -19,16 +19,6 @@ using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-/// Strict whole-string numeric parsing (same discipline as core/env).
-template <typename T>
-bool parse_number(std::string_view sv, T& out) {
-  T value{};
-  auto [ptr, ec] = std::from_chars(sv.data(), sv.data() + sv.size(), value);
-  if (ec != std::errc{} || ptr != sv.data() + sv.size()) return false;
-  out = value;
-  return true;
 }
 
 std::string ablation_bits(const dataset::AblationSpec& spec) {

@@ -5,18 +5,20 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "core/crc32.h"
 #include "core/runerror.h"
 #include "core/trace.h"
+#include "net/bytes.h"
 
 namespace sugar::dataset {
 namespace {
 
-constexpr char kFileMagic[4] = {'S', 'U', 'G', 'C'};
-constexpr char kPageMagic[4] = {'S', 'G', 'P', 'G'};
-constexpr char kTrailerMagic[4] = {'S', 'U', 'G', 'F'};
+constexpr std::string_view kFileMagic = "SUGC";
+constexpr std::string_view kPageMagic = "SGPG";
+constexpr std::string_view kTrailerMagic = "SUGF";
 constexpr std::uint32_t kVersion = 1;
 constexpr std::size_t kHeaderBytes = 64;
 constexpr std::size_t kPageHeaderBytes = 64;  // 32 header + 32 pad
@@ -26,47 +28,9 @@ constexpr std::size_t kTrailerBytes = 16;
 constexpr std::uint64_t kMaxCols = 1u << 20;
 constexpr std::uint64_t kMaxPages = 1u << 30;
 
-template <typename T>
-void put(std::string& out, T v) {
-  char buf[sizeof(T)];
-  std::memcpy(buf, &v, sizeof(T));
-  out.append(buf, sizeof(T));
+std::span<const std::uint8_t> bytes_of(std::string_view s) {
+  return {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()};
 }
-
-void pad_to(std::string& out, std::size_t align) {
-  while (out.size() % align != 0) out.push_back('\0');
-}
-
-/// Bounds-checked forward reader over the footer bytes; any overrun flips
-/// `ok` and every later get returns zero, so parsing a truncated footer is
-/// a clean kBadFooter, never a read past the buffer.
-struct ByteReader {
-  const std::uint8_t* p;
-  std::size_t len;
-  std::size_t pos = 0;
-  bool ok = true;
-
-  template <typename T>
-  T get() {
-    T v{};
-    if (pos + sizeof(T) > len) {
-      ok = false;
-      return v;
-    }
-    std::memcpy(&v, p + pos, sizeof(T));
-    pos += sizeof(T);
-    return v;
-  }
-  std::string get_string(std::size_t n) {
-    if (pos + n > len) {
-      ok = false;
-      return {};
-    }
-    std::string s(reinterpret_cast<const char*>(p + pos), n);
-    pos += n;
-    return s;
-  }
-};
 
 void set_error(StoreError* err, StoreErrorKind kind, std::string message) {
   if (err) *err = {kind, std::move(message)};
@@ -188,26 +152,29 @@ void StoreWriter::add_bytes(std::size_t col, std::span<const std::uint8_t> v) {
   ++b.count;
 }
 
-bool StoreWriter::append(std::string_view bytes, StoreError* err) {
+bool StoreWriter::append(const net::ByteWriter& bytes, StoreError* err) {
   if (dead_) {
     set_error(err, StoreErrorKind::kIo, "store writer poisoned by earlier failure");
     return false;
   }
+  auto as_chars = [](const net::ByteWriter& w) {
+    return std::string_view(reinterpret_cast<const char*>(w.data().data()), w.size());
+  };
   std::string io_err;
   if (offset_ == 0) {
     // First bytes: the 64-byte file header leads the temp.
-    std::string header;
-    header.append(kFileMagic, 4);
-    put<std::uint32_t>(header, kVersion);
-    pad_to(header, kHeaderBytes);
-    if (!io_->append_file(path_ + ".tmp", header, &io_err)) {
+    net::ByteWriter header(kHeaderBytes);
+    header.bytes(bytes_of(kFileMagic));
+    header.u32le(kVersion);
+    header.zeros(kHeaderBytes - header.size());
+    if (!io_->append_file(path_ + ".tmp", as_chars(header), &io_err)) {
       dead_ = true;
       set_error(err, StoreErrorKind::kIo, io_err);
       return false;
     }
     offset_ = kHeaderBytes;
   }
-  if (!io_->append_file(path_ + ".tmp", bytes, &io_err)) {
+  if (!io_->append_file(path_ + ".tmp", as_chars(bytes), &io_err)) {
     dead_ = true;
     set_error(err, StoreErrorKind::kIo, io_err);
     return false;
@@ -220,7 +187,7 @@ bool StoreWriter::flush_group(StoreError* err) {
   if (group_count_ == 0) return true;
   SUGAR_TRACE_SPAN("dataset.store.flush_group");
   const std::uint64_t first_row = rows_ - group_count_;
-  std::string out;
+  net::ByteWriter out;
   for (std::size_t c = 0; c < schema_.size(); ++c) {
     ColumnBuf& b = bufs_[c];
     // Assemble payload. Bytes columns: cumulative ends then the blob.
@@ -239,20 +206,20 @@ bool StoreWriter::flush_group(StoreError* err) {
     // 32-byte page header + 32 bytes pad: payload starts 64-byte aligned
     // because every page starts on a 64-byte boundary.
     const std::size_t page_start = out.size();
-    out.append(kPageMagic, 4);
-    put<std::uint32_t>(out, static_cast<std::uint32_t>(c));
-    put<std::uint64_t>(out, first_row);
-    put<std::uint32_t>(out, static_cast<std::uint32_t>(group_count_));
-    put<std::uint32_t>(out, static_cast<std::uint32_t>(payload.size()));
-    put<std::uint32_t>(out, crc);
-    pad_to(out, page_start + kPageHeaderBytes);
+    out.bytes(bytes_of(kPageMagic));
+    out.u32le(static_cast<std::uint32_t>(c));
+    out.u64le(first_row);
+    out.u32le(static_cast<std::uint32_t>(group_count_));
+    out.u32le(static_cast<std::uint32_t>(payload.size()));
+    out.u32le(crc);
+    out.zeros(page_start + kPageHeaderBytes - out.size());
     index_.push_back({static_cast<std::uint32_t>(c), first_row,
                       static_cast<std::uint32_t>(group_count_),
                       offset_ == 0 ? kHeaderBytes + page_start + kPageHeaderBytes
                                    : offset_ + page_start + kPageHeaderBytes,
                       static_cast<std::uint32_t>(payload.size()), crc});
-    out.append(reinterpret_cast<const char*>(payload.data()), payload.size());
-    pad_to(out, 64);
+    out.bytes(payload);
+    out.zeros((64 - out.size() % 64) % 64);
     b.fixed.clear();
     b.ends.clear();
     b.blob.clear();
@@ -286,38 +253,37 @@ bool StoreWriter::finalize(StoreError* err) {
   }
   if (!flush_group(err)) return false;
 
-  std::string footer;
-  put<std::uint32_t>(footer, static_cast<std::uint32_t>(schema_.size()));
+  net::ByteWriter footer;
+  footer.u32le(static_cast<std::uint32_t>(schema_.size()));
   for (const auto& c : schema_) {
-    put<std::uint16_t>(footer, static_cast<std::uint16_t>(c.name.size()));
-    footer.append(c.name);
-    put<std::uint8_t>(footer, static_cast<std::uint8_t>(c.type));
-    put<std::uint32_t>(footer, static_cast<std::uint32_t>(c.cuts.size()));
-    for (float v : c.cuts) put<float>(footer, v);
+    footer.u16le(static_cast<std::uint16_t>(c.name.size()));
+    footer.bytes(bytes_of(c.name));
+    footer.u8(static_cast<std::uint8_t>(c.type));
+    footer.u32le(static_cast<std::uint32_t>(c.cuts.size()));
+    for (float v : c.cuts) footer.u32le(std::bit_cast<std::uint32_t>(v));
   }
-  put<std::uint32_t>(footer, static_cast<std::uint32_t>(opts_.bins));
-  put<std::uint64_t>(footer, rows_);
-  put<std::uint64_t>(footer, static_cast<std::uint64_t>(opts_.group_rows));
-  put<std::uint64_t>(footer, static_cast<std::uint64_t>(index_.size()));
+  footer.u32le(static_cast<std::uint32_t>(opts_.bins));
+  footer.u64le(rows_);
+  footer.u64le(static_cast<std::uint64_t>(opts_.group_rows));
+  footer.u64le(static_cast<std::uint64_t>(index_.size()));
   for (const auto& p : index_) {
-    put<std::uint32_t>(footer, p.col);
-    put<std::uint64_t>(footer, p.first_row);
-    put<std::uint32_t>(footer, p.nrows);
-    put<std::uint64_t>(footer, p.payload_offset);
-    put<std::uint32_t>(footer, p.payload_bytes);
-    put<std::uint32_t>(footer, p.crc);
+    footer.u32le(p.col);
+    footer.u64le(p.first_row);
+    footer.u32le(p.nrows);
+    footer.u64le(p.payload_offset);
+    footer.u32le(p.payload_bytes);
+    footer.u32le(p.crc);
   }
 
   // Rows == 0 writes header + footer only; append() lazily emits the
   // header, so force it by appending the footer through the same path.
+  // The trailer follows the footer in the same append.
   const std::uint64_t footer_offset = offset_ == 0 ? kHeaderBytes : offset_;
-  std::string tail = footer;
-  put<std::uint64_t>(tail, footer_offset);
-  put<std::uint32_t>(
-      tail, core::crc32({reinterpret_cast<const std::uint8_t*>(footer.data()),
-                         footer.size()}));
-  tail.append(kTrailerMagic, 4);
-  if (!append(tail, err)) return false;
+  const std::uint32_t footer_crc = core::crc32(footer.data());
+  footer.u64le(footer_offset);
+  footer.u32le(footer_crc);
+  footer.bytes(bytes_of(kTrailerMagic));
+  if (!append(footer, err)) return false;
 
   std::string io_err;
   if (!io_->commit_temp(path_, &io_err)) {
@@ -378,25 +344,24 @@ std::unique_ptr<StoreReader> StoreReader::open(const std::string& path,
     set_error(err, StoreErrorKind::kIo, "read header/trailer failed");
     return nullptr;
   }
-  if (std::memcmp(head, kFileMagic, 4) != 0) {
+  net::ByteReader hr{head};
+  if (!std::ranges::equal(hr.view(4), bytes_of(kFileMagic))) {
     set_error(err, StoreErrorKind::kBadMagic, "bad file magic");
     return nullptr;
   }
-  std::uint32_t version = 0;
-  std::memcpy(&version, head + 4, 4);
+  const std::uint32_t version = hr.u32le();
   if (version != kVersion) {
     set_error(err, StoreErrorKind::kBadVersion,
               "format version " + std::to_string(version));
     return nullptr;
   }
-  if (std::memcmp(trail + 12, kTrailerMagic, 4) != 0) {
+  net::ByteReader tr{trail};
+  const std::uint64_t footer_offset = tr.u64le();
+  const std::uint32_t footer_crc = tr.u32le();
+  if (!std::ranges::equal(tr.view(4), bytes_of(kTrailerMagic))) {
     set_error(err, StoreErrorKind::kBadMagic, "bad trailer magic");
     return nullptr;
   }
-  std::uint64_t footer_offset = 0;
-  std::uint32_t footer_crc = 0;
-  std::memcpy(&footer_offset, trail, 8);
-  std::memcpy(&footer_crc, trail + 8, 4);
   if (footer_offset < kHeaderBytes || footer_offset > size - kTrailerBytes) {
     set_error(err, StoreErrorKind::kBadFooter,
               "footer offset " + std::to_string(footer_offset) + " out of range");
@@ -415,40 +380,40 @@ std::unique_ptr<StoreReader> StoreReader::open(const std::string& path,
     return nullptr;
   }
 
-  ByteReader br{footer.data(), footer.size()};
+  net::ByteReader br{footer};
   auto r = std::unique_ptr<StoreReader>(new StoreReader());
-  const std::uint64_t ncols = br.get<std::uint32_t>();
-  if (!br.ok || ncols > kMaxCols) {
+  const std::uint64_t ncols = br.u32le();
+  if (!br.ok() || ncols > kMaxCols) {
     set_error(err, StoreErrorKind::kBadFooter, "column count out of range");
     return nullptr;
   }
   r->schema_.reserve(ncols);
-  for (std::uint64_t c = 0; c < ncols && br.ok; ++c) {
+  for (std::uint64_t c = 0; c < ncols && br.ok(); ++c) {
     ColumnSpec spec;
-    const std::size_t name_len = br.get<std::uint16_t>();
-    spec.name = br.get_string(name_len);
-    const std::uint8_t t = br.get<std::uint8_t>();
+    const std::span<const std::uint8_t> name = br.view(br.u16le());
+    spec.name.assign(name.begin(), name.end());
+    const std::uint8_t t = br.u8();
     if (t > static_cast<std::uint8_t>(ColumnType::Bytes)) {
       set_error(err, StoreErrorKind::kBadSchema,
                 "unknown column type " + std::to_string(t));
       return nullptr;
     }
     spec.type = static_cast<ColumnType>(t);
-    const std::uint64_t ncuts = br.get<std::uint32_t>();
+    const std::uint64_t ncuts = br.u32le();
     if (ncuts > 1u << 16) {
       set_error(err, StoreErrorKind::kBadFooter, "cut count out of range");
       return nullptr;
     }
     spec.cuts.reserve(ncuts);
-    for (std::uint64_t i = 0; i < ncuts && br.ok; ++i)
-      spec.cuts.push_back(br.get<float>());
+    for (std::uint64_t i = 0; i < ncuts && br.ok(); ++i)
+      spec.cuts.push_back(std::bit_cast<float>(br.u32le()));
     r->schema_.push_back(std::move(spec));
   }
-  r->bins_ = static_cast<int>(br.get<std::uint32_t>());
-  r->rows_ = br.get<std::uint64_t>();
-  const std::uint64_t group_rows = br.get<std::uint64_t>();
-  const std::uint64_t npages = br.get<std::uint64_t>();
-  if (!br.ok || group_rows == 0 || npages > kMaxPages) {
+  r->bins_ = static_cast<int>(br.u32le());
+  r->rows_ = br.u64le();
+  const std::uint64_t group_rows = br.u64le();
+  const std::uint64_t npages = br.u64le();
+  if (!br.ok() || group_rows == 0 || npages > kMaxPages) {
     set_error(err, StoreErrorKind::kBadFooter, "footer truncated or counts invalid");
     return nullptr;
   }
@@ -462,15 +427,15 @@ std::unique_ptr<StoreReader> StoreReader::open(const std::string& path,
   }
   r->index_.reserve(npages);
   r->pages_.assign(ncols * groups, UINT32_MAX);
-  for (std::uint64_t i = 0; i < npages && br.ok; ++i) {
+  for (std::uint64_t i = 0; i < npages && br.ok(); ++i) {
     PageEntry p;
-    p.col = br.get<std::uint32_t>();
-    p.first_row = br.get<std::uint64_t>();
-    p.nrows = br.get<std::uint32_t>();
-    p.payload_offset = br.get<std::uint64_t>();
-    p.payload_bytes = br.get<std::uint32_t>();
-    p.crc = br.get<std::uint32_t>();
-    if (!br.ok) break;
+    p.col = br.u32le();
+    p.first_row = br.u64le();
+    p.nrows = br.u32le();
+    p.payload_offset = br.u64le();
+    p.payload_bytes = br.u32le();
+    p.crc = br.u32le();
+    if (!br.ok()) break;
     if (p.col >= ncols || p.first_row % group_rows != 0 ||
         p.first_row >= r->rows_ ||
         p.nrows != std::min<std::uint64_t>(group_rows, r->rows_ - p.first_row)) {
@@ -503,7 +468,7 @@ std::unique_ptr<StoreReader> StoreReader::open(const std::string& path,
     r->payload_bytes_ += p.payload_bytes;
     r->index_.push_back(p);
   }
-  if (!br.ok) {
+  if (!br.ok()) {
     set_error(err, StoreErrorKind::kBadFooter, "footer truncated");
     return nullptr;
   }

@@ -5,7 +5,9 @@
 // every page payload starts on a 64-byte boundary and carries its own
 // CRC32, and a footer indexes all pages so readers open in O(footer).
 //
-// Layout (all integers little-endian native, x86-64 target):
+// Layout (headers, footer and trailer are little-endian, written and read
+// through net::ByteWriter / ByteReader; column payloads are raw x86-64
+// arrays, read in place):
 //
 //   [file header, 64 B]   magic "SUGC", u32 version=1, zero pad
 //   [page]*                64-B-aligned: 32-B page header (magic "SGPG",
@@ -42,6 +44,7 @@
 #include "core/io.h"
 #include "core/pager.h"
 #include "ml/binned.h"
+#include "net/bytes.h"
 
 namespace sugar::dataset {
 
@@ -130,7 +133,7 @@ class StoreWriter {
  private:
   struct ColumnBuf;
   bool flush_group(StoreError* err);
-  bool append(std::string_view bytes, StoreError* err);
+  bool append(const net::ByteWriter& bytes, StoreError* err);
 
   std::string path_;
   std::vector<ColumnSpec> schema_;

@@ -1,13 +1,14 @@
-// Bounds-checked byte-buffer cursors used by every parser and serializer in
-// the library. Network byte order (big-endian) is the default for all
-// multi-byte reads and writes; little-endian accessors exist for the pcap
-// file format only.
+// Bounds-checked byte-buffer cursors: the one codec for every byte format
+// the library reads or writes. The packet parser and serializer use the
+// big-endian (network order) accessors. The file formats use the
+// little-endian ones: pcap files (and the big-endian ones for a file
+// written big-endian), serve snapshots and SUGC store headers and footers.
+// Floats travel as the std::bit_cast of a u32le.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace sugar::net {
@@ -33,9 +34,9 @@ class ByteReader {
   std::uint8_t u8();
   std::uint16_t u16be();
   std::uint32_t u32be();
-  std::uint64_t u64be();
   std::uint16_t u16le();
   std::uint32_t u32le();
+  std::uint64_t u64le();
 
   /// Copies n bytes into out; poisons and leaves out untouched on underflow.
   bool bytes(std::uint8_t* out, std::size_t n);
@@ -70,9 +71,9 @@ class ByteWriter {
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void u16be(std::uint16_t v);
   void u32be(std::uint32_t v);
-  void u64be(std::uint64_t v);
   void u16le(std::uint16_t v);
   void u32le(std::uint32_t v);
+  void u64le(std::uint64_t v);
   void bytes(std::span<const std::uint8_t> b) {
     buf_.insert(buf_.end(), b.begin(), b.end());
   }
@@ -80,14 +81,9 @@ class ByteWriter {
 
   /// In-place patch of an already-written big-endian u16 (checksum fixups).
   void patch_u16be(std::size_t offset, std::uint16_t v);
-  void patch_u32be(std::size_t offset, std::uint32_t v);
 
  private:
   std::vector<std::uint8_t> buf_;
 };
-
-/// Hex dump "4500 4000 ..." as used by the paper's Pcap-Encoder tokenizer
-/// (2-byte words, space separated). Odd trailing byte is emitted as 2 digits.
-std::string hex_words(std::span<const std::uint8_t> data);
 
 }  // namespace sugar::net

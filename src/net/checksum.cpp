@@ -1,7 +1,5 @@
 #include "net/checksum.h"
 
-#include "core/crc32.h"
-
 namespace sugar::net {
 
 std::uint32_t checksum_partial(std::span<const std::uint8_t> data, std::uint32_t acc) {
@@ -43,10 +41,6 @@ std::uint16_t l4_checksum_v6(const Ipv6Address& src, const Ipv6Address& dst,
   acc += static_cast<std::uint32_t>(segment.size() & 0xFFFF);
   acc += proto;
   return checksum_finish(checksum_partial(segment, acc));
-}
-
-std::uint32_t crc32(std::span<const std::uint8_t> data, std::uint32_t acc) {
-  return core::crc32(data, acc);
 }
 
 }  // namespace sugar::net

@@ -1,8 +1,7 @@
 // RFC 1071 Internet checksum, plus the TCP/UDP pseudo-header variants for
 // IPv4 and IPv6. Used both when serializing synthetic packets and when the
-// Pcap-Encoder pretext task verifies header checksums. Also hosts the
-// IEEE 802.3 CRC32 the serve snapshot format uses to seal each section —
-// any single-bit flip in a sealed section is guaranteed detected.
+// Pcap-Encoder pretext task verifies header checksums. The CRC32 that seals
+// snapshot sections and store pages is core::crc32 (core/crc32.h).
 #pragma once
 
 #include <cstdint>
@@ -30,11 +29,5 @@ std::uint16_t l4_checksum_v4(Ipv4Address src, Ipv4Address dst, std::uint8_t prot
 /// Same with the IPv6 pseudo header.
 std::uint16_t l4_checksum_v6(const Ipv6Address& src, const Ipv6Address& dst,
                              std::uint8_t proto, std::span<const std::uint8_t> segment);
-
-/// IEEE 802.3 (zlib-compatible) CRC32 of a byte span. Thin alias for
-/// core::crc32 (core/crc32.h), kept so packet-layer callers don't reach
-/// into core. Chain partial spans by feeding the previous result back
-/// through `acc`; crc32("123456789") is 0xCBF43926.
-std::uint32_t crc32(std::span<const std::uint8_t> data, std::uint32_t acc = 0);
 
 }  // namespace sugar::net

@@ -1,55 +1,36 @@
 #include "net/fault.h"
 
 #include <algorithm>
-#include <cstring>
 #include <map>
 
+#include "net/bytes.h"
 #include "net/flow.h"
 #include "net/parser.h"
+#include "net/pcap.h"
 
 namespace sugar::net {
 namespace {
 
 constexpr std::size_t kEthSize = 14;
-constexpr std::size_t kPcapGlobalHeader = 24;
-constexpr std::size_t kPcapRecordHeader = 16;
-
-std::uint32_t load_u32le(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) | static_cast<std::uint32_t>(p[1]) << 8 |
-         static_cast<std::uint32_t>(p[2]) << 16 |
-         static_cast<std::uint32_t>(p[3]) << 24;
-}
-std::uint32_t bswap32(std::uint32_t v) {
-  return v << 24 | (v & 0xFF00) << 8 | (v >> 8 & 0xFF00) | v >> 24;
-}
 
 /// Record boundaries of a serialized pcap blob (offsets of record headers).
 /// Tolerates truncated tails; stops at the first implausible length so fault
 /// sites always land inside the well-formed prefix.
 std::vector<std::size_t> record_offsets(const std::string& wire) {
   std::vector<std::size_t> recs;
-  if (wire.size() < kPcapGlobalHeader) return recs;
-  const auto* bytes = reinterpret_cast<const std::uint8_t*>(wire.data());
-  std::uint32_t magic = load_u32le(bytes);
-  bool swap = false;
-  switch (magic) {
-    case 0xA1B2C3D4:
-    case 0xA1B23C4D:
-      break;
-    case 0xD4C3B2A1:
-    case 0x4D3CB2A1:
-      swap = true;
-      break;
-    default:
-      return recs;
-  }
-  std::size_t off = kPcapGlobalHeader;
-  while (off + kPcapRecordHeader <= wire.size()) {
-    std::uint32_t incl = load_u32le(bytes + off + 8);
-    if (swap) incl = bswap32(incl);
+  const std::span<const std::uint8_t> bytes{
+      reinterpret_cast<const std::uint8_t*>(wire.data()), wire.size()};
+  PcapFileInfo info;
+  if (bytes.size() < kPcapGlobalHeaderBytes || !decode_pcap_magic(bytes, info))
+    return recs;
+  ByteReader r{bytes};
+  std::size_t off = kPcapGlobalHeaderBytes;
+  while (off + kPcapRecordHeaderBytes <= bytes.size()) {
+    r.seek(off + 8);  // incl_len
+    const std::uint32_t incl = info.swapped ? r.u32be() : r.u32le();
     if (incl > (1u << 24)) break;  // already-corrupt length; stop walking
     recs.push_back(off);
-    off += kPcapRecordHeader + incl;
+    off += kPcapRecordHeaderBytes + incl;
   }
   return recs;
 }
@@ -231,7 +212,7 @@ std::string FaultInjector::mutate_stream(const std::string& wire, StreamFault fa
       }
       break;
     case StreamFault::TruncateGlobalHeader:
-      out.resize(index_below(std::min(out.size(), kPcapGlobalHeader)));
+      out.resize(index_below(std::min(out.size(), kPcapGlobalHeaderBytes)));
       break;
     case StreamFault::HostileSnaplen:
       if (out.size() >= 20) {
@@ -250,7 +231,7 @@ std::string FaultInjector::mutate_stream(const std::string& wire, StreamFault fa
     case StreamFault::ZeroLengthRecord:
       if (!recs.empty()) {
         std::size_t rec = recs[index_below(recs.size())];
-        out.insert(rec, kPcapRecordHeader, '\0');
+        out.insert(rec, kPcapRecordHeaderBytes, '\0');
       } else {
         fallback_flip();
       }

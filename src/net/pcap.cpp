@@ -1,10 +1,10 @@
 #include "net/pcap.h"
 
 #include "core/trace.h"
+#include "net/bytes.h"
 
+#include <algorithm>
 #include <array>
-#include <bit>
-#include <cstring>
 #include <fstream>
 
 namespace sugar::net {
@@ -12,87 +12,63 @@ namespace {
 
 constexpr std::uint32_t kMagicUsec = 0xA1B2C3D4;
 constexpr std::uint32_t kMagicNsec = 0xA1B23C4D;
-constexpr std::uint32_t kMagicUsecSwapped = 0xD4C3B2A1;
-constexpr std::uint32_t kMagicNsecSwapped = 0x4D3CB2A1;
 
-std::uint32_t bswap32(std::uint32_t v) {
-  return v << 24 | (v & 0xFF00) << 8 | (v >> 8 & 0xFF00) | v >> 24;
+std::uint16_t u16(ByteReader& r, bool big_endian) {
+  return big_endian ? r.u16be() : r.u16le();
 }
-std::uint16_t bswap16(std::uint16_t v) {
-  return static_cast<std::uint16_t>(v << 8 | v >> 8);
+std::uint32_t u32(ByteReader& r, bool big_endian) {
+  return big_endian ? r.u32be() : r.u32le();
 }
 
-struct RawReader {
-  std::istream& in;
-  bool swap = false;
-
-  bool u32(std::uint32_t& out) {
-    std::array<char, 4> b;
-    if (!in.read(b.data(), 4)) return false;
-    std::uint32_t v;
-    std::memcpy(&v, b.data(), 4);
-    out = swap ? bswap32(v) : v;
-    return true;
-  }
-  bool u16(std::uint16_t& out) {
-    std::array<char, 2> b;
-    if (!in.read(b.data(), 2)) return false;
-    std::uint16_t v;
-    std::memcpy(&v, b.data(), 2);
-    out = swap ? bswap16(v) : v;
-    return true;
-  }
-};
-
-void put_u32(std::ostream& out, std::uint32_t v) {
-  // Always write little-endian regardless of host.
-  char b[4] = {static_cast<char>(v), static_cast<char>(v >> 8),
-               static_cast<char>(v >> 16), static_cast<char>(v >> 24)};
-  out.write(b, 4);
+/// Reads up to `buf.size()` bytes; returns how many arrived before EOF.
+std::size_t read_up_to(std::istream& in, std::span<std::uint8_t> buf) {
+  in.read(reinterpret_cast<char*>(buf.data()),
+          static_cast<std::streamsize>(buf.size()));
+  return static_cast<std::size_t>(in.gcount());
 }
-void put_u16(std::ostream& out, std::uint16_t v) {
-  char b[2] = {static_cast<char>(v), static_cast<char>(v >> 8)};
-  out.write(b, 2);
+
+void write_bytes(std::ostream& out, std::span<const std::uint8_t> bytes) {
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
 }
 
 }  // namespace
 
+bool decode_pcap_magic(std::span<const std::uint8_t> head, PcapFileInfo& info) {
+  // The writer stores the magic in its own byte order, so a big-endian
+  // file's magic reads byte-swapped as little-endian.
+  ByteReader r{head};
+  const std::uint32_t le = r.u32le();
+  r.seek(0);
+  const std::uint32_t be = r.u32be();
+  if (!r.ok()) return false;
+  for (const bool big_endian : {false, true}) {
+    const std::uint32_t magic = big_endian ? be : le;
+    if (magic == kMagicUsec || magic == kMagicNsec) {
+      info.nanosecond = magic == kMagicNsec;
+      info.swapped = big_endian;
+      return true;
+    }
+  }
+  return false;
+}
+
 PcapReader::PcapReader(std::istream& in, ReadPolicy policy)
     : in_(in), policy_(policy) {
-  RawReader r{in_};
-  std::uint32_t magic = 0;
-  if (!r.u32(magic)) throw PcapError("pcap: empty stream");
+  std::array<std::uint8_t, kPcapGlobalHeaderBytes> buf{};
+  const std::size_t got = read_up_to(in_, buf);
+  if (got < 4) throw PcapError("pcap: empty stream");
+  if (!decode_pcap_magic(buf, info_)) throw PcapError("pcap: bad magic");
 
-  // The magic is stored in the writer's byte order; when read on a host of
-  // the opposite order it appears byte-swapped.
-  bool host_le = std::endian::native == std::endian::little;
-  (void)host_le;
-  switch (magic) {
-    case kMagicUsec:
-      info_.nanosecond = false;
-      r.swap = false;
-      break;
-    case kMagicNsec:
-      info_.nanosecond = true;
-      r.swap = false;
-      break;
-    case kMagicUsecSwapped:
-      info_.nanosecond = false;
-      r.swap = true;
-      break;
-    case kMagicNsecSwapped:
-      info_.nanosecond = true;
-      r.swap = true;
-      break;
-    default:
-      throw PcapError("pcap: bad magic");
-  }
-  info_.swapped = r.swap;
-
-  std::uint32_t tz, sigfigs;
-  if (!r.u16(info_.version_major) || !r.u16(info_.version_minor) || !r.u32(tz) ||
-      !r.u32(sigfigs) || !r.u32(info_.snaplen) || !r.u32(info_.link_type))
-    throw PcapError("pcap: truncated global header");
+  ByteReader r{std::span{buf}.first(got)};
+  r.skip(4);
+  const bool big = info_.swapped;
+  info_.version_major = u16(r, big);
+  info_.version_minor = u16(r, big);
+  r.skip(8);  // thiszone, sigfigs
+  info_.snaplen = u32(r, big);
+  info_.link_type = u32(r, big);
+  if (!r.ok()) throw PcapError("pcap: truncated global header");
   if (info_.version_major != 2) throw PcapError("pcap: unsupported version");
   // Never trust the claimed snaplen for allocation bounds: a hostile
   // 0xFFFFFFFF (or a "no limit" 0) is clamped to kMaxSnaplen.
@@ -108,24 +84,21 @@ bool PcapReader::plausible_record(std::uint32_t incl_len,
 }
 
 bool PcapReader::resync(std::streamoff from) {
-  constexpr std::streamoff kHdr = 16;
+  constexpr auto kHdr = static_cast<std::streamoff>(kPcapRecordHeaderBytes);
   in_.clear();
   in_.seekg(0, std::ios::end);
   const std::streamoff end = in_.tellg();
 
   auto header_at = [&](std::streamoff off, std::uint32_t& incl,
                        std::uint32_t& orig) {
-    std::array<char, 16> hdr;
+    std::array<std::uint8_t, kPcapRecordHeaderBytes> hdr{};
     in_.clear();
     in_.seekg(off);
-    in_.read(hdr.data(), kHdr);
-    if (in_.gcount() < kHdr) return false;
-    std::memcpy(&incl, hdr.data() + 8, 4);
-    std::memcpy(&orig, hdr.data() + 12, 4);
-    if (info_.swapped) {
-      incl = bswap32(incl);
-      orig = bswap32(orig);
-    }
+    if (read_up_to(in_, hdr) < hdr.size()) return false;
+    ByteReader r{hdr};
+    r.skip(8);  // ts_sec, ts_frac
+    incl = u32(r, info_.swapped);
+    orig = u32(r, info_.swapped);
     return true;
   };
 
@@ -170,17 +143,20 @@ bool PcapReader::next(Packet& out) {
   if (done_) return false;
   for (;;) {
     std::streamoff rec_start = in_.tellg();
-    RawReader r{in_, info_.swapped};
-    std::uint32_t ts_sec, ts_frac, incl_len, orig_len;
-    if (!r.u32(ts_sec)) {  // clean EOF
+    std::array<std::uint8_t, kPcapRecordHeaderBytes> hdr{};
+    const std::size_t got = read_up_to(in_, hdr);
+    if (got < hdr.size()) {
+      // No byte left is a clean end of stream; 1-15 are a record header
+      // cut short.
+      if (got > 0) ++stats_.records_truncated;
       done_ = true;
       return false;
     }
-    if (!r.u32(ts_frac) || !r.u32(incl_len) || !r.u32(orig_len)) {
-      ++stats_.records_truncated;  // partial trailing record header
-      done_ = true;
-      return false;
-    }
+    ByteReader r{hdr};
+    const std::uint32_t ts_sec = u32(r, info_.swapped);
+    const std::uint32_t ts_frac = u32(r, info_.swapped);
+    const std::uint32_t incl_len = u32(r, info_.swapped);
+    const std::uint32_t orig_len = u32(r, info_.swapped);
     if (!plausible_record(incl_len, orig_len)) {
       ++stats_.corrupt_headers;
       if (policy_ == ReadPolicy::Strict || rec_start < 0 || !resync(rec_start + 1)) {
@@ -230,23 +206,26 @@ std::vector<Packet> PcapReader::read_all() {
 
 PcapWriter::PcapWriter(std::ostream& out, std::uint32_t snaplen, std::uint32_t link_type)
     : out_(out), snaplen_(snaplen) {
-  put_u32(out_, kMagicUsec);
-  put_u16(out_, 2);
-  put_u16(out_, 4);
-  put_u32(out_, 0);  // thiszone
-  put_u32(out_, 0);  // sigfigs
-  put_u32(out_, snaplen);
-  put_u32(out_, link_type);
+  ByteWriter w(kPcapGlobalHeaderBytes);
+  w.u32le(kMagicUsec);
+  w.u16le(2);
+  w.u16le(4);
+  w.u32le(0);  // thiszone
+  w.u32le(0);  // sigfigs
+  w.u32le(snaplen);
+  w.u32le(link_type);
+  write_bytes(out_, w.data());
 }
 
 void PcapWriter::write(const Packet& pkt) {
-  std::uint32_t incl = static_cast<std::uint32_t>(
-      std::min<std::size_t>(pkt.data.size(), snaplen_));
-  put_u32(out_, static_cast<std::uint32_t>(pkt.ts_usec / 1'000'000));
-  put_u32(out_, static_cast<std::uint32_t>(pkt.ts_usec % 1'000'000));
-  put_u32(out_, incl);
-  put_u32(out_, static_cast<std::uint32_t>(pkt.data.size()));
-  out_.write(reinterpret_cast<const char*>(pkt.data.data()), incl);
+  const std::size_t incl = std::min<std::size_t>(pkt.data.size(), snaplen_);
+  ByteWriter w(kPcapRecordHeaderBytes);
+  w.u32le(static_cast<std::uint32_t>(pkt.ts_usec / 1'000'000));
+  w.u32le(static_cast<std::uint32_t>(pkt.ts_usec % 1'000'000));
+  w.u32le(static_cast<std::uint32_t>(incl));
+  w.u32le(static_cast<std::uint32_t>(pkt.data.size()));
+  write_bytes(out_, w.data());
+  write_bytes(out_, std::span{pkt.data}.first(incl));
 }
 
 void PcapWriter::write_all(const std::vector<Packet>& pkts) {

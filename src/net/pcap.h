@@ -1,12 +1,15 @@
 // Classic libpcap file format reader/writer (no external dependency).
-// Supports the microsecond (0xA1B2C3D4) and nanosecond (0xA1B23C4D) magics,
-// both endiannesses on read, and writes host-independent little-endian
-// microsecond files.
+// Supports the microsecond and nanosecond magics in both byte orders on
+// read, and writes little-endian microsecond files. Every header field goes
+// through net::ByteReader / ByteWriter (net/bytes.h), so the result never
+// depends on the host's byte order.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <istream>
 #include <ostream>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -25,14 +28,26 @@ class PcapError : public std::runtime_error {
 /// never trust the file. 256 KiB comfortably covers jumbo frames.
 constexpr std::uint32_t kMaxSnaplen = 256 * 1024;
 
+/// Bytes of the global header that opens a file and of each record header.
+inline constexpr std::size_t kPcapGlobalHeaderBytes = 24;
+inline constexpr std::size_t kPcapRecordHeaderBytes = 16;
+
 struct PcapFileInfo {
   std::uint16_t version_major = 2;
   std::uint16_t version_minor = 4;
   std::uint32_t snaplen = 65535;
   std::uint32_t link_type = 1;  // LINKTYPE_ETHERNET
   bool nanosecond = false;
-  bool swapped = false;  // file endianness != big-endian encoding in magic
+  /// The file is big-endian: its header fields are read with the u*be
+  /// accessors. (Little-endian files, which PcapWriter writes, use u*le.)
+  bool swapped = false;
 };
+
+/// Decodes a file's first four bytes. The microsecond and nanosecond magics
+/// are accepted in either byte order: sets `info.nanosecond` and
+/// `info.swapped` and returns true, or returns false for any other value
+/// (or fewer than four bytes).
+bool decode_pcap_magic(std::span<const std::uint8_t> head, PcapFileInfo& info);
 
 /// How the reader reacts to a corrupt record header mid-stream.
 enum class ReadPolicy : std::uint8_t {

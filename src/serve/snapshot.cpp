@@ -1,6 +1,7 @@
 // Snapshot serialization for ServeEngine (format documented in snapshot.h).
-// Defined here rather than engine.cpp so the whole codec — writer, reader,
-// staging image, validation — lives in one translation unit.
+// Defined here rather than engine.cpp so the whole format — writer, reader,
+// staging image, validation — lives in one translation unit. Its integers
+// and floats go through net::ByteWriter / ByteReader (net/bytes.h).
 #include "serve/snapshot.h"
 
 #include <bit>
@@ -8,9 +9,10 @@
 #include <cstring>
 #include <unordered_set>
 
+#include "core/crc32.h"
 #include "core/io.h"
 #include "core/trace.h"
-#include "core/crc32.h"
+#include "net/bytes.h"
 #include "serve/engine.h"
 
 namespace sugar::serve {
@@ -64,100 +66,36 @@ enum : std::uint32_t {
   kSecCount = 7,
 };
 
-// --- little-endian writer -------------------------------------------------
-
-void put_u8(std::string& out, std::uint8_t v) {
-  out.push_back(static_cast<char>(v));
-}
-void put_u16(std::string& out, std::uint16_t v) {
-  for (int i = 0; i < 2; ++i) put_u8(out, static_cast<std::uint8_t>(v >> (8 * i)));
-}
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) put_u8(out, static_cast<std::uint8_t>(v >> (8 * i)));
-}
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) put_u8(out, static_cast<std::uint8_t>(v >> (8 * i)));
-}
-void put_f32(std::string& out, float v) {
-  put_u32(out, std::bit_cast<std::uint32_t>(v));
-}
-void put_bytes(std::string& out, const std::uint8_t* p, std::size_t n) {
-  out.append(reinterpret_cast<const char*>(p), n);
+// The FlowKey's on-disk layout is part of the snapshot format, so its codec
+// lives here rather than in net.
+void put_key(net::ByteWriter& w, const net::FlowKey& k) {
+  w.u8(k.a_ip.is_v6 ? 1 : 0);
+  w.bytes(k.a_ip.bytes);
+  w.u8(k.b_ip.is_v6 ? 1 : 0);
+  w.bytes(k.b_ip.bytes);
+  w.u16le(k.a_port);
+  w.u16le(k.b_port);
+  w.u8(k.proto);
 }
 
-void put_key(std::string& out, const net::FlowKey& k) {
-  put_u8(out, k.a_ip.is_v6 ? 1 : 0);
-  put_bytes(out, k.a_ip.bytes.data(), k.a_ip.bytes.size());
-  put_u8(out, k.b_ip.is_v6 ? 1 : 0);
-  put_bytes(out, k.b_ip.bytes.data(), k.b_ip.bytes.size());
-  put_u16(out, k.a_port);
-  put_u16(out, k.b_port);
-  put_u8(out, k.proto);
+/// Reads a key written by put_key into `k` in place; the caller checks
+/// r.ok() once for the whole record.
+void get_key(net::ByteReader& r, net::FlowKey& k) {
+  k.a_ip.is_v6 = r.u8() != 0;
+  r.bytes(k.a_ip.bytes.data(), k.a_ip.bytes.size());
+  k.b_ip.is_v6 = r.u8() != 0;
+  r.bytes(k.b_ip.bytes.data(), k.b_ip.bytes.size());
+  k.a_port = r.u16le();
+  k.b_port = r.u16le();
+  k.proto = r.u8();
 }
 
-// --- bounds-checked reader ------------------------------------------------
-
-struct Reader {
-  const std::uint8_t* p = nullptr;
-  std::size_t n = 0;
-  std::size_t pos = 0;
-
-  [[nodiscard]] std::size_t remaining() const { return n - pos; }
-
-  bool get_u8(std::uint8_t& v) {
-    if (remaining() < 1) return false;
-    v = p[pos++];
-    return true;
-  }
-  bool get_u16(std::uint16_t& v) {
-    if (remaining() < 2) return false;
-    v = 0;
-    for (int i = 0; i < 2; ++i) v |= static_cast<std::uint16_t>(p[pos++]) << (8 * i);
-    return true;
-  }
-  bool get_u32(std::uint32_t& v) {
-    if (remaining() < 4) return false;
-    v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[pos++]) << (8 * i);
-    return true;
-  }
-  bool get_u64(std::uint64_t& v) {
-    if (remaining() < 8) return false;
-    v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[pos++]) << (8 * i);
-    return true;
-  }
-  bool get_f32(float& v) {
-    std::uint32_t bits = 0;
-    if (!get_u32(bits)) return false;
-    v = std::bit_cast<float>(bits);
-    return true;
-  }
-  bool get_bytes(std::uint8_t* out, std::size_t count) {
-    if (remaining() < count) return false;
-    std::memcpy(out, p + pos, count);
-    pos += count;
-    return true;
-  }
-  bool get_key(net::FlowKey& k) {
-    std::uint8_t v6 = 0;
-    if (!get_u8(v6)) return false;
-    k.a_ip.is_v6 = v6 != 0;
-    if (!get_bytes(k.a_ip.bytes.data(), k.a_ip.bytes.size())) return false;
-    if (!get_u8(v6)) return false;
-    k.b_ip.is_v6 = v6 != 0;
-    if (!get_bytes(k.b_ip.bytes.data(), k.b_ip.bytes.size())) return false;
-    return get_u16(k.a_port) && get_u16(k.b_port) && get_u8(k.proto);
-  }
-};
-
-void append_section(std::string& out, std::uint32_t id,
-                    const std::string& payload) {
-  put_u32(out, id);
-  put_u64(out, payload.size());
-  out.append(payload);
-  put_u32(out, core::crc32({reinterpret_cast<const std::uint8_t*>(payload.data()),
-                           payload.size()}));
+void append_section(net::ByteWriter& out, std::uint32_t id,
+                    const net::ByteWriter& payload) {
+  out.u32le(id);
+  out.u64le(payload.size());
+  out.bytes(payload.data());
+  out.u32le(core::crc32(payload.data()));
 }
 
 SnapshotOutcome fail(SnapshotError e, std::string message) {
@@ -176,109 +114,111 @@ SnapshotOutcome ServeEngine::save_snapshot(const std::string& path,
     // Quiesce: no round in flight while we walk the tables.
     std::lock_guard<std::mutex> pump_lock(pump_mu_);
 
-    std::string body;
-    body.append(kSnapshotMagic, sizeof(kSnapshotMagic));
-    put_u32(body, kSnapshotVersion);
+    net::ByteWriter body;
+    for (char c : kSnapshotMagic) body.u8(static_cast<std::uint8_t>(c));
+    body.u32le(kSnapshotVersion);
 
     // 1. Config fingerprint.
-    std::string sec;
-    put_u64(sec, table_.shard_count());
-    put_u64(sec, table_.config().max_flows);
-    put_u64(sec, feature_dim_);
-    put_u64(sec, table_.config().classify_at);
-    put_u64(sec, cfg_.queue_capacity);
-    put_u64(sec, cfg_.batch_size);
-    put_u64(sec, kMinClassifyPackets);
-    put_u64(sec, cfg_.idle_timeout_usec);
-    put_u64(sec, ServeCounters{}.to_values().size());
-    put_u8(sec, cfg_.record_verdicts ? 1 : 0);
-    append_section(body, kSecConfig, sec);
+    net::ByteWriter config;
+    config.u64le(table_.shard_count());
+    config.u64le(table_.config().max_flows);
+    config.u64le(feature_dim_);
+    config.u64le(table_.config().classify_at);
+    config.u64le(cfg_.queue_capacity);
+    config.u64le(cfg_.batch_size);
+    config.u64le(kMinClassifyPackets);
+    config.u64le(cfg_.idle_timeout_usec);
+    config.u64le(ServeCounters{}.to_values().size());
+    config.u8(cfg_.record_verdicts ? 1 : 0);
+    append_section(body, kSecConfig, config);
 
     // 2. Flows, per shard in LRU tail→head order (restore_flow inserts at
     // the head, so replaying in this order rebuilds the identical chain).
-    sec.clear();
-    put_u64(sec, table_.shard_count());
+    net::ByteWriter flows;
+    flows.u64le(table_.shard_count());
     for (std::size_t s = 0; s < table_.shard_count(); ++s) {
-      std::string flows;
+      net::ByteWriter shard;
       std::uint64_t count = 0;
       table_.for_each_lru(s, [&](const FlowRecord& rec) {
         ++count;
-        put_key(flows, rec.key);
-        put_u64(flows, rec.first_ts_usec);
-        put_u64(flows, rec.last_ts_usec);
-        put_u32(flows, rec.packets);
-        put_u32(flows, rec.feature_packets);
-        put_u8(flows, rec.classified ? 1 : 0);
-        for (float f : rec.feature_sum) put_f32(flows, f);
+        put_key(shard, rec.key);
+        shard.u64le(rec.first_ts_usec);
+        shard.u64le(rec.last_ts_usec);
+        shard.u32le(rec.packets);
+        shard.u32le(rec.feature_packets);
+        shard.u8(rec.classified ? 1 : 0);
+        for (float f : rec.feature_sum) shard.u32le(std::bit_cast<std::uint32_t>(f));
       });
-      put_u64(sec, count);
-      sec.append(flows);
+      flows.u64le(count);
+      flows.bytes(shard.data());
     }
-    append_section(body, kSecFlows, sec);
+    append_section(body, kSecFlows, flows);
 
     std::uint64_t peak_queue = 0;
     std::uint64_t peak_flows = 0;
 
     // 3. Counters; 7. verdicts staged now (both under stats_mu_).
-    sec.clear();
-    std::string verdict_sec;
+    net::ByteWriter counters;
+    net::ByteWriter verdicts;
     {
       std::lock_guard<std::mutex> lock(stats_mu_);
       const auto values = stats_.counters.to_values();
-      put_u64(sec, values.size());
-      for (std::uint64_t v : values) put_u64(sec, v);
+      counters.u64le(values.size());
+      for (std::uint64_t v : values) counters.u64le(v);
       peak_flows = peak_flows_;
-      put_u64(verdict_sec, verdicts_.size());
+      verdicts.u64le(verdicts_.size());
       for (const Verdict& v : verdicts_) {
-        put_key(verdict_sec, v.key);
-        put_u32(verdict_sec, static_cast<std::uint32_t>(v.label));
-        put_u32(verdict_sec, v.packets);
-        put_u32(verdict_sec, v.feature_packets);
-        put_u8(verdict_sec, static_cast<std::uint8_t>(v.reason));
-        put_u64(verdict_sec, v.first_ts_usec);
-        put_u64(verdict_sec, v.last_ts_usec);
+        put_key(verdicts, v.key);
+        verdicts.u32le(static_cast<std::uint32_t>(v.label));
+        verdicts.u32le(v.packets);
+        verdicts.u32le(v.feature_packets);
+        verdicts.u8(static_cast<std::uint8_t>(v.reason));
+        verdicts.u64le(v.first_ts_usec);
+        verdicts.u64le(v.last_ts_usec);
       }
     }
-    append_section(body, kSecCounters, sec);
+    append_section(body, kSecCounters, counters);
 
     // 6. Queue staged under queue_mu_ (written after engine + latency).
-    std::string queue_sec;
+    net::ByteWriter queue;
     {
       std::lock_guard<std::mutex> lock(queue_mu_);
       peak_queue = peak_queue_depth_;
-      put_u64(queue_sec, count_);
+      queue.u64le(count_);
       for (std::size_t i = 0; i < count_; ++i) {
         const QueueEntry& e = ring_[ring_slot(i)];
-        put_u64(queue_sec, e.pkt.ts_usec);
-        put_u64(queue_sec, e.pkt.data.size());
-        put_bytes(queue_sec, e.pkt.data.data(), e.pkt.data.size());
+        queue.u64le(e.pkt.ts_usec);
+        queue.u64le(e.pkt.data.size());
+        queue.bytes(e.pkt.data);
       }
     }
 
     // 4. Engine scalars.
-    sec.clear();
-    put_u64(sec, virtual_now_usec_.load(std::memory_order_relaxed));
-    put_u32(sec, stage_.load(std::memory_order_relaxed));
-    put_u64(sec, offered_.load(std::memory_order_relaxed));
-    put_u64(sec, rejected_.load(std::memory_order_relaxed));
-    put_u64(sec, peak_queue);
-    put_u64(sec, peak_flows);
-    put_u64(sec, stream_pos_.load(std::memory_order_relaxed));
-    append_section(body, kSecEngine, sec);
+    net::ByteWriter scalars;
+    scalars.u64le(virtual_now_usec_.load(std::memory_order_relaxed));
+    scalars.u32le(stage_.load(std::memory_order_relaxed));
+    scalars.u64le(offered_.load(std::memory_order_relaxed));
+    scalars.u64le(rejected_.load(std::memory_order_relaxed));
+    scalars.u64le(peak_queue);
+    scalars.u64le(peak_flows);
+    scalars.u64le(stream_pos_.load(std::memory_order_relaxed));
+    append_section(body, kSecEngine, scalars);
 
     // 5. Latency buckets (raw; restore recomputes the total).
-    sec.clear();
+    net::ByteWriter latency;
     {
       std::lock_guard<std::mutex> lock(stats_mu_);
-      for (std::uint64_t b : stats_.latency.buckets()) put_u64(sec, b);
+      for (std::uint64_t b : stats_.latency.buckets()) latency.u64le(b);
     }
-    append_section(body, kSecLatency, sec);
+    append_section(body, kSecLatency, latency);
 
-    append_section(body, kSecQueue, queue_sec);
-    append_section(body, kSecVerdicts, verdict_sec);
+    append_section(body, kSecQueue, queue);
+    append_section(body, kSecVerdicts, verdicts);
 
     std::string err;
-    if (!core::atomic_write_file(path, body, &err, io)) {
+    const std::string_view bytes{reinterpret_cast<const char*>(body.data().data()),
+                                 body.size()};
+    if (!core::atomic_write_file(path, bytes, &err, io)) {
       outcome = fail(SnapshotError::kIo, err);
     }
   }
@@ -332,19 +272,20 @@ SnapshotOutcome ServeEngine::restore_snapshot(const std::string& path,
       outcome = fail(SnapshotError::kIo, err);
       return;
     }
-    Reader r{reinterpret_cast<const std::uint8_t*>(data.data()), data.size(), 0};
+    net::ByteReader r{std::span{reinterpret_cast<const std::uint8_t*>(data.data()),
+                                data.size()}};
 
-    char magic[4] = {};
-    if (!r.get_bytes(reinterpret_cast<std::uint8_t*>(magic), 4)) {
+    const std::span<const std::uint8_t> magic = r.view(sizeof(kSnapshotMagic));
+    if (!r.ok()) {
       outcome = fail(SnapshotError::kTruncated, "file shorter than header");
       return;
     }
-    if (std::memcmp(magic, kSnapshotMagic, 4) != 0) {
+    if (std::memcmp(magic.data(), kSnapshotMagic, sizeof(kSnapshotMagic)) != 0) {
       outcome = fail(SnapshotError::kBadMagic, "not a snapshot file: " + path);
       return;
     }
-    std::uint32_t version = 0;
-    if (!r.get_u32(version)) {
+    const std::uint32_t version = r.u32le();
+    if (!r.ok()) {
       outcome = fail(SnapshotError::kTruncated, "file shorter than header");
       return;
     }
@@ -368,9 +309,9 @@ SnapshotOutcome ServeEngine::restore_snapshot(const std::string& path,
                            " extra bytes after the final section");
         return;
       }
-      std::uint32_t id = 0;
-      std::uint64_t len = 0;
-      if (!r.get_u32(id) || !r.get_u64(len)) {
+      const std::uint32_t id = r.u32le();
+      const std::uint64_t len = r.u64le();
+      if (!r.ok()) {
         outcome = fail(SnapshotError::kTruncated, "file ends mid-section-header");
         return;
       }
@@ -386,11 +327,9 @@ SnapshotOutcome ServeEngine::restore_snapshot(const std::string& path,
                            std::to_string(r.remaining()) + " remain");
         return;
       }
-      const std::uint8_t* payload = r.p + r.pos;
-      r.pos += len;
-      std::uint32_t crc = 0;
-      r.get_u32(crc);
-      if (core::crc32({payload, len}) != crc) {
+      const std::span<const std::uint8_t> payload = r.view(len);
+      const std::uint32_t crc = r.u32le();
+      if (core::crc32(payload) != crc) {
         outcome = fail(SnapshotError::kSectionCrc,
                        "section " + std::to_string(id) + " checksum mismatch");
         return;
@@ -398,22 +337,26 @@ SnapshotOutcome ServeEngine::restore_snapshot(const std::string& path,
       seen[id] = true;
       last_id = id;
 
-      Reader sr{payload, static_cast<std::size_t>(len), 0};
+      // Each record below is read whole, then checked once: a reader that
+      // ran short returns zeros and stays !ok() from then on.
+      net::ByteReader sr{payload};
       auto bad = [&](const char* what) {
         outcome = fail(SnapshotError::kBadSection,
                        "section " + std::to_string(id) + ": " + what);
       };
       switch (id) {
         case kSecConfig: {
-          std::uint64_t shards = 0, max_flows = 0, dim = 0, classify_at = 0;
-          std::uint64_t queue_cap = 0, batch = 0, min_classify = 0, idle = 0;
-          std::uint64_t arity = 0;
-          std::uint8_t record = 0;
-          if (!sr.get_u64(shards) || !sr.get_u64(max_flows) ||
-              !sr.get_u64(dim) || !sr.get_u64(classify_at) ||
-              !sr.get_u64(queue_cap) || !sr.get_u64(batch) ||
-              !sr.get_u64(min_classify) || !sr.get_u64(idle) ||
-              !sr.get_u64(arity) || !sr.get_u8(record)) {
+          const std::uint64_t shards = sr.u64le();
+          const std::uint64_t max_flows = sr.u64le();
+          const std::uint64_t dim = sr.u64le();
+          const std::uint64_t classify_at = sr.u64le();
+          const std::uint64_t queue_cap = sr.u64le();
+          const std::uint64_t batch = sr.u64le();
+          const std::uint64_t min_classify = sr.u64le();
+          const std::uint64_t idle = sr.u64le();
+          const std::uint64_t arity = sr.u64le();
+          const bool record = sr.u8() != 0;
+          if (!sr.ok()) {
             bad("payload too short");
             return;
           }
@@ -426,7 +369,7 @@ SnapshotOutcome ServeEngine::restore_snapshot(const std::string& path,
               min_classify == kMinClassifyPackets &&
               idle == cfg_.idle_timeout_usec &&
               arity == ServeCounters{}.to_values().size() &&
-              (record != 0) == cfg_.record_verdicts;
+              record == cfg_.record_verdicts;
           if (!matches) {
             outcome = fail(SnapshotError::kConfigMismatch,
                            "snapshot taken under a different ServeConfig "
@@ -442,15 +385,15 @@ SnapshotOutcome ServeEngine::restore_snapshot(const std::string& path,
             bad("flows before config");
             return;
           }
-          std::uint64_t shards = 0;
-          if (!sr.get_u64(shards) || shards != table_.shard_count()) {
+          const std::uint64_t shards = sr.u64le();
+          if (!sr.ok() || shards != table_.shard_count()) {
             bad("shard count mismatch");
             return;
           }
           staged.shards.resize(shards);
           for (std::uint64_t s = 0; s < shards; ++s) {
-            std::uint64_t count = 0;
-            if (!sr.get_u64(count) || count > table_.shard_capacity()) {
+            const std::uint64_t count = sr.u64le();
+            if (!sr.ok() || count > table_.shard_capacity()) {
               bad("per-shard flow count out of range");
               return;
             }
@@ -458,21 +401,18 @@ SnapshotOutcome ServeEngine::restore_snapshot(const std::string& path,
             staged.shards[s].reserve(count);
             for (std::uint64_t f = 0; f < count; ++f) {
               FlowRecord rec;
-              std::uint8_t classified = 0;
+              get_key(sr, rec.key);
+              rec.first_ts_usec = sr.u64le();
+              rec.last_ts_usec = sr.u64le();
+              rec.packets = sr.u32le();
+              rec.feature_packets = sr.u32le();
+              rec.classified = sr.u8() != 0;
               rec.feature_sum.resize(feature_dim);
-              if (!sr.get_key(rec.key) || !sr.get_u64(rec.first_ts_usec) ||
-                  !sr.get_u64(rec.last_ts_usec) || !sr.get_u32(rec.packets) ||
-                  !sr.get_u32(rec.feature_packets) ||
-                  !sr.get_u8(classified)) {
+              for (float& x : rec.feature_sum) x = std::bit_cast<float>(sr.u32le());
+              if (!sr.ok()) {
                 bad("flow record truncated");
                 return;
               }
-              for (std::size_t d = 0; d < feature_dim; ++d)
-                if (!sr.get_f32(rec.feature_sum[d])) {
-                  bad("flow record truncated");
-                  return;
-                }
-              rec.classified = classified != 0;
               if (table_.shard_of(rec.key) != s || !keys.insert(rec.key).second) {
                 bad("flow key in the wrong shard or duplicated");
                 return;
@@ -483,29 +423,30 @@ SnapshotOutcome ServeEngine::restore_snapshot(const std::string& path,
           break;
         }
         case kSecCounters: {
-          std::uint64_t count = 0;
-          if (!sr.get_u64(count) ||
-              count != ServeCounters{}.to_values().size()) {
+          const std::uint64_t count = sr.u64le();
+          if (!sr.ok() || count != ServeCounters{}.to_values().size()) {
             outcome = fail(SnapshotError::kConfigMismatch,
                            "counter arity " + std::to_string(count) +
                                " from a different build");
             return;
           }
           staged.counters.resize(count);
-          for (std::uint64_t i = 0; i < count; ++i)
-            if (!sr.get_u64(staged.counters[i])) {
-              bad("counter values truncated");
-              return;
-            }
+          for (std::uint64_t& v : staged.counters) v = sr.u64le();
+          if (!sr.ok()) {
+            bad("counter values truncated");
+            return;
+          }
           break;
         }
         case kSecEngine: {
-          if (!sr.get_u64(staged.virtual_now_usec) ||
-              !sr.get_u32(staged.stage) || !sr.get_u64(staged.offered) ||
-              !sr.get_u64(staged.rejected) ||
-              !sr.get_u64(staged.peak_queue_depth) ||
-              !sr.get_u64(staged.peak_flows) ||
-              !sr.get_u64(staged.stream_pos)) {
+          staged.virtual_now_usec = sr.u64le();
+          staged.stage = sr.u32le();
+          staged.offered = sr.u64le();
+          staged.rejected = sr.u64le();
+          staged.peak_queue_depth = sr.u64le();
+          staged.peak_flows = sr.u64le();
+          staged.stream_pos = sr.u64le();
+          if (!sr.ok()) {
             bad("payload too short");
             return;
           }
@@ -516,47 +457,47 @@ SnapshotOutcome ServeEngine::restore_snapshot(const std::string& path,
           break;
         }
         case kSecLatency: {
-          for (std::uint64_t& b : staged.latency)
-            if (!sr.get_u64(b)) {
-              bad("latency buckets truncated");
-              return;
-            }
+          for (std::uint64_t& b : staged.latency) b = sr.u64le();
+          if (!sr.ok()) {
+            bad("latency buckets truncated");
+            return;
+          }
           break;
         }
         case kSecQueue: {
-          std::uint64_t count = 0;
-          if (!sr.get_u64(count) || count > cfg_.queue_capacity + cfg_.batch_size) {
+          const std::uint64_t count = sr.u64le();
+          if (!sr.ok() || count > cfg_.queue_capacity + cfg_.batch_size) {
             bad("queue depth out of range");
             return;
           }
           staged.queue.resize(count);
-          for (std::uint64_t i = 0; i < count; ++i) {
-            std::uint64_t bytes = 0;
-            if (!sr.get_u64(staged.queue[i].ts_usec) || !sr.get_u64(bytes) ||
-                bytes > sr.remaining()) {
+          for (net::Packet& pkt : staged.queue) {
+            pkt.ts_usec = sr.u64le();
+            const std::span<const std::uint8_t> bytes = sr.view(sr.u64le());
+            if (!sr.ok()) {
               bad("queued packet truncated");
               return;
             }
-            staged.queue[i].data.resize(bytes);
-            sr.get_bytes(staged.queue[i].data.data(), bytes);
+            pkt.data.assign(bytes.begin(), bytes.end());
           }
           break;
         }
         case kSecVerdicts: {
-          std::uint64_t count = 0;
-          if (!sr.get_u64(count) || count > cfg_.max_recorded_verdicts) {
+          const std::uint64_t count = sr.u64le();
+          if (!sr.ok() || count > cfg_.max_recorded_verdicts) {
             bad("verdict count out of range");
             return;
           }
           staged.verdicts.resize(count);
-          for (std::uint64_t i = 0; i < count; ++i) {
-            Verdict& v = staged.verdicts[i];
-            std::uint32_t label = 0;
-            std::uint8_t reason = 0;
-            if (!sr.get_key(v.key) || !sr.get_u32(label) ||
-                !sr.get_u32(v.packets) || !sr.get_u32(v.feature_packets) ||
-                !sr.get_u8(reason) || !sr.get_u64(v.first_ts_usec) ||
-                !sr.get_u64(v.last_ts_usec)) {
+          for (Verdict& v : staged.verdicts) {
+            get_key(sr, v.key);
+            v.label = static_cast<int>(sr.u32le());
+            v.packets = sr.u32le();
+            v.feature_packets = sr.u32le();
+            const std::uint8_t reason = sr.u8();
+            v.first_ts_usec = sr.u64le();
+            v.last_ts_usec = sr.u64le();
+            if (!sr.ok()) {
               bad("verdict record truncated");
               return;
             }
@@ -564,14 +505,10 @@ SnapshotOutcome ServeEngine::restore_snapshot(const std::string& path,
               bad("verdict reason out of range");
               return;
             }
-            v.label = static_cast<int>(label);
             v.reason = static_cast<VerdictReason>(reason);
           }
           break;
         }
-        default:
-          bad("unhandled section");
-          return;
       }
       if (sr.remaining() != 0) {
         outcome = fail(SnapshotError::kTrailingGarbage,

@@ -10,10 +10,11 @@
 // per-shard flow records in LRU tail→head order, monotone counters, engine
 // scalars (virtual stream time, shed stage, offer-side atomics, peaks,
 // stream position), latency-histogram buckets, queued packets, and the
-// un-taken verdict buffer. Floats are serialized as raw IEEE-754 bits, so a
-// restored feature accumulator is bit-identical to the saved one.
+// un-taken verdict buffer. Every field goes through net::ByteWriter /
+// ByteReader (net/bytes.h). Floats are serialized as raw IEEE-754 bits, so
+// a restored feature accumulator is bit-identical to the saved one.
 //
-// The CRC is net::crc32 (IEEE 802.3) per section, so a bit flip pinpoints
+// The CRC is core::crc32 (IEEE 802.3) per section, so a bit flip pinpoints
 // the damaged section instead of invalidating the whole file. Restore
 // parses and validates the ENTIRE file into a staging image before touching
 // any engine state — a corrupted snapshot is rejected with the right

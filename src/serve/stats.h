@@ -46,7 +46,7 @@ class LatencyHistogram {
   /// (saturating) from the buckets so the two can never disagree.
   void restore(const std::array<std::uint64_t, kBuckets>& counts);
 
-  /// {count, p50_us, p90_us, p99_us, p999_us, max_bucket_us}.
+  /// {count, p50_us, p90_us, p99_us, p999_us}.
   [[nodiscard]] core::Json to_json() const;
 
  private:

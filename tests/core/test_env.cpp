@@ -3,6 +3,7 @@
 #include <cstdlib>
 
 #include "core/env.h"
+#include "core/envparse.h"
 
 namespace sugar::core {
 namespace {
@@ -28,8 +29,35 @@ TEST(EnvConfig, IgnoresInvalidValues) {
   EnvConfig def;
   EXPECT_EQ(cfg.flows_per_class_tls, def.flows_per_class_tls);
   EXPECT_EQ(cfg.downstream_epochs, def.downstream_epochs);
+  // A non-finite scale is malformed: no count is multiplied by it.
+  ::setenv("SUGAR_SCALE", "inf", 1);
+  cfg = EnvConfig::from_env();
+  EXPECT_EQ(cfg.flows_per_class_iscx, def.flows_per_class_iscx);
+  EXPECT_EQ(cfg.backbone_flows, def.backbone_flows);
+  EXPECT_EQ(cfg.max_train_packets, def.max_train_packets);
+  EXPECT_EQ(cfg.pretrain_max_samples, def.pretrain_max_samples);
   ::unsetenv("SUGAR_SCALE");
   ::unsetenv("SUGAR_EPOCHS");
+}
+
+TEST(EnvParse, CountsAreWholeFiniteIntegersThatFit) {
+  std::size_t n = 7;
+  EXPECT_TRUE(parse_number("42", n));
+  EXPECT_EQ(n, 42u);
+  for (const char* bad : {"2.5", "1e30", "inf", "nan", "-1", "", "4x",
+                          "99999999999999999999"}) {
+    n = 7;
+    EXPECT_FALSE(parse_number(bad, n)) << bad;
+    EXPECT_EQ(n, 7u) << bad;  // untouched
+  }
+  double d = 1.0;
+  EXPECT_TRUE(parse_number("2.5", d));
+  EXPECT_DOUBLE_EQ(d, 2.5);
+  for (const char* bad : {"inf", "-inf", "nan", "1e999"}) {
+    d = 1.0;
+    EXPECT_FALSE(parse_number(bad, d)) << bad;
+    EXPECT_DOUBLE_EQ(d, 1.0) << bad;
+  }
 }
 
 TEST(EnvConfig, RejectsTrailingGarbageStrictly) {

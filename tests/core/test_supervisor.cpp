@@ -368,6 +368,13 @@ TEST(BenchCli, ParsesStrictFlagsAndRejectsMalformedOnes) {
     const char* argv[] = {"bench", "--cell-timeout-s", "-1"};
     EXPECT_FALSE(parse_bench_cli("t", 3, argv, error).has_value());
   }
+  for (const char* non_finite : {"nan", "inf"}) {
+    // from_chars parses both, and `nan <= 0` is false: the deadline must
+    // still be refused, or the watchdog would wait on a non-finite duration.
+    const char* argv[] = {"bench", "--cell-timeout-s", non_finite};
+    EXPECT_FALSE(parse_bench_cli("t", 3, argv, error).has_value()) << non_finite;
+    EXPECT_NE(error.find("--cell-timeout-s"), std::string::npos) << non_finite;
+  }
   {
     const char* argv[] = {"bench", "--json"};
     EXPECT_FALSE(parse_bench_cli("t", 2, argv, error).has_value());

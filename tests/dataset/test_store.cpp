@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "core/artifact.h"
 #include "core/chaos.h"
 #include "core/runerror.h"
 #include "dataset/store.h"
@@ -276,6 +277,15 @@ TEST_F(StoreTest, CodePastItsCutsIsATypedPinError) {
   EXPECT_THROW((void)paged.fetch(0, 9, keepalive), core::RunError);
 }
 
+// The bytes of the reference store (every column type, several row groups
+// with a ragged tail, a code column's cuts) are pinned, so the on-disk
+// format cannot drift under a change to its codec.
+TEST_F(StoreTest, FileBytesPinned) {
+  const std::string bytes = slurp(write_reference_store(dir_, make_reference()));
+  EXPECT_EQ(bytes.size(), 3818u);
+  EXPECT_EQ(core::fnv1a64(bytes), 0xb79c727aca149c92ull);
+}
+
 TEST_F(StoreTest, TruncationAtEveryStrideIsATypedOpenError) {
   const Reference ref = make_reference();
   const std::string path = write_reference_store(dir_, ref);
@@ -287,13 +297,21 @@ TEST_F(StoreTest, TruncationAtEveryStrideIsATypedOpenError) {
                              original.size() - 17};
   for (std::size_t c = 2; c < original.size(); c += original.size() / 41)
     cuts.insert(c);
+  std::vector<std::string> kinds;
   for (std::size_t cut : cuts) {
     spit(victim, original.substr(0, cut));
     StoreError err;
     auto r = StoreReader::open(victim, &err);
     EXPECT_FALSE(r) << "truncation to " << cut << " bytes opened cleanly";
     EXPECT_NE(err.kind, StoreErrorKind::kNone) << "cut " << cut;
+    kinds.push_back(to_string(err.kind));
   }
+  // Each cut, in ascending order, keeps the error it had when the codec was
+  // first pinned: files shorter than header + trailer are truncated, and
+  // every longer cut loses the trailer magic.
+  std::vector<std::string> want(6, "truncated");
+  want.resize(49, "bad-magic");
+  EXPECT_EQ(kinds, want);
 
   // Trailing garbage displaces the trailer: also a typed failure.
   spit(victim, original + std::string(40, '\x5a'));

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "core/crc32.h"
 #include "net/checksum.h"
 #include "net/parser.h"
 #include "net/serializer.h"
@@ -80,34 +81,34 @@ TEST(Crc32, CheckVector) {
   // The canonical IEEE 802.3 / zlib check value.
   const char* s = "123456789";
   std::span<const std::uint8_t> data{reinterpret_cast<const std::uint8_t*>(s), 9};
-  EXPECT_EQ(crc32(data), 0xCBF43926u);
+  EXPECT_EQ(core::crc32(data), 0xCBF43926u);
 }
 
 TEST(Crc32, EmptyIsZero) {
-  EXPECT_EQ(crc32(std::span<const std::uint8_t>{}), 0u);
+  EXPECT_EQ(core::crc32(std::span<const std::uint8_t>{}), 0u);
 }
 
 TEST(Crc32, ChainingMatchesOneShot) {
   std::vector<std::uint8_t> data(257);
   for (std::size_t i = 0; i < data.size(); ++i)
     data[i] = static_cast<std::uint8_t>(i * 37 + 11);
-  const std::uint32_t whole = crc32(data);
+  const std::uint32_t whole = core::crc32(data);
   for (std::size_t split : {std::size_t{0}, std::size_t{1}, std::size_t{128},
                             std::size_t{256}, data.size()}) {
-    std::uint32_t acc = crc32(std::span{data}.first(split));
-    acc = crc32(std::span{data}.subspan(split), acc);
+    std::uint32_t acc = core::crc32(std::span{data}.first(split));
+    acc = core::crc32(std::span{data}.subspan(split), acc);
     EXPECT_EQ(acc, whole) << "split at " << split;
   }
 }
 
 TEST(Crc32, SingleBitFlipDetected) {
   std::vector<std::uint8_t> data(64, 0xA5);
-  const std::uint32_t clean = crc32(data);
+  const std::uint32_t clean = core::crc32(data);
   for (std::size_t byte : {std::size_t{0}, std::size_t{31}, std::size_t{63}}) {
     for (int bit : {0, 4, 7}) {
       auto flipped = data;
       flipped[byte] ^= static_cast<std::uint8_t>(1u << bit);
-      EXPECT_NE(crc32(flipped), clean);
+      EXPECT_NE(core::crc32(flipped), clean);
     }
   }
 }

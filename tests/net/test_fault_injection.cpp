@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "core/artifact.h"
 #include "net/fault.h"
 #include "net/parser.h"
 #include "net/pcap.h"
@@ -242,39 +243,106 @@ TEST(FaultInjection, QuicDohStreamCensusPinned) {
   EXPECT_EQ(header_rejects, 32u);
 }
 
-// Mutated pcap streams through both read policies: no crash, no unbounded
-// allocation, and the stats counters always sum to records encountered.
-TEST(FaultInjection, StreamFuzz) {
+/// The StreamFuzz corpus: seed 31337, 2,000 mutants of a six-record
+/// capture (fault i % kCount), each read under both policies.
+struct StreamCorpus {
+  std::string mutants;  // every mutant, length-prefixed, in draw order
+  /// One line per (fault, policy): summed PcapReadStats fields and the
+  /// count of PcapError rejections.
+  std::vector<std::string> census;
+  std::size_t rejected_headers = 0;
+  std::size_t total_ok = 0;
+};
+
+// Reads every mutant and checks the reader's invariants: no crash, no
+// unbounded allocation, and the stats counters always sum to records
+// encountered.
+void run_stream_corpus(StreamCorpus& out) {
   std::vector<Packet> pkts;
   for (std::uint8_t i = 0; i < 6; ++i)
     pkts.push_back(i % 2 ? tcp_packet_with_options(i) : udp_packet(i));
   std::string wire = serialize_pcap(pkts);
 
+  constexpr std::size_t kFaults = static_cast<std::size_t>(StreamFault::kCount);
+  constexpr ReadPolicy kPolicies[] = {ReadPolicy::Strict, ReadPolicy::SkipAndResync};
+  PcapReadStats sums[kFaults][2] = {};
+  std::size_t rejects[kFaults][2] = {};
   FaultInjector inj(31337);
-  std::size_t rejected_headers = 0, total_ok = 0;
   for (std::size_t i = 0; i < 2'000; ++i) {
-    auto fault = static_cast<StreamFault>(
-        i % static_cast<std::size_t>(StreamFault::kCount));
+    auto fault = static_cast<StreamFault>(i % kFaults);
     std::string mutant = inj.mutate_stream(wire, fault);
-    for (auto policy : {ReadPolicy::Strict, ReadPolicy::SkipAndResync}) {
+    out.mutants += std::to_string(mutant.size()) + ':' + mutant;
+    for (std::size_t p = 0; p < 2; ++p) {
       std::stringstream ss(mutant);
       try {
-        PcapReader reader(ss, policy);
+        PcapReader reader(ss, kPolicies[p]);
         auto got = reader.read_all();
         const auto& st = reader.stats();
         ASSERT_EQ(got.size(), st.records_ok) << to_string(fault) << " @" << i;
         ASSERT_EQ(st.total_records(),
                   st.records_ok + st.records_truncated + st.corrupt_headers);
         ASSERT_LE(st.bytes_skipped, mutant.size());
-        for (const auto& p : got) ASSERT_LE(p.data.size(), kMaxSnaplen);
-        total_ok += st.records_ok;
+        for (const auto& pkt : got) ASSERT_LE(pkt.data.size(), kMaxSnaplen);
+        PcapReadStats& sum = sums[i % kFaults][p];
+        sum.records_ok += st.records_ok;
+        sum.records_truncated += st.records_truncated;
+        sum.corrupt_headers += st.corrupt_headers;
+        sum.resyncs += st.resyncs;
+        sum.bytes_skipped += st.bytes_skipped;
+        out.total_ok += st.records_ok;
       } catch (const PcapError&) {
-        ++rejected_headers;  // malformed global header: rejection is correct
+        ++rejects[i % kFaults][p];
+        ++out.rejected_headers;  // malformed global header: rejection is correct
       }
     }
   }
-  EXPECT_GT(rejected_headers, 0u);  // CorruptMagic / TruncateGlobalHeader hit
-  EXPECT_GT(total_ok, 0u);          // plenty of records still ingested
+  for (std::size_t f = 0; f < kFaults; ++f)
+    for (std::size_t p = 0; p < 2; ++p) {
+      const PcapReadStats& sum = sums[f][p];
+      out.census.push_back(
+          to_string(static_cast<StreamFault>(f)) + (p ? " resync" : " strict") +
+          ": ok " + std::to_string(sum.records_ok) + " truncated " +
+          std::to_string(sum.records_truncated) + " corrupt " +
+          std::to_string(sum.corrupt_headers) + " resyncs " +
+          std::to_string(sum.resyncs) + " skipped " +
+          std::to_string(sum.bytes_skipped) + " rejected " +
+          std::to_string(rejects[f][p]));
+    }
+}
+
+TEST(FaultInjection, StreamFuzz) {
+  StreamCorpus corpus;
+  ASSERT_NO_FATAL_FAILURE(run_stream_corpus(corpus));
+  EXPECT_GT(corpus.rejected_headers, 0u);  // CorruptMagic / TruncateGlobalHeader hit
+  EXPECT_GT(corpus.total_ok, 0u);          // plenty of records still ingested
+}
+
+// The StreamFuzz corpus and the reader's census of it are pinned: the same
+// mutant bytes, and per (fault, policy) the same PcapReadStats sums and
+// global-header rejections.
+TEST(FaultInjection, StreamCorpusPinned) {
+  StreamCorpus corpus;
+  ASSERT_NO_FATAL_FAILURE(run_stream_corpus(corpus));
+  EXPECT_EQ(core::fnv1a64(corpus.mutants), 0x0ac9f08fb64c6e7dull);
+  EXPECT_EQ(corpus.census, (std::vector<std::string>{
+      "corrupt-magic strict: ok 0 truncated 0 corrupt 0 resyncs 0 skipped 0 rejected 250",
+      "corrupt-magic resync: ok 0 truncated 0 corrupt 0 resyncs 0 skipped 0 rejected 250",
+      "truncate-global-header strict: ok 0 truncated 0 corrupt 0 resyncs 0 skipped 0 rejected 250",
+      "truncate-global-header resync: ok 0 truncated 0 corrupt 0 resyncs 0 skipped 0 rejected 250",
+      "hostile-snaplen strict: ok 1500 truncated 0 corrupt 0 resyncs 0 skipped 0 rejected 0",
+      "hostile-snaplen resync: ok 1500 truncated 0 corrupt 0 resyncs 0 skipped 0 rejected 0",
+      "corrupt-record-length strict: ok 571 truncated 0 corrupt 250 resyncs 0 skipped 0 rejected 0",
+      "corrupt-record-length resync: ok 1250 truncated 0 corrupt 250 resyncs 212 skipped 26167 rejected 0",
+      "zero-length-record strict: ok 1750 truncated 0 corrupt 0 resyncs 0 skipped 0 rejected 0",
+      "zero-length-record resync: ok 1750 truncated 0 corrupt 0 resyncs 0 skipped 0 rejected 0",
+      // Every MidRecordTruncate mutant is a truncated record, including the
+      // 11 cut 1-3 bytes into a record header.
+      "mid-record-truncate strict: ok 664 truncated 250 corrupt 0 resyncs 0 skipped 0 rejected 0",
+      "mid-record-truncate resync: ok 664 truncated 250 corrupt 0 resyncs 0 skipped 0 rejected 0",
+      "garbage-tail strict: ok 1500 truncated 0 corrupt 250 resyncs 0 skipped 0 rejected 0",
+      "garbage-tail resync: ok 1500 truncated 0 corrupt 250 resyncs 0 skipped 11782 rejected 0",
+      "bit-flip-anywhere strict: ok 1261 truncated 0 corrupt 49 resyncs 0 skipped 0 rejected 11",
+      "bit-flip-anywhere resync: ok 1381 truncated 0 corrupt 49 resyncs 41 skipped 5028 rejected 11"}));
 }
 
 // End-to-end degradation: a trace whose frames were mauled still cleans

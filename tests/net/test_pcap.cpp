@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <tuple>
 
+#include "core/artifact.h"
 #include "net/pcap.h"
 #include "net/serializer.h"
 
@@ -38,12 +40,30 @@ TEST(Pcap, RoundTrip) {
   EXPECT_EQ(reader.info().snaplen, 65535u);
   EXPECT_EQ(reader.info().link_type, 1u);
   EXPECT_FALSE(reader.info().nanosecond);
+  EXPECT_FALSE(reader.info().swapped);  // the writer writes little-endian
 
   auto back = reader.read_all();
   ASSERT_EQ(back.size(), pkts.size());
   for (std::size_t i = 0; i < pkts.size(); ++i) {
     EXPECT_EQ(back[i].ts_usec, pkts[i].ts_usec);
     EXPECT_EQ(back[i].data, pkts[i].data);
+  }
+}
+
+// The writer's bytes are pinned at the default snaplen and at one that
+// truncates every record, so the file format cannot drift under a change
+// to its codec.
+TEST(Pcap, WriterBytesPinned) {
+  const auto pkts = sample_packets();
+  for (const auto& [snaplen, size, digest] :
+       {std::tuple{std::uint32_t{65535}, std::size_t{434}, std::uint64_t{0x8edf3e86c1a22009}},
+        std::tuple{std::uint32_t{50}, std::size_t{354}, std::uint64_t{0x72513e2b7bc9d0e7}}}) {
+    std::stringstream ss;
+    PcapWriter writer(ss, snaplen);
+    writer.write_all(pkts);
+    const std::string bytes = ss.str();
+    EXPECT_EQ(bytes.size(), size) << "snaplen " << snaplen;
+    EXPECT_EQ(core::fnv1a64(bytes), digest) << "snaplen " << snaplen;
   }
 }
 
@@ -86,6 +106,30 @@ TEST(Pcap, TruncatedRecordEndsStream) {
   EXPECT_EQ(reader.stats().records_ok, pkts.size() - 1);
   EXPECT_EQ(reader.stats().records_truncated, 1u);
   EXPECT_EQ(reader.stats().total_records(), pkts.size());
+}
+
+// A stream that ends inside a record header is a truncated record however
+// few of its 16 bytes arrived; only a stream ending between records ends
+// cleanly.
+TEST(Pcap, TornRecordHeaderIsCounted) {
+  auto pkts = sample_packets();
+  std::stringstream ss;
+  {
+    PcapWriter writer(ss);
+    writer.write_all(pkts);
+  }
+  const std::string blob = ss.str();
+  const std::string header = blob.substr(24, 16);  // the first record's header
+  for (std::size_t torn : {1u, 3u, 15u}) {
+    std::stringstream in(blob + header.substr(0, torn));
+    PcapReader reader(in);
+    auto back = reader.read_all();
+    EXPECT_EQ(back.size(), pkts.size()) << torn << " header bytes";
+    EXPECT_EQ(reader.stats().records_ok, pkts.size()) << torn << " header bytes";
+    EXPECT_EQ(reader.stats().records_truncated, 1u) << torn << " header bytes";
+    EXPECT_EQ(reader.stats().total_records(), pkts.size() + 1)
+        << torn << " header bytes";
+  }
 }
 
 TEST(Pcap, MidRecordTruncationCounted) {
@@ -181,7 +225,7 @@ TEST(Pcap, SwappedNanosecondMagicWithGarbageTail) {
   std::stringstream ss(blob);
   PcapReader reader(ss, ReadPolicy::SkipAndResync);
   EXPECT_TRUE(reader.info().nanosecond);
-  EXPECT_TRUE(reader.info().swapped != (std::endian::native == std::endian::big));
+  EXPECT_TRUE(reader.info().swapped);  // the file is big-endian
   auto back = reader.read_all();
   ASSERT_EQ(back.size(), 1u);
   EXPECT_EQ(back[0].ts_usec, 3'250'000u);
@@ -246,7 +290,7 @@ TEST(Pcap, ReadsSwappedEndianness) {
                      be32(7) + be32(123) + be32(4) + be32(4) + "\xAA\xBB\xCC\xDD";
   std::stringstream ss(blob);
   PcapReader reader(ss);
-  EXPECT_TRUE(reader.info().swapped != (std::endian::native == std::endian::big));
+  EXPECT_TRUE(reader.info().swapped);  // the file is big-endian
   Packet p;
   ASSERT_TRUE(reader.next(p));
   EXPECT_EQ(p.ts_usec, 7'000'123u);

@@ -8,6 +8,7 @@
 // tests also run under the sanitizer configurations via scripts/check.sh.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <memory>
@@ -305,16 +306,20 @@ TEST(SnapshotCorruption, EveryTruncationRejectedStructured) {
   std::vector<std::size_t> cuts = {0, 1, 3, 4, 7, 8, 11, 15,
                                    clean.size() / 4, clean.size() / 2,
                                    clean.size() - 5, clean.size() - 1};
+  std::vector<std::string> kinds;
   for (std::size_t cut : cuts) {
     write_file(path, clean.substr(0, cut));
     ServeEngine victim(small_config(), clf);
     const SnapshotOutcome out = victim.restore_snapshot(path);
     EXPECT_NE(out.error, SnapshotError::kNone) << "cut at " << cut;
+    kinds.push_back(to_string(out.error));
     EXPECT_EQ(victim.recovery().cold_starts, 1u) << "cut at " << cut;
     // Still a functional engine after the rejected restore.
     victim.offer(stream[0]);
     victim.pump();
   }
+  // Each cut keeps the error it had when the codec was first pinned.
+  EXPECT_EQ(kinds, std::vector<std::string>(cuts.size(), "truncated"));
 
   // Trailing garbage after a fully valid snapshot is its own error.
   write_file(path, clean + "extra");
@@ -339,6 +344,7 @@ TEST(SnapshotCorruption, EveryBitFlipRejected) {
   // Deterministic corpus: positions strided across the whole file (headers,
   // payloads and CRC trailers all get hit), three bit positions each.
   const std::size_t stride = std::max<std::size_t>(1, clean.size() / 41);
+  std::vector<std::string> kinds;
   for (std::size_t pos = 0; pos < clean.size(); pos += stride) {
     for (int bit : {0, 3, 7}) {
       std::string bad = clean;
@@ -348,12 +354,18 @@ TEST(SnapshotCorruption, EveryBitFlipRejected) {
       const SnapshotOutcome out = victim.restore_snapshot(path);
       EXPECT_NE(out.error, SnapshotError::kNone)
           << "flip at byte " << pos << " bit " << bit;
+      kinds.push_back(to_string(out.error));
       // A rejected restore is a counted cold start with a usable engine.
       EXPECT_EQ(victim.recovery().cold_starts, 1u);
       victim.offer(stream[0]);
       victim.pump();
     }
   }
+  // Each flip keeps the error it had when the codec was first pinned: the
+  // three flips of byte 0 break the magic, every later one a section CRC.
+  std::vector<std::string> want(126, "section-crc");
+  std::fill_n(want.begin(), 3, "bad-magic");
+  EXPECT_EQ(kinds, want);
   core::real_io().remove_file(path);
 }
 
