@@ -37,6 +37,13 @@
 #                               corruption corpus, breaker, watchdog) swept
 #                               at SUGAR_THREADS=1/2/7, plus the chaos
 #                               smoke under TSan
+#   scripts/check.sh simd       portable core::simd backends: the default
+#                               build compiles the build host's widest
+#                               backend (AVX2 where the host runs it), so
+#                               the SSE2 backend and the scalar fallback get
+#                               their own builds, each running the kernel,
+#                               pool-width, training-digest and trace-mode
+#                               identity tests and both goldens
 #   scripts/check.sh perf       perf ledger (BENCH_trajectory.json): with
 #                               PERF_BASE=<git rev> and PERF_PR=<n>, first
 #                               runs perfbench pairs of that revision against
@@ -47,8 +54,9 @@
 #   scripts/check.sh all        everything above but perf
 #
 # Each configuration builds into its own directory (build-check, build-asan,
-# build-ubsan, build-tsan) so sanitizer flags never leak into the default
-# ./build tree. The determinism gates (pool widths 1/2/7, SIMD vs scalar,
+# build-ubsan, build-tsan, build-sse2, build-scalar) so sanitizer and
+# backend flags never leak into the default ./build tree. The determinism
+# gates (pool widths 1/2/7, SIMD backends vs scalar,
 # trace modes, resident vs paged) are gtests and must pass everywhere;
 # performance is measured by perfbench, never gated here.
 set -euo pipefail
@@ -90,10 +98,11 @@ sanitize() {
   # trace-mode identity, the streaming gate, and the hostile-byte tests:
   # the shared byte codec, CRC32, pcap and its stream-fault corpora, the
   # SUGC corruption corpus, the snapshot corruption corpus (chaos_tests)
-  # and the parser fuzz smoke. ctest ANDs -L with -R, hence two calls.
+  # and the parser fuzz smoke, plus the SUGAR_SCALE range check (a scale
+  # whose product overflows size_t). ctest ANDs -L with -R, hence two calls.
   run ctest --test-dir build-ubsan --output-on-failure -j "$JOBS" -L ubsan
   run ctest --test-dir build-ubsan --output-on-failure -j "$JOBS" \
-      -R 'ParallelDeterminism\.|Pretrain\.TrainingDigests|DownstreamModel\.FrozenFitDigests|Simd(Reductions|Elementwise|Determinism)\.|SquaredDistance\.|ReluInplace\.|SoftmaxRows\.|ModesNeverChangeResults|^ooc_stream$|ByteReader\.|ByteWriter\.|Crc32\.|Pcap\.|FaultInjection\.(Stream|QuicDohStream)|StoreTest\.|^chaos_tests$|^fuzz_parser_smoke$'
+      -R 'ParallelDeterminism\.|Pretrain\.TrainingDigests|DownstreamModel\.FrozenFitDigests|Simd(Reductions|Elementwise|Determinism)\.|SquaredDistance\.|ReluInplace\.|SoftmaxRows\.|ModesNeverChangeResults|^ooc_stream$|ByteReader\.|ByteWriter\.|Crc32\.|Pcap\.|FaultInjection\.(Stream|QuicDohStream)|StoreTest\.|^chaos_tests$|^fuzz_parser_smoke$|EnvConfig\.IgnoresInvalidValues'
 
   configure_build build-tsan -DSUGAR_SANITIZE=thread
   # The stress binaries plus the pool-width gates (kernels and the training
@@ -230,6 +239,21 @@ scenario() {
   SUGAR_THREADS=7 run ctest --test-dir build-asan --output-on-failure -L scenario
 }
 
+simd() {
+  # The default build selects AVX2 on an AVX2 host. Presetting the host
+  # probe's cached result off builds the portable SSE2 backend there; the
+  # scalar fallback is forced at compile time. Every lane op is the same
+  # IEEE-754 operation on every backend, so the digest pins and goldens,
+  # recorded once, must pass unchanged in both builds.
+  configure_build build-sse2 -DSUGAR_HOST_AVX2=OFF
+  configure_build build-scalar -DCMAKE_CXX_FLAGS=-DSUGAR_SIMD_FORCE_SCALAR
+  for dir in build-sse2 build-scalar; do
+    run ctest --test-dir "$dir" --output-on-failure -j "$JOBS" \
+        -R '^Simd|^Matrix|ParallelDeterminism\.|^Mlp|Pretrain\.TrainingDigests|DownstreamModel\.FrozenFitDigests|TraceIntegrationTest\.ModesNeverChangeResults'
+    run ctest --test-dir "$dir" --output-on-failure -L golden
+  done
+}
+
 perf() {
   # Performance is measured by perfbench and recorded in the ledger, never
   # gated in ctest. PERF_SEEDS and PERF_WORKLOADS (default: every
@@ -266,6 +290,7 @@ case "$MODE" in
   ooc) ooc ;;
   crash) crash ;;
   scenario) scenario ;;
+  simd) simd ;;
   perf) perf ;;
   all)
     plain
@@ -276,10 +301,11 @@ case "$MODE" in
     ooc
     crash
     scenario
+    simd
     sanitize
     ;;
   *)
-    echo "usage: scripts/check.sh [quick|sanitize|bench|trace|trees|serve|ooc|crash|scenario|perf|all]" >&2
+    echo "usage: scripts/check.sh [quick|sanitize|bench|trace|trees|serve|ooc|crash|scenario|simd|perf|all]" >&2
     exit 2
     ;;
 esac

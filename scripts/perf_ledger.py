@@ -11,14 +11,14 @@ with perfbench/ and src/). For every workload (default: all of
 BENCHMARK.json's) and seed it runs `python3 perfbench/run.py --workload W
 --seed S --seconds N --trace 0` once in each checkout, N being
 BENCHMARK.json's run_seconds, alternating which side goes first. The entry
-records the commit, the host (nproc, simd backend, build type, from
-perfbench's attribution line) and, per workload, the seeds, every run's
-value and, per end-to-end metric of BENCHMARK.json, each side's median and
-quartiles and how many pairs the change won. Appending the same PR and
-commit again adds its runs to that entry's workloads and recomputes their
-summaries; no run is ever dropped. Host speed moves medians ~20% between
-measurements taken hours apart, so only the two sides of one entry are
-comparable.
+records the commit, the host (nproc and build type, which both sides must
+share, and each side's simd backend, from perfbench's attribution line) and,
+per workload, the seeds, every run's value and, per end-to-end metric of
+BENCHMARK.json, each side's median and quartiles and how many pairs the
+change won. Appending the same PR and commit again adds its runs to that
+entry's workloads and recomputes their summaries; no run is ever dropped.
+Host speed moves medians ~20% between measurements taken hours apart, so
+only the two sides of one entry are comparable.
 
 `compare` prints the newest entry metric by metric: the change against its
 parent, beside the metric's BENCHMARK.json bound. The first verdict that
@@ -82,6 +82,28 @@ def run_once(checkout, workload, seed, seconds):
     return attribution, {k: v["value"] for k, v in lines[-1]["metrics"].items()}
 
 
+def side_simd(host):
+    """Each side's simd backend; older entries hold one backend for both."""
+    simd = (host or {}).get("simd")
+    return dict(simd) if isinstance(simd, dict) else {"parent": simd, "change": simd}
+
+
+def record_host(entry, side, attribution):
+    """Keeps the side's simd backend; exits if nproc or build type differ."""
+    host = entry["host"] or {k: attribution.get(k) for k in ("nproc", "build_type")}
+    for key in ("nproc", "build_type"):
+        if attribution.get(key) != host[key]:
+            sys.exit(f"perf_ledger: the {side} side ran with {key} {attribution.get(key)!r}, "
+                     f"the entry's other runs with {host[key]!r}")
+    simd = side_simd(host)
+    if simd[side] not in (None, attribution.get("simd")):
+        sys.exit(f"perf_ledger: the {side} side ran on simd {attribution.get('simd')!r}, "
+                 f"its earlier runs on {simd[side]!r}")
+    simd[side] = attribution.get("simd")
+    host["simd"] = simd
+    entry["host"] = host
+
+
 def quartiles(values):
     if len(values) == 1:
         return {"median": values[0], "q1": values[0], "q3": values[0]}
@@ -129,8 +151,7 @@ def append(args):
             for side in order:
                 attribution, values = run_once(getattr(args, side), workload, seed, seconds)
                 run[side] = {m: values[m] for m in metrics if m in values}
-                entry["host"] = entry["host"] or {k: attribution.get(k) for k in
-                                                  ("nproc", "simd", "build_type")}
+                record_host(entry, side, attribution)
             w["runs"].append(run)
             w["seeds"].append(seed)
             print(f"{workload} seed {seed}: wall_s parent {run['parent']['wall_s']:.3f} "
@@ -166,6 +187,10 @@ def compare_entry(entry, metrics):
     """Prints one entry; returns False if any median is worse than its bound."""
     ok = True
     print(f"PR {entry['pr']} ({entry['commit']}): {entry['title']} [{entry['source']}]")
+    host = entry.get("host") or {}
+    simd = side_simd(host)
+    print(f"  host: nproc {host.get('nproc')}, {host.get('build_type')}; "
+          f"simd {simd['parent'] or 'unknown'} -> {simd['change'] or 'unknown'}")
     for workload, w in entry["workloads"].items():
         pairs = w.get("pairs")
         print(f"  {workload} ({pairs} pairs)" if pairs else f"  {workload}")

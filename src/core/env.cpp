@@ -3,6 +3,7 @@
 #include "core/envparse.h"
 #include "core/trace.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
@@ -15,19 +16,19 @@ EnvConfig EnvConfig::from_env() {
   if (const char* s = std::getenv("SUGAR_SCALE")) {
     double scale = 0;
     if (parse_env_number("SUGAR_SCALE", s, scale)) {
-      if (scale > 0) {
-        auto mul = [scale](std::size_t v) {
-          return std::max<std::size_t>(2, static_cast<std::size_t>(scale * static_cast<double>(v)));
-        };
-        cfg.flows_per_class_iscx = mul(cfg.flows_per_class_iscx);
-        cfg.flows_per_class_ustc = mul(cfg.flows_per_class_ustc);
-        cfg.flows_per_class_tls = mul(cfg.flows_per_class_tls);
-        cfg.backbone_flows = mul(cfg.backbone_flows);
-        cfg.max_train_packets = mul(cfg.max_train_packets);
-        cfg.max_test_packets = mul(cfg.max_test_packets);
-        cfg.pretrain_max_samples = mul(cfg.pretrain_max_samples);
+      std::size_t* const counts[] = {
+          &cfg.flows_per_class_iscx, &cfg.flows_per_class_ustc, &cfg.flows_per_class_tls,
+          &cfg.backbone_flows,       &cfg.max_train_packets,    &cfg.max_test_packets,
+          &cfg.pretrain_max_samples};
+      std::size_t largest = 0;
+      for (const std::size_t* c : counts) largest = std::max(largest, *c);
+      // A product of 2^64 or more has no size_t value: casting it is
+      // undefined, so such a scale is out of range like a non-positive one.
+      if (scale > 0 && scale * static_cast<double>(largest) < 0x1p64) {
+        for (std::size_t* c : counts)
+          *c = std::max<std::size_t>(2, static_cast<std::size_t>(scale * static_cast<double>(*c)));
       } else {
-        std::cerr << "sugar: ignoring non-positive SUGAR_SCALE='" << s << "'\n";
+        std::cerr << "sugar: ignoring out-of-range SUGAR_SCALE='" << s << "'\n";
       }
     }
   }

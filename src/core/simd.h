@@ -1,8 +1,9 @@
 // Portable fixed-width SIMD substrate for the ML hot paths: an 8-lane
 // float vector (`f32x8`) compiled to AVX2 (one 256-bit register), SSE2 or
 // NEON (two 128-bit registers), or a plain scalar array — selected at
-// build time from the target ISA (`-DSUGAR_NATIVE=ON` adds -march=native;
-// the default build uses the portable baseline, SSE2 on x86-64).
+// build time from the target ISA. The build adds -mavx2 when the build
+// host runs AVX2 (src/CMakeLists.txt); elsewhere the target's baseline
+// stands (SSE2 on x86-64).
 //
 // Determinism contract (DESIGN.md §11): every backend executes the SAME
 // sequence of IEEE-754 single-precision operations per lane —

@@ -268,21 +268,26 @@ GeneratedTrace assemble(const std::string& name,
                    [](const Tagged& x, const Tagged& y) { return x.pkt.ts_usec < y.pkt.ts_usec; });
 
   trace.packets.reserve(all.size());
-  for (auto& t : all) {
-    trace.packets.push_back(std::move(t.pkt));
-    trace.labels.push_back(t.label);
-    trace.flow_of.push_back(t.flow_id);
-  }
+  for (auto& t : all) trace.packets.push_back(std::move(t.pkt));
 
   // Spurious traffic, inserted after ordering so timestamps line up.
+  std::vector<std::size_t> spurious;  // descending
   if (opts.spurious_fraction > 0) {
     Rng spur_rng = rng.fork(0x5915u);
-    auto positions = inject_spurious(trace.packets, opts.spurious_fraction, spur_rng);
-    for (std::size_t pos : positions) {
-      trace.labels.insert(trace.labels.begin() + static_cast<std::ptrdiff_t>(pos),
-                          PacketLabel{});
-      trace.flow_of.insert(trace.flow_of.begin() + static_cast<std::ptrdiff_t>(pos), -1);
+    spurious = inject_spurious(trace.packets, opts.spurious_fraction, spur_rng);
+  }
+  // Labels and flow ids follow the packets: each spurious packet gets an
+  // unlabelled entry of flow -1, ahead of the packet it was inserted before.
+  trace.labels.reserve(trace.packets.size());
+  trace.flow_of.reserve(trace.packets.size());
+  auto next = spurious.rbegin();
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    for (; next != spurious.rend() && *next == i; ++next) {
+      trace.labels.emplace_back();
+      trace.flow_of.push_back(-1);
     }
+    trace.labels.push_back(all[i].label);
+    trace.flow_of.push_back(all[i].flow_id);
   }
   return trace;
 }

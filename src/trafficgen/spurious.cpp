@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "net/bytes.h"
 #include "net/serializer.h"
 #include "trafficgen/payload.h"
 
@@ -142,16 +143,13 @@ net::Packet make_spurious_packet(SpuriousCategory category, Rng& rng,
                           net::Ipv4Address::from_octets(129, 6, 15, 28), rng.bytes(48));
     case SpuriousCategory::LinkManagement: {
       // LLC frame: EtherType field carries a length (< 0x0600).
-      net::Packet pkt;
-      pkt.ts_usec = ts;
-      auto src = random_mac(rng);
-      pkt.data.insert(pkt.data.end(), {0x01, 0x80, 0xC2, 0x00, 0x00, 0x00});
-      pkt.data.insert(pkt.data.end(), src.octets.begin(), src.octets.end());
-      pkt.data.push_back(0x00);
-      pkt.data.push_back(0x26);  // length 38
-      auto body = rng.bytes(38);
-      pkt.data.insert(pkt.data.end(), body.begin(), body.end());
-      return pkt;
+      static constexpr std::uint8_t kStpMulticast[] = {0x01, 0x80, 0xC2, 0x00, 0x00, 0x00};
+      net::ByteWriter frame(14 + 38);
+      frame.bytes(kStpMulticast);
+      frame.bytes(random_mac(rng).octets);
+      frame.u16be(38);  // length
+      frame.bytes(rng.bytes(38));
+      return net::Packet{.ts_usec = ts, .data = frame.take()};
     }
     case SpuriousCategory::Security:
       return udp_spurious(rng, ts, static_cast<std::uint16_t>(rng.uniform_int(40000, 65000)),
@@ -223,15 +221,30 @@ std::vector<std::size_t> inject_spurious(std::vector<net::Packet>& trace,
         rng.uniform_int(0, static_cast<std::int64_t>(trace.size()) - 1)));
   std::sort(positions.rbegin(), positions.rend());
 
-  std::vector<std::size_t> inserted;
-  for (std::size_t pos : positions) {
-    std::uint64_t ts = trace[pos].ts_usec;
+  // Packets are drawn in that order. One drawn at a position already drawn
+  // copies the timestamp of the packet drawn there before it and lands in
+  // front of it, as inserting each into the trace in turn would.
+  std::vector<net::Packet> spurious;
+  spurious.reserve(positions.size());
+  for (std::size_t k = 0; k < positions.size(); ++k) {
+    const std::size_t pos = positions[k];
+    const std::uint64_t ts = k > 0 && positions[k - 1] == pos ? spurious[k - 1].ts_usec
+                                                              : trace[pos].ts_usec;
     auto cat = random_spurious_category(rng);
-    trace.insert(trace.begin() + static_cast<std::ptrdiff_t>(pos),
-                 make_spurious_packet(cat, rng, ts));
-    inserted.push_back(pos);
+    spurious.push_back(make_spurious_packet(cat, rng, ts));
   }
-  return inserted;
+
+  // One merge pass; reading the draws from the back visits positions in
+  // ascending order.
+  std::vector<net::Packet> merged;
+  merged.reserve(trace.size() + spurious.size());
+  std::size_t k = spurious.size();
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    for (; k > 0 && positions[k - 1] == i; --k) merged.push_back(std::move(spurious[k - 1]));
+    merged.push_back(std::move(trace[i]));
+  }
+  trace = std::move(merged);
+  return positions;
 }
 
 }  // namespace sugar::trafficgen

@@ -21,8 +21,10 @@ net::Packet make_spurious_packet(net::SpuriousCategory category, Rng& rng,
 net::SpuriousCategory random_spurious_category(Rng& rng);
 
 /// Sprinkles `fraction` of spurious packets (relative to the final total)
-/// uniformly through an existing, time-ordered trace. Returns the indices at
-/// which spurious packets were inserted.
+/// uniformly through an existing, time-ordered trace, in one pass. Returns,
+/// in descending order, the index of the original packet each spurious
+/// packet was inserted before; packets at a repeated index are in reverse
+/// draw order.
 std::vector<std::size_t> inject_spurious(std::vector<net::Packet>& trace,
                                          double fraction, Rng& rng);
 

@@ -29,13 +29,16 @@ TEST(EnvConfig, IgnoresInvalidValues) {
   EnvConfig def;
   EXPECT_EQ(cfg.flows_per_class_tls, def.flows_per_class_tls);
   EXPECT_EQ(cfg.downstream_epochs, def.downstream_epochs);
-  // A non-finite scale is malformed: no count is multiplied by it.
-  ::setenv("SUGAR_SCALE", "inf", 1);
-  cfg = EnvConfig::from_env();
-  EXPECT_EQ(cfg.flows_per_class_iscx, def.flows_per_class_iscx);
-  EXPECT_EQ(cfg.backbone_flows, def.backbone_flows);
-  EXPECT_EQ(cfg.max_train_packets, def.max_train_packets);
-  EXPECT_EQ(cfg.pretrain_max_samples, def.pretrain_max_samples);
+  // A non-finite scale is malformed, and one whose largest product has no
+  // size_t value is out of range: no count is multiplied by either.
+  for (const char* bad : {"inf", "1e30"}) {
+    ::setenv("SUGAR_SCALE", bad, 1);
+    cfg = EnvConfig::from_env();
+    EXPECT_EQ(cfg.flows_per_class_iscx, def.flows_per_class_iscx) << bad;
+    EXPECT_EQ(cfg.backbone_flows, def.backbone_flows) << bad;
+    EXPECT_EQ(cfg.max_train_packets, def.max_train_packets) << bad;
+    EXPECT_EQ(cfg.pretrain_max_samples, def.pretrain_max_samples) << bad;
+  }
   ::unsetenv("SUGAR_SCALE");
   ::unsetenv("SUGAR_EPOCHS");
 }

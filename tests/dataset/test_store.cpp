@@ -15,10 +15,12 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/artifact.h"
 #include "core/chaos.h"
+#include "core/crc32.h"
 #include "core/runerror.h"
 #include "dataset/store.h"
 
@@ -379,7 +381,42 @@ TEST_F(StoreTest, TrailerAndFooterDamageAreTypedOpenErrors) {
     bytes[bytes.size() - 16 + i] = '\x7f';
   spit(victim, bytes);
   EXPECT_FALSE(StoreReader::open(victim, &err));
-  EXPECT_NE(err.kind, StoreErrorKind::kNone);
+  EXPECT_EQ(err.kind, StoreErrorKind::kBadFooter);
+
+  // Trailer: footer offset u64, footer CRC u32, magic. The footer runs
+  // from its offset to the trailer and ends with the page index, 32 bytes
+  // per page: col u32, first_row u64, nrows u32, payload offset u64,
+  // payload bytes u32, CRC u32.
+  const std::size_t trailer = original.size() - 16;
+  std::uint64_t footer_offset = 0;
+  for (int i = 7; i >= 0; --i)
+    footer_offset = footer_offset << 8 | static_cast<std::uint8_t>(original[trailer + i]);
+  ASSERT_LT(footer_offset + 32, trailer);
+
+  // A flipped footer byte fails the footer CRC.
+  bytes = original;
+  bytes[footer_offset] = static_cast<char>(bytes[footer_offset] ^ 0x01);
+  spit(victim, bytes);
+  EXPECT_FALSE(StoreReader::open(victim, &err));
+  EXPECT_EQ(err.kind, StoreErrorKind::kFooterCrc);
+
+  // A last page entry out of range under a recomputed, valid footer CRC:
+  // structural validation, not the CRC, must reject it.
+  const auto put_le = [](std::string& b, std::size_t at, std::uint64_t v, int n) {
+    for (int i = 0; i < n; ++i) b[at + i] = static_cast<char>(v >> (8 * i));
+  };
+  const std::size_t last_page = trailer - 32;
+  for (const auto& [field, width, value] :
+       {std::tuple{last_page, 4, std::uint64_t{0xFFFFFFFF}},  // column
+        std::tuple{last_page + 16, 8, std::uint64_t{footer_offset}}}) {  // payload
+    bytes = original;
+    put_le(bytes, field, value, width);
+    const auto* footer = reinterpret_cast<const std::uint8_t*>(bytes.data()) + footer_offset;
+    put_le(bytes, trailer + 8, core::crc32({footer, trailer - footer_offset}), 4);
+    spit(victim, bytes);
+    EXPECT_FALSE(StoreReader::open(victim, &err)) << "field at " << field;
+    EXPECT_EQ(err.kind, StoreErrorKind::kBadFooter) << "field at " << field;
+  }
 
   // Header magic destroyed.
   bytes = original;

@@ -341,8 +341,10 @@ TEST(SnapshotCorruption, EveryBitFlipRejected) {
   const std::string clean = read_file(path);
   ASSERT_GT(clean.size(), 64u);
 
-  // Deterministic corpus: positions strided across the whole file (headers,
-  // payloads and CRC trailers all get hit), three bit positions each.
+  // Deterministic corpus: positions strided across the whole file, three
+  // bit positions each. Past the magic every flip it makes reads as a
+  // section CRC mismatch, so the version and the section ids and lengths
+  // get targeted flips in FramingDamageRejectedByKind.
   const std::size_t stride = std::max<std::size_t>(1, clean.size() / 41);
   std::vector<std::string> kinds;
   for (std::size_t pos = 0; pos < clean.size(); pos += stride) {
@@ -366,6 +368,55 @@ TEST(SnapshotCorruption, EveryBitFlipRejected) {
   std::vector<std::string> want(126, "section-crc");
   std::fill_n(want.begin(), 3, "bad-magic");
   EXPECT_EQ(kinds, want);
+  core::real_io().remove_file(path);
+}
+
+// Targeted damage to the fields that frame the sections: the version, a
+// section id and a section length. Each keeps the error kind it had when
+// the codec was first pinned.
+TEST(SnapshotCorruption, FramingDamageRejectedByKind) {
+  const auto stream = sample_stream();
+  const auto clf = parity_classifier();
+  const std::string path = temp_path("framing");
+  {
+    ServeEngine engine(small_config(), clf);
+    drive_rounds(engine, stream, 3);
+    ASSERT_TRUE(engine.save_snapshot(path).ok());
+  }
+  const std::string clean = read_file(path);
+  // Magic [0,4), version u32 [4,8), then per section: id u32, payload
+  // length u64, payload, CRC u32. Section 1 starts at 8, section 2 after it.
+  std::uint64_t first_len = 0;
+  for (int i = 7; i >= 0; --i)
+    first_len = first_len << 8 | static_cast<std::uint8_t>(clean[12 + i]);
+  const std::size_t second = 8 + 12 + first_len + 4;
+  ASSERT_LT(second + 12, clean.size());
+
+  struct Damage {
+    const char* what;
+    std::size_t pos;
+    std::uint8_t mask;
+    const char* kind;
+  };
+  const Damage corpus[] = {
+      {"version low byte", 4, 0x01, "bad-version"},
+      {"version byte 1", 5, 0x10, "bad-version"},
+      {"version high byte", 7, 0x80, "bad-version"},
+      {"first section id 1 -> 0", 8, 0x01, "bad-section"},
+      {"first section id past the last", 11, 0x80, "bad-section"},
+      {"second section id 2 -> 1 (repeat)", second, 0x03, "bad-section"},
+      {"first section length off by one", 12, 0x01, "section-crc"},
+      {"first section length past the end", 19, 0x80, "truncated"},
+      {"second section length past the end", second + 8, 0x40, "truncated"},
+  };
+  for (const Damage& d : corpus) {
+    std::string bad = clean;
+    bad[d.pos] = static_cast<char>(bad[d.pos] ^ d.mask);
+    write_file(path, bad);
+    ServeEngine victim(small_config(), clf);
+    EXPECT_STREQ(to_string(victim.restore_snapshot(path).error), d.kind) << d.what;
+    EXPECT_EQ(victim.recovery().cold_starts, 1u) << d.what;
+  }
   core::real_io().remove_file(path);
 }
 
