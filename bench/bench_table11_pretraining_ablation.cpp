@@ -3,7 +3,6 @@
 // backbone ("T5-base" in the paper). Expected shape: Q&A is the crucial
 // phase; the AE phase adds a smaller increment; no pre-training collapses.
 #include "bench_common.h"
-#include "replearn/pcap_encoder.h"
 
 using namespace sugar;
 
@@ -13,11 +12,10 @@ replearn::ModelBundle make_variant(core::BenchmarkEnv& env, bool ae, bool qa,
                                    const ml::CancelToken* cancel) {
   replearn::ModelBundle b = replearn::make_model(replearn::ModelKind::PcapEncoder,
                                                  replearn::TaskMode::Packet);
-  replearn::PcapEncoderConfig cfg =
-      static_cast<replearn::PcapEncoder&>(*b.encoder).config();
-  cfg.enable_autoencoder_phase = ae;
-  cfg.enable_qa_phase = qa;
-  b.encoder = std::make_unique<replearn::PcapEncoder>(cfg);
+  replearn::EncoderConfig cfg = b.encoder->config();
+  cfg.autoencoder_phase = ae;
+  cfg.qa_phase = qa;
+  b.encoder = std::make_unique<replearn::Encoder>(cfg);
   replearn::BackbonePretrainOptions opts;
   opts.pretrain.epochs = env.config().pretrain_epochs;
   opts.pretrain.cancel = cancel;

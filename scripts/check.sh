@@ -3,7 +3,9 @@
 #
 #   scripts/check.sh            plain build + unit tests + streaming gate
 #   scripts/check.sh sanitize   asan / ubsan / tsan build-and-test matrix
-#   scripts/check.sh bench      plain build + every bench at smoke scale
+#   scripts/check.sh bench      plain build + every bench at smoke scale,
+#                               then perfbench built against this tree's
+#                               src/ and smoke-run (perfbench/smoke_test.py)
 #   scripts/check.sh trace      observability matrix: ctest -L trace
 #                               (schema-4 corpus, traced Fig 6 smoke vs the
 #                               golden, golden artifact), the trace unit and
@@ -42,8 +44,9 @@
 #                               backend (AVX2 where the host runs it), so
 #                               the SSE2 backend and the scalar fallback get
 #                               their own builds, each running the kernel,
-#                               pool-width, training-digest and trace-mode
-#                               identity tests and both goldens
+#                               pool-width, training-digest, flow-cell,
+#                               flow-id and trace-mode identity tests and
+#                               both goldens
 #   scripts/check.sh perf       perf ledger (BENCH_trajectory.json): with
 #                               PERF_BASE=<git rev> and PERF_PR=<n>, first
 #                               runs perfbench pairs of that revision against
@@ -117,6 +120,9 @@ sanitize() {
 bench() {
   configure_build build-check
   run ctest --test-dir build-check --output-on-failure -L bench_smoke
+  # The repo benchmark compiles against src/ (into .bench_build/), so an API
+  # change that breaks its build fails here, not first in a benchmark run.
+  run python3 perfbench/smoke_test.py
 }
 
 trace() {
@@ -249,7 +255,7 @@ simd() {
   configure_build build-scalar -DCMAKE_CXX_FLAGS=-DSUGAR_SIMD_FORCE_SCALAR
   for dir in build-sse2 build-scalar; do
     run ctest --test-dir "$dir" --output-on-failure -j "$JOBS" \
-        -R '^Simd|^Matrix|ParallelDeterminism\.|^Mlp|Pretrain\.TrainingDigests|DownstreamModel\.FrozenFitDigests|TraceIntegrationTest\.ModesNeverChangeResults'
+        -R '^Simd|^Matrix|ParallelDeterminism\.|^Mlp|Pretrain\.TrainingDigests|DownstreamModel\.FrozenFitDigests|TraceIntegrationTest\.ModesNeverChangeResults|PipelineTest\.FlowScenarioPcapEncoderMajorityVote|BenchmarkEnv\.FlowIdDigestsPinned'
     run ctest --test-dir "$dir" --output-on-failure -L golden
   done
 }

@@ -266,15 +266,16 @@ ScenarioResult run_flow_scenario(BenchmarkEnv& env, dataset::TaskId task,
     dm.fit(x_train, parts.train.label, parts.train.flow_id);
     result.train_seconds = seconds_since(t0);
 
+    // featurize_packets reads only the bundle's view, so it still works
+    // after the encoder moved into dm.
     t0 = Clock::now();
-    auto vote_bundle = env.pretrained(model, replearn::TaskMode::Packet, opts.cancel);
     std::vector<int> pred;
     pred.reserve(test_flows.size());
     for (const auto& flow : test_flows) {
       std::vector<std::size_t> first(flow.begin(),
                                      flow.begin() + static_cast<std::ptrdiff_t>(std::min<std::size_t>(
                                          flow.size(), 5)));
-      ml::Matrix xf = vote_bundle.featurize_packets(parts.test, first);
+      ml::Matrix xf = bundle.featurize_packets(parts.test, first);
       auto votes = dm.predict(xf);
       std::unordered_map<int, int> counts;
       for (int v : votes) ++counts[v];

@@ -104,7 +104,7 @@ PacketDataset make_task_dataset(const trafficgen::GeneratedTrace& trace, TaskId 
     if (lbl < 0) continue;  // unlabeled / spurious packet: not part of the task
     auto outcome = net::parse_packet(trace.packets[i]);
     if (!outcome.ok()) continue;
-    int fid = table.add(out.packets.size(), trace.packets[i]);
+    int fid = table.add(out.packets.size(), *outcome.parsed, trace.packets[i].ts_usec);
     if (fid < 0) continue;  // keyless packets cannot join a flow task
     out.packets.push_back(trace.packets[i]);
     out.parsed.push_back(*outcome.parsed);
@@ -128,7 +128,7 @@ PacketDataset make_unlabeled_dataset(const trafficgen::GeneratedTrace& trace) {
   for (const auto& pkt : trace.packets) {
     auto outcome = net::parse_packet(pkt);
     if (!outcome.ok()) continue;
-    int fid = table.add(out.packets.size(), pkt);
+    int fid = table.add(out.packets.size(), *outcome.parsed, pkt.ts_usec);
     out.packets.push_back(pkt);
     out.parsed.push_back(*outcome.parsed);
     out.label.push_back(0);

@@ -22,18 +22,17 @@ struct KnnScratch {
   std::vector<std::size_t> nn;
 };
 
-/// Indices of the k smallest distances (excluding `self` when >= 0),
-/// written into `scratch.nn`. Ties are broken by index (pair comparison),
-/// so the neighbour set is deterministic regardless of which thread
-/// evaluates the query.
-void k_nearest(const Matrix& pool, const float* query, int k,
-               std::ptrdiff_t self, KnnScratch& scratch) {
+/// Indices of the k rows of `pool` nearest to row `self` (itself
+/// excluded), written into `scratch.nn`. Ties are broken by index (pair
+/// comparison), so the neighbour set is deterministic regardless of which
+/// thread evaluates the query.
+void k_nearest(const Matrix& pool, std::size_t self, int k, KnnScratch& scratch) {
   auto& dist = scratch.dist;
   dist.clear();
   dist.reserve(pool.rows());
   for (std::size_t i = 0; i < pool.rows(); ++i) {
-    if (static_cast<std::ptrdiff_t>(i) == self) continue;
-    dist.emplace_back(squared_distance(pool.row(i), query, pool.cols()), i);
+    if (i == self) continue;
+    dist.emplace_back(squared_distance(pool.row(i), pool.row(self), pool.cols()), i);
   }
   std::size_t kk = std::min<std::size_t>(static_cast<std::size_t>(k), dist.size());
   std::partial_sort(dist.begin(), dist.begin() + static_cast<std::ptrdiff_t>(kk),
@@ -43,32 +42,6 @@ void k_nearest(const Matrix& pool, const float* query, int k,
 }
 
 }  // namespace
-
-void KnnClassifier::fit(Matrix x, std::vector<int> y, int num_classes) {
-  train_x_ = std::move(x);
-  train_y_ = std::move(y);
-  num_classes_ = num_classes;
-}
-
-std::vector<int> KnnClassifier::predict(const Matrix& x) const {
-  SUGAR_TRACE_SPAN("ml.knn.predict");
-  SUGAR_TRACE_COUNT("ml.knn_queries", x.rows());
-  std::vector<int> out(x.rows(), 0);
-  core::global_pool().parallel_for(
-      0, x.rows(), kQueryGrain, [&](std::size_t r0, std::size_t r1) {
-        std::vector<int> votes(static_cast<std::size_t>(num_classes_));
-        KnnScratch scratch;
-        for (std::size_t i = r0; i < r1; ++i) {
-          k_nearest(train_x_, x.row(i), k_, -1, scratch);
-          const auto& nn = scratch.nn;
-          std::fill(votes.begin(), votes.end(), 0);
-          for (std::size_t j : nn) ++votes[static_cast<std::size_t>(train_y_[j])];
-          out[i] = static_cast<int>(std::max_element(votes.begin(), votes.end()) -
-                                    votes.begin());
-        }
-      });
-  return out;
-}
 
 PurityHistogram knn_purity(const Matrix& embeddings, const std::vector<int>& labels,
                            int k) {
@@ -91,8 +64,7 @@ PurityHistogram knn_purity(const Matrix& embeddings, const std::vector<int>& lab
         p.histogram.assign(static_cast<std::size_t>(k + 1), 0.0);
         KnnScratch scratch;
         for (std::size_t i = r0; i < r1; ++i) {
-          k_nearest(embeddings, embeddings.row(i), k,
-                    static_cast<std::ptrdiff_t>(i), scratch);
+          k_nearest(embeddings, i, k, scratch);
           const auto& nn = scratch.nn;
           int same = 0;
           for (std::size_t j : nn)

@@ -1,8 +1,8 @@
-// Brute-force k-nearest-neighbour classifier and the k-NN embedding-purity
-// analysis of Figure 4: for each point, how many of its k nearest
-// neighbours in the embedding space share its class. High purity means the
-// embedding clusters classes; the paper shows frozen encoders have very low
-// purity and only unfrozen fine-tuning (on a leaky split) inflates it.
+// The k-NN embedding-purity analysis of Figure 4: for each point, how many
+// of its k nearest neighbours in the embedding space share its class. High
+// purity means the embedding clusters classes; the paper shows frozen
+// encoders have very low purity and only unfrozen fine-tuning (on a leaky
+// split) inflates it.
 #pragma once
 
 #include <array>
@@ -11,20 +11,6 @@
 #include "ml/matrix.h"
 
 namespace sugar::ml {
-
-class KnnClassifier {
- public:
-  explicit KnnClassifier(int k = 5) : k_(k) {}
-
-  void fit(Matrix x, std::vector<int> y, int num_classes);
-  [[nodiscard]] std::vector<int> predict(const Matrix& x) const;
-
- private:
-  int k_;
-  int num_classes_ = 0;
-  Matrix train_x_;
-  std::vector<int> train_y_;
-};
 
 struct PurityHistogram {
   /// histogram[j] = fraction of points with exactly j same-class

@@ -51,11 +51,11 @@ std::size_t FlowKeyHash::operator()(const FlowKey& k) const {
   return static_cast<std::size_t>(h);
 }
 
-int FlowTable::add(std::size_t packet_index, const Packet& pkt) {
-  auto outcome = parse_packet(pkt);
+int FlowTable::add(std::size_t packet_index, const ParsedPacket& parsed,
+                   std::uint64_t ts_usec) {
   FlowKey key;
   bool forward = false;
-  if (!outcome.ok() || !FlowKey::from_parsed(*outcome.parsed, key, forward)) {
+  if (!FlowKey::from_parsed(parsed, key, forward)) {
     keyless_.push_back(packet_index);
     flow_of_.push_back(-1);
     return -1;
@@ -64,19 +64,23 @@ int FlowTable::add(std::size_t packet_index, const Packet& pkt) {
   if (inserted) {
     Flow f;
     f.key = key;
-    f.first_ts_usec = pkt.ts_usec;
+    f.first_ts_usec = ts_usec;
     flows_.push_back(std::move(f));
   }
   Flow& f = flows_[it->second];
   f.packets.push_back({.packet_index = packet_index, .forward = forward});
-  f.last_ts_usec = pkt.ts_usec;
+  f.last_ts_usec = ts_usec;
   flow_of_.push_back(static_cast<int>(it->second));
   return static_cast<int>(it->second);
 }
 
 FlowTable assemble_flows(const std::vector<Packet>& packets) {
+  static const ParsedPacket kUnparsed{};  // no IP layer, so keyless
   FlowTable table;
-  for (std::size_t i = 0; i < packets.size(); ++i) table.add(i, packets[i]);
+  for (std::size_t i = 0; i < packets.size(); ++i) {
+    const ParseOutcome outcome = parse_packet(packets[i]);
+    table.add(i, outcome.ok() ? *outcome.parsed : kUnparsed, packets[i].ts_usec);
+  }
   return table;
 }
 

@@ -57,9 +57,9 @@ struct Flow {
 /// Packets that carry no 5-tuple (ARP, ICMP, LLC) are reported separately.
 class FlowTable {
  public:
-  /// Adds one packet (by index). Returns the flow id it joined, or -1 when
-  /// the packet has no 5-tuple.
-  int add(std::size_t packet_index, const Packet& pkt);
+  /// Adds one packet (by index), given its parse and capture timestamp.
+  /// Returns the flow id it joined, or -1 when the packet has no 5-tuple.
+  int add(std::size_t packet_index, const ParsedPacket& parsed, std::uint64_t ts_usec);
 
   [[nodiscard]] const std::vector<Flow>& flows() const { return flows_; }
   [[nodiscard]] const std::vector<std::size_t>& keyless_packets() const {
@@ -76,7 +76,8 @@ class FlowTable {
   std::vector<int> flow_of_;
 };
 
-/// Convenience: assemble a whole packet vector into flows.
+/// Convenience: parses and assembles a whole packet vector into flows; a
+/// frame that does not parse is keyless.
 FlowTable assemble_flows(const std::vector<Packet>& packets);
 
 }  // namespace sugar::net

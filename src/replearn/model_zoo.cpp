@@ -1,9 +1,6 @@
 #include "replearn/model_zoo.h"
 #include <cmath>
 
-#include "replearn/mae_encoder.h"
-#include "replearn/pcap_encoder.h"
-
 namespace sugar::replearn {
 
 std::vector<ModelKind> all_model_kinds() {
@@ -19,7 +16,6 @@ std::string to_string(ModelKind kind) {
     case ModelKind::TrafficFormer: return "TrafficFormer";
     case ModelKind::NetFound: return "netFound";
     case ModelKind::PcapEncoder: return "Pcap-Encoder";
-    case ModelKind::PacRep: return "PacRep";
   }
   return "?";
 }
@@ -80,13 +76,12 @@ ModelBundle make_model(ModelKind kind, TaskMode mode) {
 
   auto mae = [&](std::size_t input, std::vector<std::size_t> hidden,
                  std::size_t emb, std::uint64_t seed) {
-    MaeEncoderConfig cfg;
-    cfg.name = b.name;
-    cfg.input_dim = input * static_cast<std::size_t>(fp);
-    cfg.hidden = std::move(hidden);
-    cfg.embed_dim = emb;
-    cfg.seed = seed;
-    b.encoder = std::make_unique<MaeEncoder>(cfg);
+    b.encoder = std::make_unique<Encoder>(
+        EncoderConfig{.name = b.name,
+                      .input_dim = input * static_cast<std::size_t>(fp),
+                      .hidden = std::move(hidden),
+                      .embed_dim = emb,
+                      .seed = seed});
   };
 
   switch (kind) {
@@ -151,24 +146,7 @@ ModelBundle make_model(ModelKind kind, TaskMode mode) {
       b.mm_view = {};
       mae(b.mm_view.dim(), {512, 512}, 256, 0x4EF0);
       break;
-    case ModelKind::PacRep:
-      // Off-the-shelf text encoder pressed into traffic duty: full packet
-      // view with IPs/ports zeroed (the paper's PacRep anonymization), and
-      // — crucially — no traffic pre-training at all. pretrain_on_backbone
-      // still runs the generic MAE objective, standing in for "BERT was
-      // pre-trained, just not on packets".
-      b.byte_view = {.length = 128,
-                     .include_ip_header = true,
-                     .include_l4_header = true,
-                     .include_payload = true,
-                     .zero_ip_addresses = true,
-                     .zero_ports = true,
-                     .repeat = 1,
-                     .bit_encode = mode == TaskMode::Packet};
-      if (mode == TaskMode::Flow) b.byte_view.length = 64;
-      mae(b.byte_view.dim(), {192, 192}, 128, 0xBAC2E7);
-      break;
-    case ModelKind::PcapEncoder: {
+    case ModelKind::PcapEncoder:
       // Header bytes only, payload excluded, packet-level always.
       b.byte_view = {.length = 60,
                      .include_ip_header = true,
@@ -178,13 +156,13 @@ ModelBundle make_model(ModelKind kind, TaskMode mode) {
                      .zero_ports = false,
                      .repeat = 1,
                      .bit_encode = true};
-      PcapEncoderConfig cfg;
-      cfg.input_dim = b.byte_view.dim();
-      cfg.hidden = {256, 256};
-      cfg.embed_dim = 160;
-      b.encoder = std::make_unique<PcapEncoder>(cfg);
+      b.encoder = std::make_unique<Encoder>(EncoderConfig{.name = b.name,
+                                                          .input_dim = b.byte_view.dim(),
+                                                          .hidden = {256, 256},
+                                                          .embed_dim = 160,
+                                                          .seed = 13,
+                                                          .qa_dim = qa_target_dim()});
       break;
-    }
   }
   return b;
 }

@@ -21,12 +21,9 @@ enum class ModelKind {
   TrafficFormer,
   NetFound,
   PcapEncoder,
-  /// Extension: PacRep analog — an off-the-shelf (non-traffic) encoder used
-  /// as-is, with no network-specific pretext task (Table 1's "None" row).
-  PacRep,
 };
 
-/// The six models the paper evaluates (§5); PacRep is available separately.
+/// The six models the paper evaluates (§5).
 std::vector<ModelKind> all_model_kinds();
 std::string to_string(ModelKind kind);
 

@@ -19,30 +19,22 @@ void pretrain_on_backbone(ModelBundle& bundle, const dataset::PacketDataset& bac
     indices.resize(opts.max_samples);
   }
 
-  ml::Matrix x;
-  if (bundle.mode == TaskMode::Flow) {
+  Encoder& enc = *bundle.encoder;
+  if (enc.has_qa_head()) {
+    // Pcap-Encoder pre-trains on packets in either task mode (the paper's
+    // §6.2 design): auto-encoding, then Q&A on the same rows.
+    const ml::Matrix x = bundle.featurize_packets(backbone, indices);
+    enc.pretrain(x, opts.pretrain);
+    enc.pretrain_qa(x, qa_target_matrix(backbone, indices), opts.pretrain);
+  } else if (bundle.mode == TaskMode::Flow) {
     // Pre-train on flow windows assembled from the backbone's flows.
-    auto flows = backbone.flows();
     std::vector<std::vector<std::size_t>> windows;
-    for (const auto& f : flows)
+    for (const auto& f : backbone.flows())
       if (f.size() >= 2) windows.push_back(f);
     if (windows.size() > opts.max_samples / 4) windows.resize(opts.max_samples / 4);
-    x = bundle.featurize_flows(backbone, windows);
+    enc.pretrain(bundle.featurize_flows(backbone, windows), opts.pretrain);
   } else {
-    x = bundle.featurize_packets(backbone, indices);
-  }
-
-  bundle.encoder->pretrain(x, opts.pretrain);
-
-  // Pcap-Encoder phase 2: Q&A pretext tasks on the same data.
-  if (bundle.kind == ModelKind::PcapEncoder && bundle.mode == TaskMode::Packet) {
-    ml::Matrix targets = qa_target_matrix(backbone, indices);
-    bundle.encoder->pretrain_supervised(x, targets, opts.pretrain);
-  } else if (bundle.kind == ModelKind::PcapEncoder) {
-    // Flow mode still pre-trains at packet level (the paper's §6.2 design).
-    ml::Matrix xp = bundle.featurize_packets(backbone, indices);
-    ml::Matrix targets = qa_target_matrix(backbone, indices);
-    bundle.encoder->pretrain_supervised(xp, targets, opts.pretrain);
+    enc.pretrain(bundle.featurize_packets(backbone, indices), opts.pretrain);
   }
 }
 

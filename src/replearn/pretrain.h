@@ -1,6 +1,7 @@
 // Pre-training driver: runs a model bundle's self-supervised phase (and,
-// for Pcap-Encoder, the supervised Q&A phase) on an unlabelled backbone
-// trace — the stand-in for the paper's MAWI/UNSW/campus pre-training mix.
+// for an encoder with a Q&A head, Pcap-Encoder's supervised Q&A phase) on
+// an unlabelled backbone trace — the stand-in for the paper's
+// MAWI/UNSW/campus pre-training mix.
 #pragma once
 
 #include "dataset/task.h"
@@ -15,10 +16,11 @@ struct BackbonePretrainOptions {
   std::uint64_t seed = 1009;
 };
 
-/// Pre-trains `bundle.encoder` in place on the backbone dataset. Packet
-/// views follow the bundle's input policy; flow-mode bundles pre-train on
-/// single-packet windows tiled to the flow view, mirroring how the surveyed
-/// models pre-train on bursts.
+/// Pre-trains `bundle.encoder` in place on the backbone dataset. Views
+/// follow the bundle's input policy. Flow-mode MAE bundles pre-train on the
+/// windows of backbone flows with at least two packets, mirroring how the
+/// surveyed models pre-train on bursts; Pcap-Encoder pre-trains on packets
+/// in either mode.
 void pretrain_on_backbone(ModelBundle& bundle, const dataset::PacketDataset& backbone,
                           const BackbonePretrainOptions& opts);
 

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 
+#include "core/artifact.h"
 #include "core/env.h"
 #include "core/envparse.h"
 
@@ -104,6 +105,43 @@ TEST(BenchmarkEnv, BackboneCachedAndUnlabeled) {
   EXPECT_EQ(&a, &b);
   EXPECT_GT(a.size(), 100u);
   for (int l : a.label) EXPECT_EQ(l, 0);
+}
+
+// Recorded before FlowTable::add took the caller's parsed packet: every
+// task dataset and the backbone keep their packet count and flow ids.
+TEST(BenchmarkEnv, FlowIdDigestsPinned) {
+  EnvConfig cfg;
+  cfg.flows_per_class_iscx = 3;
+  cfg.flows_per_class_ustc = 3;
+  cfg.flows_per_class_tls = 2;
+  cfg.backbone_flows = 40;
+  BenchmarkEnv env(cfg);
+  auto digest = [](const dataset::PacketDataset& ds) {
+    return fnv1a64(std::string_view(reinterpret_cast<const char*>(ds.flow_id.data()),
+                                    ds.flow_id.size() * sizeof(int)));
+  };
+  struct Pin {
+    dataset::TaskId task;
+    std::size_t packets;
+    std::uint64_t flow_ids;
+  };
+  const Pin pins[] = {
+      {dataset::TaskId::VpnBinary, 4939, 0x6fea1492367f8155ull},
+      {dataset::TaskId::VpnService, 4939, 0x6fea1492367f8155ull},
+      {dataset::TaskId::VpnApp, 4939, 0x6fea1492367f8155ull},
+      {dataset::TaskId::UstcBinary, 2661, 0x6deb61f5eec52667ull},
+      {dataset::TaskId::UstcApp, 2661, 0x6deb61f5eec52667ull},
+      {dataset::TaskId::Tls120, 7743, 0x4df27b09a60f6c5bull},
+  };
+  for (const Pin& pin : pins) {
+    const auto& ds = env.task_dataset(pin.task);
+    EXPECT_EQ(ds.size(), pin.packets) << dataset::to_string(pin.task);
+    EXPECT_EQ(digest(ds), pin.flow_ids) << dataset::to_string(pin.task);
+  }
+  const auto& backbone = env.backbone();
+  // The backbone is uncleaned: its keyless packets (ARP, ICMP) join flow 0.
+  EXPECT_EQ(backbone.size(), 2590u);
+  EXPECT_EQ(digest(backbone), 0xcde3f4b246824f34ull);
 }
 
 TEST(BenchmarkEnv, SeedChangesData) {

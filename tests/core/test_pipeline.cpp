@@ -135,6 +135,14 @@ TEST_F(PipelineTest, FlowScenarioPcapEncoderMajorityVote) {
                              replearn::ModelKind::PcapEncoder, opts, 5);
   EXPECT_GT(r.n_test, 0u);
   EXPECT_GT(r.metrics.accuracy, 0.6);
+  // Recorded before the vote stopped cloning a second pre-trained encoder.
+  const ml::ConfusionMatrix& cm = r.metrics.confusion;
+  std::vector<std::uint64_t> counts;
+  for (int t = 0; t < cm.num_classes(); ++t)
+    for (int p = 0; p < cm.num_classes(); ++p) counts.push_back(cm.at(t, p));
+  EXPECT_EQ(fnv1a64(std::string_view(reinterpret_cast<const char*>(counts.data()),
+                                     counts.size() * sizeof(std::uint64_t))),
+            0xfe31fc55aa768aaaull);
 }
 
 TEST_F(PipelineTest, ShallowScenarioWithImportance) {

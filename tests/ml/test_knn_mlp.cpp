@@ -25,15 +25,6 @@ std::pair<Matrix, std::vector<int>> two_clusters(std::size_t per_class,
   return {std::move(x), std::move(y)};
 }
 
-TEST(Knn, ClassifiesClusters) {
-  auto [x, y] = two_clusters(50, 1);
-  auto [xt, yt] = two_clusters(20, 2);
-  KnnClassifier knn(5);
-  knn.fit(x, y, 2);
-  auto pred = knn.predict(xt);
-  EXPECT_GT(evaluate(yt, pred, 2).accuracy, 0.97);
-}
-
 TEST(KnnPurity, SeparatedClustersAreFullyPure) {
   auto [x, y] = two_clusters(30, 3);
   auto purity = knn_purity(x, y, 5);

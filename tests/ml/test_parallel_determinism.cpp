@@ -165,27 +165,20 @@ TEST(ParallelDeterminism, ForestFitPredictImportanceAllWidths) {
   }
 }
 
-TEST(ParallelDeterminism, KnnPredictAndPurityAllWidths) {
+TEST(ParallelDeterminism, KnnPurityAllWidths) {
   const Matrix train = random_matrix(200, 8, 51);
   std::vector<int> labels(train.rows());
   for (std::size_t i = 0; i < labels.size(); ++i)
     labels[i] = static_cast<int>(i % 3);
-  const Matrix query = random_matrix(77, 8, 52);
 
-  std::vector<int> ref_pred;
   PurityHistogram ref_purity;
   for (std::size_t w : kWidths) {
     ScopedThreads threads(w);
-    KnnClassifier knn(5);
-    knn.fit(train, labels, 3);
-    auto pred = knn.predict(query);
     auto purity = knn_purity(train, labels, 5);
-    if (ref_pred.empty()) {
-      ref_pred = pred;
+    if (ref_purity.histogram.empty()) {
       ref_purity = purity;
       continue;
     }
-    EXPECT_EQ(pred, ref_pred) << "threads " << w;
     EXPECT_EQ(purity.mean_purity, ref_purity.mean_purity) << "threads " << w;
     ASSERT_EQ(purity.histogram.size(), ref_purity.histogram.size());
     for (std::size_t j = 0; j < purity.histogram.size(); ++j)

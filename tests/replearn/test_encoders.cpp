@@ -2,8 +2,8 @@
 
 #include <random>
 
-#include "replearn/mae_encoder.h"
-#include "replearn/pcap_encoder.h"
+#include "replearn/encoder.h"
+#include "replearn/model_zoo.h"
 
 namespace sugar::replearn {
 namespace {
@@ -23,12 +23,12 @@ ml::Matrix structured_data(std::size_t n, std::size_t d, std::uint64_t seed) {
   return x;
 }
 
-TEST(MaeEncoder, PretrainingReducesReconstructionError) {
-  MaeEncoderConfig cfg;
+TEST(Encoder, PretrainingReducesReconstructionError) {
+  EncoderConfig cfg;
   cfg.input_dim = 40;
   cfg.hidden = {32};
   cfg.embed_dim = 16;
-  MaeEncoder enc(cfg);
+  Encoder enc(cfg);
 
   auto train = structured_data(400, 40, 1);
   auto held_out = structured_data(100, 40, 2);
@@ -41,11 +41,11 @@ TEST(MaeEncoder, PretrainingReducesReconstructionError) {
   EXPECT_LT(after, before * 0.8f);
 }
 
-TEST(MaeEncoder, EmbedShapeAndDeterminism) {
-  MaeEncoderConfig cfg;
+TEST(Encoder, EmbedShapeAndDeterminism) {
+  EncoderConfig cfg;
   cfg.input_dim = 20;
   cfg.embed_dim = 8;
-  MaeEncoder enc(cfg);
+  Encoder enc(cfg);
   auto x = structured_data(5, 20, 3);
   auto e1 = enc.embed(x, false);
   auto e2 = enc.embed(x, false);
@@ -54,11 +54,11 @@ TEST(MaeEncoder, EmbedShapeAndDeterminism) {
   EXPECT_EQ(e1.data(), e2.data());
 }
 
-TEST(MaeEncoder, CloneIsIndependent) {
-  MaeEncoderConfig cfg;
+TEST(Encoder, CloneIsIndependent) {
+  EncoderConfig cfg;
   cfg.input_dim = 20;
   cfg.embed_dim = 8;
-  MaeEncoder enc(cfg);
+  Encoder enc(cfg);
   auto x = structured_data(10, 20, 4);
   auto before = enc.embed(x, false);
 
@@ -66,18 +66,18 @@ TEST(MaeEncoder, CloneIsIndependent) {
   // Train the clone; the original must not move.
   PretrainOptions opts;
   opts.epochs = 3;
-  static_cast<MaeEncoder*>(clone.get())->pretrain(x, opts);
+  clone->pretrain(x, opts);
   auto after_original = enc.embed(x, false);
   EXPECT_EQ(before.data(), after_original.data());
   auto after_clone = clone->embed(x, false);
   EXPECT_NE(before.data(), after_clone.data());
 }
 
-TEST(MaeEncoder, ReinitializeDiscardsPretraining) {
-  MaeEncoderConfig cfg;
+TEST(Encoder, ReinitializeDiscardsPretraining) {
+  EncoderConfig cfg;
   cfg.input_dim = 20;
   cfg.embed_dim = 8;
-  MaeEncoder enc(cfg);
+  Encoder enc(cfg);
   auto x = structured_data(10, 20, 5);
   auto before = enc.embed(x, false);
   enc.reinitialize(999);
@@ -85,11 +85,11 @@ TEST(MaeEncoder, ReinitializeDiscardsPretraining) {
   EXPECT_NE(before.data(), after.data());
 }
 
-TEST(MaeEncoder, UnfrozenGradientsChangeEncoder) {
-  MaeEncoderConfig cfg;
+TEST(Encoder, UnfrozenGradientsChangeEncoder) {
+  EncoderConfig cfg;
   cfg.input_dim = 12;
   cfg.embed_dim = 6;
-  MaeEncoder enc(cfg);
+  Encoder enc(cfg);
   auto x = structured_data(8, 12, 6);
   auto before = enc.embed(x, false);
 
@@ -104,12 +104,13 @@ TEST(MaeEncoder, UnfrozenGradientsChangeEncoder) {
 }
 
 TEST(PcapEncoder, QaPhaseLearnsHeaderSemantics) {
-  PcapEncoderConfig cfg;
+  EncoderConfig cfg;
   cfg.input_dim = 64;
   cfg.hidden = {48, 48};
   cfg.embed_dim = 24;
+  cfg.seed = 13;
   cfg.qa_dim = 10;
-  PcapEncoder enc(cfg);
+  Encoder enc(cfg);
 
   // Targets: a simple function of the first input dims (a stand-in for
   // "read the TTL field").
@@ -126,19 +127,21 @@ TEST(PcapEncoder, QaPhaseLearnsHeaderSemantics) {
   PretrainOptions opts;
   opts.epochs = 4;
   enc.pretrain(x, opts);
-  enc.pretrain_supervised(x, targets, opts);
+  enc.pretrain_qa(x, targets, opts);
   float after = enc.qa_error(x, targets);
   EXPECT_LT(after, before * 0.3f);
 }
 
 TEST(PcapEncoder, AblationSwitchesDisablePhases) {
-  PcapEncoderConfig cfg;
+  EncoderConfig cfg;
   cfg.input_dim = 32;
   cfg.hidden = {16, 16};
   cfg.embed_dim = 8;
-  cfg.enable_autoencoder_phase = false;
-  cfg.enable_qa_phase = false;
-  PcapEncoder enc(cfg);
+  cfg.seed = 13;
+  cfg.qa_dim = qa_target_dim();
+  cfg.autoencoder_phase = false;
+  cfg.qa_phase = false;
+  Encoder enc(cfg);
 
   auto x = structured_data(50, 32, 8);
   auto before = enc.embed(x, false);
@@ -146,17 +149,29 @@ TEST(PcapEncoder, AblationSwitchesDisablePhases) {
   opts.epochs = 3;
   enc.pretrain(x, opts);  // disabled -> no-op
   ml::Matrix targets(50, cfg.qa_dim, 0.5f);
-  enc.pretrain_supervised(x, targets, opts);  // disabled -> no-op
+  enc.pretrain_qa(x, targets, opts);  // disabled -> no-op
   auto after = enc.embed(x, false);
   EXPECT_EQ(before.data(), after.data());
 }
 
 TEST(PcapEncoder, ParamCountPositive) {
-  PcapEncoderConfig cfg;
-  PcapEncoder enc(cfg);
+  const auto bundle = make_model(ModelKind::PcapEncoder);
+  const Encoder& enc = *bundle.encoder;
   EXPECT_GT(enc.param_count(), 10000u);
   EXPECT_EQ(enc.name(), "Pcap-Encoder");
-  EXPECT_EQ(enc.embed_dim(), cfg.embed_dim);
+  EXPECT_EQ(enc.embed_dim(), 160u);
+  EXPECT_EQ(enc.config().qa_dim, qa_target_dim());
+  EXPECT_FALSE(make_model(ModelKind::NetMamba).encoder->has_qa_head());
+}
+
+TEST(Encoder, QaPhaseNeedsAQaHead) {
+  EncoderConfig cfg;
+  cfg.input_dim = 12;
+  cfg.embed_dim = 6;
+  Encoder enc(cfg);
+  auto x = structured_data(8, 12, 9);
+  ml::Matrix targets(8, 3, 0.5f);
+  EXPECT_THROW(enc.pretrain_qa(x, targets, PretrainOptions{}), ml::InternalError);
 }
 
 }  // namespace

@@ -10,18 +10,17 @@
 #include "core/trace.h"
 #include "ml/metrics.h"
 #include "replearn/head.h"
-#include "replearn/mae_encoder.h"
 #include "replearn/model_zoo.h"
 
 namespace sugar::replearn {
 namespace {
 
 std::unique_ptr<Encoder> small_encoder() {
-  MaeEncoderConfig cfg;
+  EncoderConfig cfg;
   cfg.input_dim = 16;
   cfg.hidden = {24};
   cfg.embed_dim = 12;
-  return std::make_unique<MaeEncoder>(cfg);
+  return std::make_unique<Encoder>(cfg);
 }
 
 std::pair<ml::Matrix, std::vector<int>> separable_data(std::size_t n,
@@ -189,16 +188,6 @@ TEST(ModelZoo, AllModelsConstruct) {
       EXPECT_EQ(bundle.encoder->input_dim(), view_dim) << to_string(kind);
     }
   }
-}
-
-TEST(ModelZoo, PacRepExtensionConstructs) {
-  auto pacrep = make_model(ModelKind::PacRep);
-  EXPECT_EQ(pacrep.name, "PacRep");
-  EXPECT_TRUE(pacrep.byte_view.zero_ip_addresses);
-  EXPECT_TRUE(pacrep.byte_view.zero_ports);
-  // Not part of the paper's evaluated set.
-  auto kinds = all_model_kinds();
-  EXPECT_EQ(std::count(kinds.begin(), kinds.end(), ModelKind::PacRep), 0);
 }
 
 TEST(ModelZoo, InputPoliciesMatchAppendixA2) {

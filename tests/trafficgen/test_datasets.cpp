@@ -135,8 +135,7 @@ TEST(Datasets, GeneratorFlowsMatchWireFlows) {
   // The generator's flow ids must agree with flows re-derived from the
   // wire bytes via FlowTable (cross-check of the whole stack).
   auto trace = generate_cstn_tls120(small_opts());
-  net::FlowTable table;
-  for (std::size_t i = 0; i < trace.size(); ++i) table.add(i, trace.packets[i]);
+  const net::FlowTable table = net::assemble_flows(trace.packets);
   std::map<int, std::set<int>> wire_to_gen;
   for (std::size_t i = 0; i < trace.size(); ++i) {
     int wire = table.flow_of_packet()[i];
